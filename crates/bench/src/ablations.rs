@@ -289,7 +289,10 @@ pub fn reclaim_stalled_soak(scale: Scale, kind: ReclaimerKind) -> ScenarioResult
     // Holder released: flush deferred garbage and snapshot the recovery —
     // epoch's backlog collapses here, proving the growth was the stalled
     // guard and not a leak.
-    cqs_core::flush_reclaimer(kind);
+    assert!(
+        cqs_core::flush_reclaimer(kind),
+        "{kind} backlog still stuck after the holder released"
+    );
     samples.push(ResourceSample {
         x: rounds + 1,
         rss_bytes: rss_bytes(),

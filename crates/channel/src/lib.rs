@@ -540,7 +540,7 @@ impl<T: Send + 'static> CqsChannel<T> {
         cqs_stats::bump!(channel_sends);
         let shared = &self.shared;
         if shared.closed.load(Ordering::SeqCst) {
-            return ChannelSend::rejected(element, &self.shared);
+            return self.send_in(SendState::Rejected(Some(element)));
         }
         if shared.capacity.is_some() {
             cqs_chaos::inject!("channel.send.pre-gate");
@@ -557,7 +557,14 @@ impl<T: Send + 'static> CqsChannel<T> {
             // still stored moves to the orphan list `drain()` returns.
             shared.sweep_buffer_into_orphans();
         }
-        ChannelSend::accepted(&self.shared)
+        self.send_in(SendState::Accepted)
+    }
+
+    fn send_in(&self, state: SendState<T>) -> ChannelSend<T> {
+        ChannelSend {
+            state,
+            channel: Arc::downgrade(&self.shared),
+        }
     }
 
     /// Slow path of [`send`](Self::send): queue on the sender CQS and
@@ -569,28 +576,30 @@ impl<T: Send + 'static> CqsChannel<T> {
             Suspend::Future(f) => f,
             Suspend::Broken => unreachable!("channel uses asynchronous resumption"),
         };
-        let staged = Arc::new(Mutex::new(Some(element)));
-        let public = Arc::new(Request::<()>::new());
-        let hook_staged = Arc::clone(&staged);
-        let hook_public = Arc::clone(&public);
+        let queued = Arc::new(QueuedSend {
+            public: Request::new(),
+            staged: Mutex::new(Some(element)),
+        });
+        let hook = Arc::clone(&queued);
         let weak = Arc::downgrade(shared);
         grant.on_settled(move |granted| {
             cqs_chaos::inject!("channel.grant.pre-deliver");
             let Some(shared) = weak.upgrade() else {
-                hook_public.cancel();
+                hook.public.cancel();
                 return;
             };
             if !granted {
                 // Cancelled or closed: the element stays staged for the
                 // sender to recover through the SendError.
-                hook_public.cancel();
+                hook.public.cancel();
                 return;
             }
             // Take the element in its own statement: a `match` on the
             // locked expression would hold the guard for the whole body,
             // and a crash inside the delivery below would poison the
             // staged mutex the sender still needs for error recovery.
-            let taken = hook_staged
+            let taken = hook
+                .staged
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .take();
@@ -616,10 +625,10 @@ impl<T: Send + 'static> CqsChannel<T> {
                     }));
                     match delivered {
                         Ok(()) => {
-                            let _ = hook_public.complete(());
+                            let _ = hook.public.complete(());
                         }
                         Err(panic) => {
-                            hook_public.cancel();
+                            hook.public.cancel();
                             std::panic::resume_unwind(panic);
                         }
                     }
@@ -630,17 +639,12 @@ impl<T: Send + 'static> CqsChannel<T> {
                     // first — releasing the slot can grant another sender
                     // whose delivery crashes, and that unwind must not
                     // leave this request unsettled.
-                    hook_public.cancel();
+                    hook.public.cancel();
                     shared.release_slot();
                 }
             }
         });
-        ChannelSend {
-            inner: CqsFuture::suspended(public),
-            staged,
-            grant: Some(grant),
-            channel: Arc::downgrade(shared),
-        }
+        self.send_in(SendState::Queued { queued, grant })
     }
 
     /// Receives the oldest element: immediately while the buffer is
@@ -895,53 +899,74 @@ impl<T: Send + 'static> std::fmt::Debug for CqsChannel<T> {
 /// element handed back on close or cancellation. Implements
 /// [`std::future::Future`].
 pub struct ChannelSend<T: Send + 'static> {
-    /// Completes *after* the element is delivered (see `blocked_send`).
-    inner: CqsFuture<()>,
-    /// Holds the element while the send is queued; emptied at delivery.
-    staged: Arc<Mutex<Option<T>>>,
-    /// The CQS waiter (capacity grant); `None` on the immediate paths.
-    grant: Option<CqsFuture<()>>,
+    state: SendState<T>,
     channel: Weak<ChannelShared<T>>,
 }
 
+/// What a blocked send shares with its grant hook, in one allocation.
+struct QueuedSend<T> {
+    /// Completes *after* the element is delivered (see `blocked_send`).
+    public: Request<()>,
+    /// Holds the element while the send is queued; emptied at delivery.
+    staged: Mutex<Option<T>>,
+}
+
+enum SendState<T> {
+    /// The element entered the channel without waiting.
+    Accepted,
+    /// The channel was closed at entry; the element waits here for the
+    /// error that hands it back.
+    Rejected(Option<T>),
+    /// Queued on the sender CQS behind a capacity `grant`.
+    Queued {
+        queued: Arc<QueuedSend<T>>,
+        grant: CqsFuture<()>,
+    },
+}
+
+// The element is only ever moved out whole, never pinned in place.
+impl<T: Send + 'static> Unpin for ChannelSend<T> {}
+
 impl<T: Send + 'static> ChannelSend<T> {
-    fn accepted(shared: &Arc<ChannelShared<T>>) -> Self {
-        ChannelSend {
-            inner: CqsFuture::immediate(()),
-            staged: Arc::new(Mutex::new(None)),
-            grant: None,
-            channel: Arc::downgrade(shared),
-        }
-    }
-
-    fn rejected(element: T, shared: &Arc<ChannelShared<T>>) -> Self {
-        ChannelSend {
-            inner: CqsFuture::cancelled(),
-            staged: Arc::new(Mutex::new(Some(element))),
-            grant: None,
-            channel: Arc::downgrade(shared),
-        }
-    }
-
     /// Whether the element was accepted without waiting.
     pub fn is_immediate(&self) -> bool {
-        self.inner.is_immediate()
+        matches!(self.state, SendState::Accepted)
     }
 
     /// Aborts a queued send. Returns `true` if this call aborted it — the
     /// element is then recovered through [`wait`](Self::wait)'s error.
     /// Sends that were accepted immediately cannot be cancelled.
     pub fn cancel(&self) -> bool {
-        match &self.grant {
-            Some(grant) => grant.cancel(),
-            None => false,
+        match &self.state {
+            SendState::Queued { grant, .. } => grant.cancel(),
+            _ => false,
         }
     }
 
+    /// The error handing `element` back: `Cancelled` if the caller aborted
+    /// (or the channel is still open), else how the channel ended.
+    fn refusal(element: T, channel: &Weak<ChannelShared<T>>, cancelled: bool) -> SendError<T> {
+        let (closed, poisoned) = match channel.upgrade() {
+            Some(s) => (
+                s.closed.load(Ordering::SeqCst),
+                s.poisoned.load(Ordering::SeqCst),
+            ),
+            None => (true, false),
+        };
+        if cancelled || !closed {
+            SendError::Cancelled(element)
+        } else if poisoned {
+            SendError::Poisoned(element)
+        } else {
+            SendError::Closed(element)
+        }
+    }
+
+    /// Resolves a queued send whose public request was cancelled.
     fn failure(
         staged: &Mutex<Option<T>>,
         channel: &Weak<ChannelShared<T>>,
-        fallback_cancelled: bool,
+        cancelled: bool,
     ) -> Result<(), SendError<T>> {
         match staged
             .lock()
@@ -951,22 +976,7 @@ impl<T: Send + 'static> ChannelSend<T> {
             // The element was delivered after all (the resolution raced a
             // grant): the send succeeded.
             None => Ok(()),
-            Some(v) => {
-                let (closed, poisoned) = match channel.upgrade() {
-                    Some(s) => (
-                        s.closed.load(Ordering::SeqCst),
-                        s.poisoned.load(Ordering::SeqCst),
-                    ),
-                    None => (true, false),
-                };
-                if fallback_cancelled || !closed {
-                    Err(SendError::Cancelled(v))
-                } else if poisoned {
-                    Err(SendError::Poisoned(v))
-                } else {
-                    Err(SendError::Closed(v))
-                }
-            }
+            Some(v) => Err(Self::refusal(v, channel, cancelled)),
         }
     }
 
@@ -977,16 +987,7 @@ impl<T: Send + 'static> ChannelSend<T> {
     /// [`SendError`] with the element handed back if the channel closed
     /// first or the send was cancelled.
     pub fn wait(self) -> Result<(), SendError<T>> {
-        let ChannelSend {
-            inner,
-            staged,
-            grant: _grant,
-            channel,
-        } = self;
-        match inner.wait() {
-            Ok(()) => Ok(()),
-            Err(Cancelled) => Self::failure(&staged, &channel, false),
-        }
+        self.wait_until(None)
     }
 
     /// Like [`wait`](Self::wait) with a deadline: on expiry the queued
@@ -999,30 +1000,35 @@ impl<T: Send + 'static> ChannelSend<T> {
     /// [`SendError::Cancelled`] with the element on timeout,
     /// [`SendError::Closed`] if the channel closed while waiting.
     pub fn wait_timeout(self, timeout: std::time::Duration) -> Result<(), SendError<T>> {
-        let ChannelSend {
-            inner,
-            staged,
-            grant,
-            channel,
-        } = self;
-        match grant {
-            None => match inner.wait() {
-                Ok(()) => Ok(()),
-                Err(Cancelled) => Self::failure(&staged, &channel, false),
-            },
-            Some(grant) => {
-                // Wait on the *public* future, but abort through the
+        self.wait_until(Some(timeout))
+    }
+
+    fn wait_until(self, timeout: Option<std::time::Duration>) -> Result<(), SendError<T>> {
+        let ChannelSend { state, channel } = self;
+        match state {
+            SendState::Accepted => Ok(()),
+            SendState::Rejected(element) => Err(Self::refusal(
+                element.expect("a rejected send is resolved once"),
+                &channel,
+                false,
+            )),
+            SendState::Queued { queued, grant } => match timeout {
+                None => match queued.public.wait(None) {
+                    Ok(()) => Ok(()),
+                    Err(Cancelled) => Self::failure(&queued.staged, &channel, false),
+                },
+                // Wait on the *public* request, but abort through the
                 // grant: cancelling the public side alone would let a
                 // late grant deliver an element the caller was told came
                 // back.
-                match inner.wait_timeout(timeout) {
+                Some(timeout) => match queued.public.wait_timeout(timeout) {
                     Ok(()) => Ok(()),
                     Err(Cancelled) => {
                         let timed_out = grant.cancel();
-                        Self::failure(&staged, &channel, timed_out)
+                        Self::failure(&queued.staged, &channel, timed_out)
                     }
-                }
-            }
+                },
+            },
         }
     }
 }
@@ -1035,20 +1041,28 @@ impl<T: Send + 'static> std::future::Future for ChannelSend<T> {
         cx: &mut std::task::Context<'_>,
     ) -> std::task::Poll<Self::Output> {
         let this = &mut *self;
-        match std::pin::Pin::new(&mut this.inner).poll(cx) {
-            std::task::Poll::Pending => std::task::Poll::Pending,
-            std::task::Poll::Ready(Ok(())) => std::task::Poll::Ready(Ok(())),
-            std::task::Poll::Ready(Err(Cancelled)) => {
-                std::task::Poll::Ready(Self::failure(&this.staged, &this.channel, false))
-            }
-        }
+        std::task::Poll::Ready(match &mut this.state {
+            SendState::Accepted => Ok(()),
+            SendState::Rejected(element) => Err(Self::refusal(
+                element.take().expect("polled after completion"),
+                &this.channel,
+                false,
+            )),
+            SendState::Queued { queued, .. } => match queued.public.poll(cx) {
+                std::task::Poll::Pending => return std::task::Poll::Pending,
+                std::task::Poll::Ready(Ok(())) => Ok(()),
+                std::task::Poll::Ready(Err(Cancelled)) => {
+                    Self::failure(&queued.staged, &this.channel, false)
+                }
+            },
+        })
     }
 }
 
 impl<T: Send + 'static> std::fmt::Debug for ChannelSend<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChannelSend")
-            .field("inner", &self.inner)
+            .field("immediate", &self.is_immediate())
             .finish_non_exhaustive()
     }
 }

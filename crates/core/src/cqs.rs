@@ -3,14 +3,16 @@
 //! Listings 1, 5, 11, 13).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-use cqs_future::{CancellationHandler, CqsFuture, Request, WakeBatch};
+use cqs_future::{CqsFuture, Request, WakeBatch};
 use cqs_reclaim::{pin_with, AtomicArc, Guard, ReclaimerKind};
 use cqs_stats::CachePadded;
 
 use crate::cell::{self, CancelSwap};
-use crate::segment::{find_and_move_forward, find_segment, move_forward, Segment, SegmentFreelist};
+use crate::segment::{
+    find_and_move_forward, find_segment, move_forward, Segment, SegmentFreelist, SegmentOwner,
+};
 use crate::{CancellationMode, CqsConfig, ResumeMode};
 
 /// User hooks for the *smart* cancellation mode (paper, Listing 3).
@@ -92,9 +94,9 @@ struct CqsInner<T: Send + 'static, C: CqsCallbacks<T>> {
     resume_idx: CachePadded<AtomicU64>,
     suspend_segm: CachePadded<AtomicArc<Segment<T>>>,
     resume_segm: CachePadded<AtomicArc<Segment<T>>>,
-    /// Bounded recycling pool for fully-cancelled segments; segments link
-    /// back to it weakly (see [`SegmentFreelist`]).
-    freelist: Arc<SegmentFreelist<T>>,
+    /// Bounded recycling pool for fully-cancelled segments; segments reach
+    /// it through their weak [`SegmentOwner`] link (see [`SegmentFreelist`]).
+    freelist: SegmentFreelist<T>,
     callbacks: C,
     /// Set by [`CqsInner::close`]; suspenders double-check it after
     /// installing their waiter and self-cancel, so no waiter can be parked
@@ -146,26 +148,28 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
     /// callbacks (use [`SimpleCancellation`] when the simple mode is
     /// configured).
     pub fn new(config: CqsConfig, callbacks: C) -> Self {
-        let freelist = SegmentFreelist::new(config.get_freelist_slots());
-        let first = Segment::new(0, config.get_segment_size(), 2, Arc::downgrade(&freelist));
-        Cqs {
-            inner: Arc::new(CqsInner {
+        // Segments point back at the queue (weakly) for their freelist and
+        // for cancellation, so the first one is built inside the cycle.
+        let inner = Arc::new_cyclic(|owner: &Weak<CqsInner<T, C>>| {
+            let first = Segment::new(0, config.get_segment_size(), 2, owner.clone());
+            CqsInner {
                 watch_id: cqs_watch::next_primitive_id(config.get_label()),
                 reclaim: config
                     .get_reclaimer()
                     .unwrap_or_else(cqs_reclaim::default_reclaimer),
+                freelist: SegmentFreelist::new(config.get_freelist_slots()),
                 config,
                 suspend_idx: CachePadded::new(AtomicU64::new(0)),
                 resume_idx: CachePadded::new(AtomicU64::new(0)),
                 suspend_segm: CachePadded::new(AtomicArc::new(Some(Arc::clone(&first)))),
                 resume_segm: CachePadded::new(AtomicArc::new(Some(first))),
-                freelist,
                 callbacks,
                 closed: AtomicBool::new(false),
                 poisoned: AtomicBool::new(false),
                 missed: CachePadded::new(AtomicU64::new(0)),
-            }),
-        }
+            }
+        });
+        Cqs { inner }
     }
 
     /// The configuration this CQS was created with.
@@ -187,7 +191,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
     /// [`Suspend::Broken`], meaning the rendezvous failed and the caller
     /// must restart its logical operation.
     pub fn suspend(&self) -> Suspend<T> {
-        self.inner.suspend(&self.inner)
+        self.inner.suspend()
     }
 
     /// Resumes the next waiter with `value`. If no waiter has arrived at the
@@ -420,12 +424,22 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
     }
 }
 
+#[cfg(test)]
+impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
+    /// A weak witness of the segment suspenders currently target: dead once
+    /// every reference to that segment is gone (leak tests).
+    pub(crate) fn suspend_segment_witness(&self) -> Weak<Segment<T>> {
+        let segment = self.inner.suspend_segm.load(&self.inner.protect());
+        Arc::downgrade(&segment.expect("head pointers are never null"))
+    }
+}
+
 impl<T: Send + 'static, C: CqsCallbacks<T>> Drop for Cqs<T, C> {
     fn drop(&mut self) {
         // Break reference cycles:
         // * `next`/`prev` links between neighbouring segments;
-        // * `cell.waiter -> Request -> handler -> Arc<Segment>` of waiters
-        //   never completed nor cancelled.
+        // * `cell.waiter -> Request -> handler (the Arc<Segment>)` of
+        //   waiters never completed nor cancelled.
         let guard = self.inner.protect();
         let resume_head = self.inner.resume_segm.load(&guard);
         let suspend_head = self.inner.suspend_segm.load(&guard);
@@ -454,21 +468,6 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> std::fmt::Debug for Cqs<T, C> {
     }
 }
 
-/// The per-waiter cancellation handler: knows the cell (segment + index) and
-/// drives the cell-side part of cancellation (paper, Listing 5
-/// `cancellationHandler`).
-struct CellCancellationHandler<T: Send + 'static, C: CqsCallbacks<T>> {
-    inner: Arc<CqsInner<T, C>>,
-    segment: Arc<Segment<T>>,
-    index: usize,
-}
-
-impl<T: Send + 'static, C: CqsCallbacks<T>> CancellationHandler for CellCancellationHandler<T, C> {
-    fn on_cancel(&self) {
-        self.inner.on_waiter_cancelled(&self.segment, self.index);
-    }
-}
-
 impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
     fn segment_size(&self) -> u64 {
         self.config.get_segment_size() as u64
@@ -479,7 +478,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
         pin_with(self.reclaim)
     }
 
-    fn suspend(&self, self_arc: &Arc<Self>) -> Suspend<T> {
+    fn suspend(&self) -> Suspend<T> {
         cqs_stats::bump!(suspends);
         let guard = self.protect();
         let n = self.segment_size();
@@ -514,11 +513,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
         let request: Arc<Request<T>> = Arc::new(Request::new());
         if cell.try_install_waiter(Arc::clone(&request), &guard) {
             cqs_chaos::inject!("cqs.suspend.install-to-handler-window");
-            request.set_cancellation_handler(Box::new(CellCancellationHandler {
-                inner: Arc::clone(self_arc),
-                segment,
-                index,
-            }));
+            request.set_cancellation_handler(segment, index);
             cqs_watch::register_waiter!(
                 self.watch_id,
                 self.config.get_label(),
@@ -1208,9 +1203,15 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
         self.mark_poisoned();
         self.close();
     }
+}
 
-    /// The cell-side part of cancellation, invoked by `Request::cancel`
-    /// through the installed handler (paper, Listing 5).
+impl<T: Send + 'static, C: CqsCallbacks<T>> SegmentOwner<T> for CqsInner<T, C> {
+    fn freelist(&self) -> &SegmentFreelist<T> {
+        &self.freelist
+    }
+
+    /// Invoked by `Request::cancel` through the segment the request holds
+    /// as its handler (paper, Listing 5).
     fn on_waiter_cancelled(&self, segment: &Arc<Segment<T>>, index: usize) {
         cqs_chaos::inject!("cqs.on-waiter-cancelled.entry");
         let guard = self.protect();

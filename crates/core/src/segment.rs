@@ -9,12 +9,13 @@
 //! Reclamation: in the paper the JVM GC frees unlinked segments. Here the
 //! links are [`AtomicArc`]s, so a segment is deallocated when the last
 //! `Arc` reference — a link, a head pointer, an in-flight traversal, or a
-//! pending request's cancellation handler — goes away (plus an epoch grace
-//! period for displaced link references).
+//! request that holds the segment as its cancellation handler — goes away
+//! (plus a grace period for displaced link references).
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
+use cqs_future::CancellationHandler;
 use cqs_reclaim::{AtomicArc, Guard};
 
 use crate::cell::CqsCell;
@@ -43,9 +44,9 @@ const CANCELLED_MASK: u64 = POINTER_UNIT - 1;
 /// vetoes the reuse. Exclusivity therefore cannot race with readers, and
 /// the reset needs no atomics at all.
 ///
-/// The owning CQS holds the only `Arc<SegmentFreelist>`; segments point
-/// back with a `Weak` so the list never forms a reference cycle with the
-/// segment chain it feeds.
+/// The list lives inside the owning CQS; segments reach it through their
+/// `Weak` [`SegmentOwner`] back-reference, so it never forms a reference
+/// cycle with the segment chain it feeds.
 pub(crate) struct SegmentFreelist<T: Send + 'static> {
     /// Raw `Arc::into_raw` pointers; null means the slot is empty. The
     /// capacity is fixed at construction from
@@ -61,10 +62,10 @@ pub(crate) struct SegmentFreelist<T: Send + 'static> {
 }
 
 impl<T: Send + 'static> SegmentFreelist<T> {
-    pub(crate) fn new(slot_count: usize) -> Arc<Self> {
-        Arc::new(SegmentFreelist {
+    pub(crate) fn new(slot_count: usize) -> Self {
+        SegmentFreelist {
             slots: (0..slot_count).map(|_| AtomicPtr::default()).collect(),
-        })
+        }
     }
 
     /// Offers a segment to the freelist. If every slot is taken the
@@ -141,6 +142,17 @@ impl<T: Send + 'static> Drop for SegmentFreelist<T> {
     }
 }
 
+/// What a segment needs from the queue that owns it. Segments hold it
+/// `Weak`ly: once the queue is dropped nothing traverses its cells any
+/// more, so both services degrade to no-ops.
+pub(crate) trait SegmentOwner<T: Send + 'static>: Send + Sync {
+    /// Where fully-cancelled segments are parked for reuse.
+    fn freelist(&self) -> &SegmentFreelist<T>;
+
+    /// The cell-side part of cancelling the waiter in `segment[index]`.
+    fn on_waiter_cancelled(&self, segment: &Arc<Segment<T>>, index: usize);
+}
+
 pub(crate) struct Segment<T: Send + 'static> {
     id: u64,
     next: AtomicArc<Segment<T>>,
@@ -148,9 +160,9 @@ pub(crate) struct Segment<T: Send + 'static> {
     /// `pointers << 32 | cancelled`.
     ctr: AtomicU64,
     cells: Box<[CqsCell<T>]>,
-    /// Back-reference to the owning CQS's freelist (`Weak` to avoid a
-    /// cycle; dangling for detached segments, e.g. in unit tests).
-    freelist: Weak<SegmentFreelist<T>>,
+    /// Back-reference to the owning CQS (`Weak` to avoid a cycle; dangling
+    /// for detached segments, e.g. in unit tests).
+    owner: Weak<dyn SegmentOwner<T>>,
     /// Whether this segment has already been offered to the freelist;
     /// `remove` can run several times per segment but must push only once.
     recycle_queued: AtomicBool,
@@ -161,7 +173,7 @@ impl<T: Send + 'static> Segment<T> {
         id: u64,
         size: usize,
         initial_pointers: u64,
-        freelist: Weak<SegmentFreelist<T>>,
+        owner: Weak<dyn SegmentOwner<T>>,
     ) -> Arc<Self> {
         cqs_stats::bump!(segments_allocated);
         let cells = (0..size).map(|_| CqsCell::new()).collect();
@@ -171,7 +183,7 @@ impl<T: Send + 'static> Segment<T> {
             prev: AtomicArc::null(),
             ctr: AtomicU64::new(initial_pointers * POINTER_UNIT),
             cells,
-            freelist,
+            owner,
             recycle_queued: AtomicBool::new(false),
         })
     }
@@ -317,9 +329,9 @@ impl<T: Send + 'static> Segment<T> {
         {
             return;
         }
-        if let Some(freelist) = self.freelist.upgrade() {
+        if let Some(owner) = self.owner.upgrade() {
             cqs_chaos::inject!("segment.recycle.pre-push");
-            freelist.push(Arc::clone(self));
+            owner.freelist().push(Arc::clone(self));
         }
     }
 
@@ -376,6 +388,17 @@ impl<T: Send + 'static> Segment<T> {
     }
 }
 
+/// A segment is the cancellation handler of every waiter parked in its
+/// cells (the request's slot is the cell index): installing it costs the
+/// suspender one reference-count bump instead of a boxed per-waiter object.
+impl<T: Send + 'static> CancellationHandler for Segment<T> {
+    fn on_cancel(self: Arc<Self>, index: usize) {
+        if let Some(owner) = self.owner.upgrade() {
+            owner.on_waiter_cancelled(&self, index);
+        }
+    }
+}
+
 // Gated on the crate feature (not just the macro) so that without `stats`
 // the type has no drop glue at all — the counter hook must stay truly free.
 #[cfg(feature = "stats")]
@@ -415,7 +438,7 @@ pub(crate) fn find_segment<T: Send + 'static>(
             None => {
                 // Create (or recycle) and append a new tail segment.
                 let fresh = recycled_tail(&cur, segment_size).unwrap_or_else(|| {
-                    Segment::new(cur.id + 1, segment_size, 0, cur.freelist.clone())
+                    Segment::new(cur.id + 1, segment_size, 0, cur.owner.clone())
                 });
                 cqs_chaos::inject!("segment.append.pre-cas");
                 match cur.next.compare_exchange_null(Arc::clone(&fresh), guard) {
@@ -449,7 +472,8 @@ fn recycled_tail<T: Send + 'static>(
     cur: &Arc<Segment<T>>,
     segment_size: usize,
 ) -> Option<Arc<Segment<T>>> {
-    let freelist = cur.freelist.upgrade()?;
+    let owner = cur.owner.upgrade()?;
+    let freelist = owner.freelist();
     let mut segment = freelist.try_pop()?;
     match Arc::get_mut(&mut segment) {
         Some(exclusive) => {
@@ -532,9 +556,21 @@ mod tests {
     use super::*;
     use cqs_reclaim::pin;
 
+    /// The dangling back-reference of a detached chain: never upgrades,
+    /// so neither service is ever called.
+    struct NoQueue;
+    impl SegmentOwner<u32> for NoQueue {
+        fn freelist(&self) -> &SegmentFreelist<u32> {
+            unreachable!("a dangling owner cannot be upgraded")
+        }
+        fn on_waiter_cancelled(&self, _: &Arc<Segment<u32>>, _: usize) {
+            unreachable!("a dangling owner cannot be upgraded")
+        }
+    }
+
     fn chain(len: usize, size: usize) -> Vec<Arc<Segment<u32>>> {
         let guard = pin();
-        let first: Arc<Segment<u32>> = Segment::new(0, size, 2, Weak::new());
+        let first: Arc<Segment<u32>> = Segment::new(0, size, 2, Weak::<NoQueue>::new());
         let mut all = vec![Arc::clone(&first)];
         let mut cur = first;
         for _ in 1..len {

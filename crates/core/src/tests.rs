@@ -433,16 +433,48 @@ fn concurrent_sync_mode_churn() {
     );
 }
 
-/// Dropping a CQS with pending waiters must not leak or crash; cancelling
-/// the orphaned futures afterwards is a no-op.
+/// Dropping a CQS with pending waiters must not leak or crash. Waiters
+/// hold their segment (as cancellation handler) and segments point back at
+/// the queue only weakly, so the queue dies with the `Cqs`; cancelling the
+/// orphaned futures afterwards finds no queue to notify (the `Weak`
+/// upgrade fails) and is a no-op; and once the futures go, the segments —
+/// with every cell and request they referenced — are freed too.
 #[test]
 fn drop_with_pending_waiters() {
-    let cqs = simple();
-    let futures: Vec<_> = (0..8).map(|_| cqs.suspend().expect_future()).collect();
-    drop(cqs);
-    for f in futures {
-        // The handler may run against a dead queue; must not panic.
-        let _ = f.cancel();
+    for kind in crate::ReclaimerKind::ALL {
+        let callbacks = CountingCallbacks::new();
+        let cqs = Cqs::new(
+            CqsConfig::new()
+                .segment_size(2)
+                .cancellation_mode(CancellationMode::Smart)
+                .reclaimer(kind),
+            Arc::clone(&callbacks),
+        );
+        let futures: Vec<_> = (0..8).map(|_| cqs.suspend().expect_future()).collect();
+        let segment = cqs.suspend_segment_witness();
+        drop(cqs);
+        assert_eq!(
+            Arc::strong_count(&callbacks),
+            1,
+            "[{kind}] pending waiters must not keep the queue alive"
+        );
+        for f in &futures {
+            assert!(f.cancel(), "[{kind}] the waiter was still pending");
+        }
+        assert_eq!(
+            callbacks.state.load(Ordering::SeqCst),
+            0,
+            "[{kind}] no handler may run against the dead queue"
+        );
+        drop(futures);
+        // The cell references cleared by `Cqs::drop` were retired; sibling
+        // tests share the backends, so only our own segment is asserted —
+        // not that the whole backlog went.
+        let _ = crate::flush_reclaimer(kind);
+        assert!(
+            segment.upgrade().is_none(),
+            "[{kind}] a segment outlived its queue and every waiter"
+        );
     }
 }
 

@@ -154,14 +154,19 @@ pub enum FutureState<T> {
 /// Invoked exactly once when a pending [`Request`] is successfully
 /// cancelled. In the CQS this is where the cell transitions to `CANCELLED`
 /// or `REFUSE` (paper, Listing 5 `cancellationHandler`).
+///
+/// A handler is shared, not owned, by the requests it serves: installing
+/// it stores an `Arc` clone plus a `slot` telling it *which* of its
+/// waiters was cancelled (a CQS segment is the handler of every cell it
+/// holds; `slot` is the cell index). Installing is therefore a
+/// reference-count bump, never an allocation.
 pub trait CancellationHandler: Send + Sync {
-    /// Reacts to the cancellation of the request this handler was installed
-    /// on.
-    fn on_cancel(&self);
+    /// Reacts to the cancellation of the request installed with `slot`.
+    fn on_cancel(self: Arc<Self>, slot: usize);
 }
 
 impl<F: Fn() + Send + Sync> CancellationHandler for F {
-    fn on_cancel(&self) {
+    fn on_cancel(self: Arc<Self>, _slot: usize) {
         self()
     }
 }
@@ -171,6 +176,41 @@ const COMPLETING: u8 = 1;
 const COMPLETED: u8 = 2;
 const CANCELLED: u8 = 3;
 const TAKEN: u8 = 4;
+
+/// A FIFO of settlement hooks whose first entry lives inline: primitives
+/// register at most one hook per wait, so the common case never allocates
+/// a buffer; later registrations chain into `rest`.
+#[derive(Default)]
+struct SettledHooks {
+    first: Option<Box<dyn FnOnce(bool) + Send>>,
+    rest: Vec<Box<dyn FnOnce(bool) + Send>>,
+}
+
+impl SettledHooks {
+    fn push(&mut self, hook: Box<dyn FnOnce(bool) + Send>) {
+        if self.is_empty() {
+            self.first = Some(hook);
+        } else {
+            self.rest.push(hook);
+        }
+    }
+
+    /// Removes the oldest hook.
+    fn pop(&mut self) -> Option<Box<dyn FnOnce(bool) + Send>> {
+        if self.first.is_some() {
+            return self.first.take();
+        }
+        (!self.rest.is_empty()).then(|| self.rest.remove(0))
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
 
 /// Everything that may need waking when the request reaches a terminal
 /// state.
@@ -184,7 +224,7 @@ struct WakerSlot {
     /// with the outcome. Primitives use them for resource accounting that
     /// must happen exactly once per operation — e.g. a channel releasing
     /// a capacity slot when a receiver is actually delivered a value.
-    settled: Vec<Box<dyn FnOnce(bool) + Send>>,
+    settled: SettledHooks,
     task_waker: Option<std::task::Waker>,
 }
 
@@ -208,7 +248,7 @@ struct WakerSlot {
 pub struct PendingWake {
     thread: Option<Thread>,
     callback: Option<Box<dyn FnOnce() + Send>>,
-    settled: Vec<Box<dyn FnOnce(bool) + Send>>,
+    settled: SettledHooks,
     /// Outcome passed to the settlement hooks: `true` when the request
     /// completed with a value, `false` when it was cancelled. Captured at
     /// extraction time, when the state is already terminal.
@@ -238,8 +278,7 @@ impl PendingWake {
     /// it so that an unwound (panicking) delivery leaves only the truly
     /// undelivered remainder for [`Drop`] to finish.
     fn fire_remaining(&mut self) {
-        while !self.settled.is_empty() {
-            let hook = self.settled.remove(0);
+        while let Some(hook) = self.settled.pop() {
             hook(self.settled_ok);
         }
         if let Some(t) = self.thread.take() {
@@ -406,7 +445,8 @@ pub struct Request<T> {
     state: AtomicU8,
     value: UnsafeCell<Option<T>>,
     waker: Mutex<WakerSlot>,
-    handler: OnceLock<Box<dyn CancellationHandler>>,
+    /// The shared handler and this request's slot in it, stored inline.
+    handler: OnceLock<(Arc<dyn CancellationHandler>, usize)>,
     /// Set when `cancel()` won the race before a handler was installed;
     /// the installer then runs the handler itself.
     handler_due: AtomicBool,
@@ -435,7 +475,8 @@ impl<T> Request<T> {
     /// Installs the cancellation handler. May be called at most once, before
     /// the request is handed to user code (paper: the handler is a
     /// constructor argument; here it is installed right after the request is
-    /// placed into its cell, when the segment and index are known).
+    /// placed into its cell, when the segment and index are known). `slot`
+    /// is handed back to [`CancellationHandler::on_cancel`].
     ///
     /// If a racing [`cancel`](Request::cancel) already succeeded, the handler
     /// runs immediately on this thread.
@@ -443,9 +484,9 @@ impl<T> Request<T> {
     /// # Panics
     ///
     /// Panics if a handler was already installed.
-    pub fn set_cancellation_handler(&self, handler: Box<dyn CancellationHandler>) {
+    pub fn set_cancellation_handler(&self, handler: Arc<dyn CancellationHandler>, slot: usize) {
         cqs_chaos::inject!("future.handler.install-window");
-        if self.handler.set(handler).is_err() {
+        if self.handler.set((handler, slot)).is_err() {
             panic!("cancellation handler installed twice");
         }
         cqs_chaos::inject!("future.handler.installed.pre-due-check");
@@ -455,10 +496,10 @@ impl<T> Request<T> {
     }
 
     fn run_handler_once(&self) {
-        if let Some(handler) = self.handler.get() {
+        if let Some((handler, slot)) = self.handler.get() {
             if !self.handler_ran.swap(true, Ordering::AcqRel) {
                 cqs_chaos::inject!("future.handler.pre-run");
-                handler.on_cancel();
+                Arc::clone(handler).on_cancel(*slot);
             }
         } else {
             self.handler_due.store(true, Ordering::Release);
@@ -601,6 +642,94 @@ impl<T> Request<T> {
         }
     }
 
+    fn try_settled(&self) -> Option<Result<T, Cancelled>> {
+        match self.try_take() {
+            FutureState::Ready(v) => Some(Ok(v)),
+            FutureState::Cancelled => Some(Err(Cancelled)),
+            FutureState::Pending => None,
+        }
+    }
+
+    /// Blocks until the request is completed or cancelled and takes the
+    /// value: the waiter's half of the protocol, behind [`CqsFuture::wait`]
+    /// and open to holders that embed the request in a larger allocation.
+    /// Single-consumer, like the future. A `policy` of `None` resolves
+    /// [`default_wait_policy`] once the first check fails.
+    pub fn wait(&self, policy: Option<WaitPolicy>) -> Result<T, Cancelled> {
+        if let Some(settled) = self.try_settled() {
+            return settled;
+        }
+        // Spin → yield → park ladder. The polling phases touch only the
+        // request's state word, so a completion landing mid-ladder is
+        // observed without ever registering a thread or parking.
+        let policy = policy.unwrap_or_else(default_wait_policy);
+        if policy.spin() > 0 {
+            cqs_chaos::inject!("future.wait.spin-phase");
+            for _ in 0..policy.spin() {
+                std::hint::spin_loop();
+                if let Some(settled) = self.try_settled() {
+                    return settled;
+                }
+            }
+        }
+        if policy.yields() > 0 {
+            cqs_chaos::inject!("future.wait.yield-phase");
+            for _ in 0..policy.yields() {
+                std::thread::yield_now();
+                if let Some(settled) = self.try_settled() {
+                    return settled;
+                }
+            }
+        }
+        cqs_chaos::inject!("future.wait.park-phase");
+        loop {
+            self.waker.lock().unwrap().thread = Some(std::thread::current());
+            // Re-check after registering to avoid a missed wakeup.
+            if let Some(settled) = self.try_settled() {
+                return settled;
+            }
+            cqs_stats::bump!(parks);
+            std::thread::park();
+        }
+    }
+
+    /// Like [`wait`](Self::wait) but cancels the request after `timeout`.
+    pub fn wait_timeout(&self, timeout: Duration) -> Result<T, Cancelled> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(settled) = self.try_settled() {
+                return settled;
+            }
+            self.waker.lock().unwrap().thread = Some(std::thread::current());
+            if let Some(settled) = self.try_settled() {
+                return settled;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                if self.cancel() {
+                    return Err(Cancelled);
+                }
+                // A completion raced the timeout; take it.
+                continue;
+            }
+            cqs_stats::bump!(parks);
+            std::thread::park_timeout(deadline - now);
+        }
+    }
+
+    /// The waiter's half of `Future::poll`: takes the value if the request
+    /// is terminal, otherwise registers `cx`'s waker and re-checks.
+    pub fn poll(&self, cx: &mut Context<'_>) -> Poll<Result<T, Cancelled>> {
+        if let Some(settled) = self.try_settled() {
+            return Poll::Ready(settled);
+        }
+        self.waker.lock().unwrap().task_waker = Some(cx.waker().clone());
+        match self.try_settled() {
+            Some(settled) => Poll::Ready(settled),
+            None => Poll::Pending,
+        }
+    }
+
     fn wake(&self) {
         self.extract_wake().fire();
     }
@@ -658,6 +787,9 @@ enum Inner<T> {
     Immediate(Option<T>),
     /// Operation suspended; the request lives in a CQS cell too.
     Suspended(Arc<Request<T>>),
+    /// Operation refused up front (a closed primitive): terminal from
+    /// birth, so there is no request to allocate, cancel or wake.
+    Cancelled,
 }
 
 /// The result of a potentially blocking operation (paper, Appendix A).
@@ -707,11 +839,12 @@ impl<T> CqsFuture<T> {
     /// An already-cancelled future: every observation reports
     /// [`Cancelled`]. Used by primitives to fail an operation fast — e.g.
     /// an `acquire()` against a closed semaphore — without touching the
-    /// waiter queue.
+    /// waiter queue, the allocator or a waker mutex.
     pub fn cancelled() -> Self {
-        let request = Arc::new(Request::new());
-        request.cancel();
-        CqsFuture::suspended(request)
+        CqsFuture {
+            inner: Inner::Cancelled,
+            policy: None,
+        }
     }
 
     /// Whether the operation completed without suspending. Mirrors the
@@ -733,6 +866,7 @@ impl<T> CqsFuture<T> {
                 None => panic!("completion value taken twice"),
             },
             Inner::Suspended(r) => r.try_take(),
+            Inner::Cancelled => FutureState::Cancelled,
         }
     }
 
@@ -740,8 +874,8 @@ impl<T> CqsFuture<T> {
     /// this call aborted it. Immediate results can never be cancelled.
     pub fn cancel(&self) -> bool {
         match &self.inner {
-            Inner::Immediate(_) => false,
             Inner::Suspended(r) => r.cancel(),
+            Inner::Immediate(_) | Inner::Cancelled => false,
         }
     }
 
@@ -751,99 +885,20 @@ impl<T> CqsFuture<T> {
     /// # Errors
     ///
     /// Returns [`Cancelled`] if the request was aborted.
-    pub fn wait(mut self) -> Result<T, Cancelled> {
-        match self.try_get() {
-            FutureState::Ready(v) => return Ok(v),
-            FutureState::Cancelled => return Err(Cancelled),
-            FutureState::Pending => {}
-        }
-        let request = match &self.inner {
-            Inner::Suspended(r) => Arc::clone(r),
-            Inner::Immediate(_) => unreachable!("immediate futures are always ready"),
-        };
-        // Spin → yield → park ladder. The polling phases touch only the
-        // request's state word, so a completion landing mid-ladder is
-        // observed without ever registering a thread or parking.
-        let policy = self.policy.unwrap_or_else(default_wait_policy);
-        if policy.spin() > 0 {
-            cqs_chaos::inject!("future.wait.spin-phase");
-            for _ in 0..policy.spin() {
-                std::hint::spin_loop();
-                match self.try_get() {
-                    FutureState::Ready(v) => return Ok(v),
-                    FutureState::Cancelled => return Err(Cancelled),
-                    FutureState::Pending => {}
-                }
-            }
-        }
-        if policy.yields() > 0 {
-            cqs_chaos::inject!("future.wait.yield-phase");
-            for _ in 0..policy.yields() {
-                std::thread::yield_now();
-                match self.try_get() {
-                    FutureState::Ready(v) => return Ok(v),
-                    FutureState::Cancelled => return Err(Cancelled),
-                    FutureState::Pending => {}
-                }
-            }
-        }
-        cqs_chaos::inject!("future.wait.park-phase");
-        loop {
-            {
-                let mut slot = request.waker.lock().unwrap();
-                slot.thread = Some(std::thread::current());
-            }
-            // Re-check after registering to avoid a missed wakeup.
-            match self.try_get() {
-                FutureState::Ready(v) => return Ok(v),
-                FutureState::Cancelled => return Err(Cancelled),
-                FutureState::Pending => {
-                    cqs_stats::bump!(parks);
-                    std::thread::park();
-                }
-            }
+    pub fn wait(self) -> Result<T, Cancelled> {
+        match self.inner {
+            Inner::Immediate(v) => Ok(v.expect("completion value taken twice")),
+            Inner::Suspended(r) => r.wait(self.policy),
+            Inner::Cancelled => Err(Cancelled),
         }
     }
 
-    /// Like [`wait`](Self::wait) but gives up after `timeout`, cancelling
-    /// the request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Cancelled`] if the request was aborted — by this timeout or
-    /// by another `cancel` call.
-    pub fn wait_timeout(mut self, timeout: Duration) -> Result<T, Cancelled> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.try_get() {
-                FutureState::Ready(v) => return Ok(v),
-                FutureState::Cancelled => return Err(Cancelled),
-                FutureState::Pending => {}
-            }
-            let request = match &self.inner {
-                Inner::Suspended(r) => Arc::clone(r),
-                Inner::Immediate(_) => unreachable!("immediate futures are always ready"),
-            };
-            {
-                let mut slot = request.waker.lock().unwrap();
-                slot.thread = Some(std::thread::current());
-            }
-            match self.try_get() {
-                FutureState::Ready(v) => return Ok(v),
-                FutureState::Cancelled => return Err(Cancelled),
-                FutureState::Pending => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        if self.cancel() {
-                            return Err(Cancelled);
-                        }
-                        // A completion raced the timeout; take it.
-                        continue;
-                    }
-                    cqs_stats::bump!(parks);
-                    std::thread::park_timeout(deadline - now);
-                }
-            }
+    /// Like [`wait`](Self::wait) but cancels the request after `timeout`.
+    pub fn wait_timeout(self, timeout: Duration) -> Result<T, Cancelled> {
+        match self.inner {
+            Inner::Immediate(v) => Ok(v.expect("completion value taken twice")),
+            Inner::Suspended(r) => r.wait_timeout(timeout),
+            Inner::Cancelled => Err(Cancelled),
         }
     }
 
@@ -853,7 +908,7 @@ impl<T> CqsFuture<T> {
     /// coroutines.
     pub fn on_ready<F: FnOnce() + Send + 'static>(&self, callback: F) {
         match &self.inner {
-            Inner::Immediate(_) => callback(),
+            Inner::Immediate(_) | Inner::Cancelled => callback(),
             Inner::Suspended(r) => {
                 {
                     let mut slot = r.waker.lock().unwrap();
@@ -884,6 +939,7 @@ impl<T> CqsFuture<T> {
     pub fn on_settled<F: FnOnce(bool) + Send + 'static>(&self, hook: F) {
         match &self.inner {
             Inner::Immediate(_) => hook(true),
+            Inner::Cancelled => hook(false),
             Inner::Suspended(r) => {
                 {
                     let mut slot = r.waker.lock().unwrap();
@@ -906,24 +962,10 @@ impl<T> std::future::Future for CqsFuture<T> {
     type Output = Result<T, Cancelled>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        match this.try_get() {
-            FutureState::Ready(v) => return Poll::Ready(Ok(v)),
-            FutureState::Cancelled => return Poll::Ready(Err(Cancelled)),
-            FutureState::Pending => {}
-        }
-        let request = match &this.inner {
-            Inner::Suspended(r) => Arc::clone(r),
-            Inner::Immediate(_) => unreachable!("immediate futures are always ready"),
-        };
-        {
-            let mut slot = request.waker.lock().unwrap();
-            slot.task_waker = Some(cx.waker().clone());
-        }
-        match this.try_get() {
-            FutureState::Ready(v) => Poll::Ready(Ok(v)),
-            FutureState::Cancelled => Poll::Ready(Err(Cancelled)),
-            FutureState::Pending => Poll::Pending,
+        match &mut self.get_mut().inner {
+            Inner::Immediate(v) => Poll::Ready(Ok(v.take().expect("completion value taken twice"))),
+            Inner::Suspended(r) => r.poll(cx),
+            Inner::Cancelled => Poll::Ready(Err(Cancelled)),
         }
     }
 }
@@ -933,6 +975,7 @@ impl<T> fmt::Debug for CqsFuture<T> {
         match &self.inner {
             Inner::Immediate(_) => f.write_str("CqsFuture::Immediate"),
             Inner::Suspended(r) => f.debug_tuple("CqsFuture::Suspended").field(r).finish(),
+            Inner::Cancelled => f.write_str("CqsFuture::Cancelled"),
         }
     }
 }
@@ -996,9 +1039,12 @@ mod tests {
         let runs = Arc::new(AtomicUsize::new(0));
         let r: Request<u32> = Request::new();
         let runs2 = Arc::clone(&runs);
-        r.set_cancellation_handler(Box::new(move || {
-            runs2.fetch_add(1, Ordering::SeqCst);
-        }));
+        r.set_cancellation_handler(
+            Arc::new(move || {
+                runs2.fetch_add(1, Ordering::SeqCst);
+            }),
+            0,
+        );
         assert!(r.cancel());
         assert!(!r.cancel());
         assert_eq!(runs.load(Ordering::SeqCst), 1);
@@ -1010,9 +1056,12 @@ mod tests {
         let r: Request<u32> = Request::new();
         assert!(r.cancel());
         let runs2 = Arc::clone(&runs);
-        r.set_cancellation_handler(Box::new(move || {
-            runs2.fetch_add(1, Ordering::SeqCst);
-        }));
+        r.set_cancellation_handler(
+            Arc::new(move || {
+                runs2.fetch_add(1, Ordering::SeqCst);
+            }),
+            0,
+        );
         assert_eq!(runs.load(Ordering::SeqCst), 1);
     }
 
@@ -1021,9 +1070,12 @@ mod tests {
         let runs = Arc::new(AtomicUsize::new(0));
         let r: Request<u32> = Request::new();
         let runs2 = Arc::clone(&runs);
-        r.set_cancellation_handler(Box::new(move || {
-            runs2.fetch_add(1, Ordering::SeqCst);
-        }));
+        r.set_cancellation_handler(
+            Arc::new(move || {
+                runs2.fetch_add(1, Ordering::SeqCst);
+            }),
+            0,
+        );
         r.complete(1).unwrap();
         assert_eq!(runs.load(Ordering::SeqCst), 0);
     }
@@ -1275,9 +1327,12 @@ mod batch_tests {
         let fired = Arc::new(AtomicUsize::new(0));
         let r: Arc<Request<u32>> = Arc::new(Request::new());
         let h = Arc::clone(&handler_runs);
-        r.set_cancellation_handler(Box::new(move || {
-            h.fetch_add(1, Ordering::SeqCst);
-        }));
+        r.set_cancellation_handler(
+            Arc::new(move || {
+                h.fetch_add(1, Ordering::SeqCst);
+            }),
+            0,
+        );
         let f = CqsFuture::suspended(Arc::clone(&r));
         let fired2 = Arc::clone(&fired);
         f.on_ready(move || {

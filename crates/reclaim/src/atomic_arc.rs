@@ -3,9 +3,11 @@
 //! The cell owns one strong reference to the stored value. Loads clone that
 //! reference (one atomic increment); stores/swaps/CASes replace the pointer
 //! and *retire* the displaced reference through the guard's reclamation
-//! backend. Retiring is what makes [`AtomicArc::load`] sound: between
-//! reading the raw pointer and incrementing the strong count, the cell's
-//! own reference cannot be dropped —
+//! backend — as a two-word `Retired` (pointer + monomorphized releaser),
+//! the same allocation-free package whichever backend queues it. Retiring
+//! is what makes [`AtomicArc::load`] sound: between reading the raw
+//! pointer and incrementing the strong count, the cell's own reference
+//! cannot be dropped —
 //!
 //! * under an **epoch** guard, because every thread that could drop it is
 //!   excluded by the loader's pin for the guard's whole lifetime;
@@ -257,25 +259,9 @@ fn retire_displaced<T: Send + Sync + 'static>(old: *mut T, guard: &Guard) {
     if old.is_null() {
         return;
     }
-    match &guard.inner {
-        GuardInner::Epoch(g) => {
-            let old = old as usize;
-            g.defer_boxed(Box::new(move || {
-                // SAFETY: this reference was owned by the cell and displaced
-                // by the operation that deferred us; nothing else releases
-                // it.
-                unsafe { drop(Arc::from_raw(old as *const T)) }
-            }));
-        }
-        // SAFETY (both arms): the displaced reference is owned by this
-        // retire, and `release_arc::<T>` matches the pointer's true type.
-        GuardInner::Hazard(h) => {
-            crate::hazard::retire(h, unsafe { Retired::new(old as *mut (), release_arc::<T>) });
-        }
-        GuardInner::Owned(_) => {
-            owned::retire(unsafe { Retired::new(old as *mut (), release_arc::<T>) });
-        }
-    }
+    // SAFETY: the displaced reference is owned by this retire, and
+    // `release_arc::<T>` matches the pointer's true type.
+    guard.retire(unsafe { Retired::new(old as *mut (), release_arc::<T>) });
 }
 
 impl<T> Drop for AtomicArc<T> {
@@ -401,7 +387,7 @@ mod tests {
             }
             drop(cell);
         }
-        collector.flush();
+        assert!(collector.flush());
         assert_eq!(drops.load(Ordering::SeqCst), 100);
     }
 
@@ -444,7 +430,7 @@ mod tests {
                 if drops.load(Ordering::SeqCst) == 199 {
                     break;
                 }
-                flush_reclaimer(kind);
+                let _ = flush_reclaimer(kind); // the drop count is the check
                 std::thread::yield_now();
             }
             assert_eq!(
@@ -500,7 +486,7 @@ mod tests {
                 if drops.load(Ordering::SeqCst) == created.load(Ordering::SeqCst) {
                     break;
                 }
-                flush_reclaimer(kind);
+                let _ = flush_reclaimer(kind); // the drop count is the check
                 std::thread::yield_now();
             }
             assert_eq!(
@@ -557,7 +543,7 @@ mod tests {
         drop(cell);
         // `cell` was shared via Arc; the inner AtomicArc has been dropped by
         // the last owner above. Flush deferred releases.
-        collector.flush();
+        assert!(collector.flush());
         assert_eq!(
             drops.load(Ordering::SeqCst),
             created.load(Ordering::SeqCst),

@@ -7,20 +7,17 @@
 //! thread can still be pinned in an epoch that could reference it.
 //!
 //! The engine favours simplicity and auditability over raw pin throughput:
-//! `pin`/`unpin` touch only the participant's own atomic, while deferring
-//! garbage takes a single global mutex. That is deliberate — in the CQS
-//! workloads garbage is produced only on segment unlink and `AtomicArc`
-//! pointer churn, both of which are orders of magnitude rarer than
-//! `suspend`/`resume` themselves.
+//! `pin`/`unpin` touch only the participant's own atomic, while retiring
+//! garbage takes a single global mutex — and nothing else: the bins hold
+//! two-word [`Retired`] entries in vectors that keep their capacity across
+//! drains, so a steady-state retire never reaches the allocator.
 
-use crate::guard::Guard;
+use crate::guard::{Guard, Retired, SettleGauge};
+use crate::reclaimer::flush_until;
 use cqs_stats::CachePadded;
 use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// A deferred destructor.
-type Deferred = Box<dyn FnOnce() + Send>;
 
 /// Number of logical epoch bins.
 const EPOCH_BINS: usize = 3;
@@ -54,8 +51,15 @@ impl Participant {
 /// item and draining a stale bin are atomic with respect to the epoch reads
 /// they each perform.
 struct Bags {
-    bins: [Vec<Deferred>; EPOCH_BINS],
+    bins: [Vec<Retired>; EPOCH_BINS],
     since_collect: usize,
+}
+
+thread_local! {
+    /// The buffer this thread's last drain emptied. The next drain swaps
+    /// it with the stale bin, so bins keep their grown capacity instead of
+    /// restarting from zero after every collect.
+    static SCRATCH: Cell<Vec<Retired>> = const { Cell::new(Vec::new()) };
 }
 
 struct Global {
@@ -127,7 +131,10 @@ impl Global {
     fn collect(&self) {
         cqs_chaos::inject!("epoch.collect.pre-drain");
         self.try_advance();
-        let garbage: Vec<Deferred> = {
+        // Empty, possibly with capacity; fresh while this thread's TLS is
+        // being torn down or a destructor below re-enters `collect`.
+        let mut garbage = SCRATCH.try_with(Cell::take).unwrap_or_default();
+        {
             let mut bags = self.bags.lock().unwrap();
             // Read the epoch *under the lock*: concurrent defers also bin
             // under this lock with a fresh epoch read, so the bin we drain
@@ -142,17 +149,21 @@ impl Global {
             // at epochs <= epoch - 2 and is safe to drain.
             let stale_bin = (epoch + 1) % EPOCH_BINS;
             bags.since_collect = 0;
-            std::mem::take(&mut bags.bins[stale_bin])
-        };
-        self.retired_count
-            .fetch_sub(garbage.len(), Ordering::Relaxed);
-        for g in garbage {
-            cqs_stats::bump!(epoch_collects);
-            g();
+            std::mem::swap(&mut bags.bins[stale_bin], &mut garbage);
         }
+        // Settled only after the releases below: a flush on another thread
+        // that reads the gauge at zero must find them done, not claimed.
+        let _settle = SettleGauge(&self.retired_count, garbage.len());
+        for g in garbage.drain(..) {
+            cqs_stats::bump!(epoch_collects);
+            // SAFETY: the entry sat in a bin at least two epochs stale, so
+            // every thread pinned when it was retired has since unpinned.
+            unsafe { g.reclaim() };
+        }
+        let _ = SCRATCH.try_with(|scratch| scratch.set(garbage));
     }
 
-    fn defer(&self, deferred: Deferred) {
+    fn retire(&self, entry: Retired) {
         cqs_stats::bump!(epoch_defers);
         cqs_chaos::inject!("epoch.defer.pre-bin");
         self.retired_count.fetch_add(1, Ordering::Relaxed);
@@ -162,7 +173,7 @@ impl Global {
             // bounds how stale this read can be, and binning under an older
             // epoch only delays reclamation by one round, never frees early.
             let epoch = self.epoch.load(Ordering::Relaxed);
-            bags.bins[epoch % EPOCH_BINS].push(deferred);
+            bags.bins[epoch % EPOCH_BINS].push(entry);
             bags.since_collect += 1;
             bags.since_collect >= COLLECT_THRESHOLD
         };
@@ -212,15 +223,21 @@ impl Collector {
         }
     }
 
-    /// Aggressively drains garbage. Repeatedly advances the epoch and frees
-    /// stale bins; if no thread is pinned concurrently this frees everything
-    /// previously deferred. The caller must not hold a [`Guard`] of this
-    /// collector, or the epoch cannot advance far enough to drain the
-    /// caller's own bins.
-    pub fn flush(&self) {
-        for _ in 0..EPOCH_BINS + 1 {
+    /// Drains this collector's garbage: advances the epoch and frees stale
+    /// bins, retrying (with a yield) while concurrently pinned threads veto
+    /// the advance, until nothing retired remains. Returns `false` if
+    /// garbage is still pending after about two seconds — some thread
+    /// stayed pinned, or kept retiring, throughout. The caller must not
+    /// hold a [`Guard`] of this collector, or the epoch can never advance
+    /// far enough to drain the caller's own bins.
+    #[must_use = "false means garbage is still pending"]
+    pub fn flush(&self) -> bool {
+        flush_until(|| {
             self.global.collect();
-        }
+            // Acquire: pairs with the Release decrement after a drain, so
+            // a zero read here happens-after every release it counted.
+            self.global.retired_count.load(Ordering::Acquire) == 0
+        })
     }
 }
 
@@ -337,10 +354,10 @@ pub(crate) struct EpochGuard<'a> {
 }
 
 impl EpochGuard<'_> {
-    /// Defers `f` until after a grace period: it runs only once every thread
-    /// pinned at the time of this call has since unpinned.
-    pub(crate) fn defer_boxed(&self, f: Deferred) {
-        self.local.global.defer(f);
+    /// Retires `entry` until after a grace period: it is released only once
+    /// every thread pinned at the time of this call has since unpinned.
+    pub(crate) fn retire(&self, entry: Retired) {
+        self.local.global.retire(entry);
     }
 }
 
@@ -381,10 +398,11 @@ thread_local! {
     static LOCAL_PTR: Cell<*const LocalHandle> = const { Cell::new(std::ptr::null()) };
 }
 
-/// Aggressively drains the default collector's garbage. See
-/// [`Collector::flush`]; the caller must not hold a live [`Guard`].
-pub fn flush() {
-    default_collector().flush();
+/// Drains the default collector's garbage. See [`Collector::flush`]; the
+/// caller must not hold a live [`Guard`].
+#[must_use = "false means garbage is still pending"]
+pub fn flush() -> bool {
+    default_collector().flush()
 }
 
 /// Gauge for [`crate::retired_approx`]: deferred-but-unexecuted
@@ -476,6 +494,48 @@ mod tests {
         );
     }
 
+    /// Both kinds of bin entry — a displaced `AtomicArc` reference and a
+    /// `Guard::defer` closure — stay unreleased while a guard pinned in
+    /// their epoch lives, and are released exactly once after it unpins.
+    #[test]
+    fn retired_entries_wait_for_same_epoch_guard_then_release_once() {
+        struct CountsDrop(Arc<AtomicUsize>);
+        impl Drop for CountsDrop {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        const N: usize = 3 * COLLECT_THRESHOLD; // crosses several collects
+        let c = Collector::new();
+        let (blocker, worker) = (c.register(), c.register());
+        let arc_drops = Arc::new(AtomicUsize::new(0));
+        let closure_runs = Arc::new(AtomicUsize::new(0));
+        let cell = crate::AtomicArc::new(Some(Arc::new(CountsDrop(Arc::clone(&arc_drops)))));
+
+        let pinned = blocker.pin();
+        for _ in 0..N {
+            let g = worker.pin();
+            cell.store(Some(Arc::new(CountsDrop(Arc::clone(&arc_drops)))), &g);
+            let runs = Arc::clone(&closure_runs);
+            g.defer(move || {
+                runs.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        for _ in 0..8 {
+            c.global.collect();
+        }
+        assert_eq!(arc_drops.load(Ordering::SeqCst), 0, "released under a pin");
+        assert_eq!(closure_runs.load(Ordering::SeqCst), 0, "ran under a pin");
+        assert_eq!(c.global.retired_count.load(Ordering::Relaxed), 2 * N);
+
+        drop(pinned);
+        assert!(c.flush(), "nothing is pinned any more");
+        assert_eq!(arc_drops.load(Ordering::SeqCst), N, "one release each");
+        assert_eq!(closure_runs.load(Ordering::SeqCst), N, "one run each");
+        drop(cell); // the value still stored drops with the cell
+        assert_eq!(arc_drops.load(Ordering::SeqCst), N + 1);
+    }
+
     #[test]
     fn garbage_freed_after_unpin() {
         let c = Collector::new();
@@ -486,8 +546,33 @@ mod tests {
             let freed = Arc::clone(&freed);
             g.defer(move || freed.store(true, Ordering::SeqCst));
         }
-        c.flush();
+        assert!(c.flush());
         assert!(freed.load(Ordering::SeqCst));
+    }
+
+    /// A destructor panicking inside `collect` must not strand the gauge:
+    /// what was drained with it has left the collector (released or
+    /// leaked), so later flushes reach zero instead of waiting out their
+    /// deadline.
+    #[test]
+    fn panicking_deferred_closure_still_settles_the_gauge() {
+        let c = Collector::new();
+        let h = c.register();
+        {
+            let g = h.pin();
+            g.defer(|| panic!("deferred closure panics"));
+            g.defer(|| {}); // drained in the same round, behind the panic
+        }
+        assert_eq!(c.global.retired_count.load(Ordering::Relaxed), 2);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.flush()));
+        assert!(
+            unwound.is_err(),
+            "the closure's panic reaches the collector"
+        );
+        assert_eq!(c.global.retired_count.load(Ordering::Relaxed), 0);
+        let start = std::time::Instant::now();
+        assert!(c.flush(), "nothing retired remains");
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
     }
 
     #[test]
@@ -608,7 +693,7 @@ mod tests {
         }
         // Threshold collections must have freed a large portion already.
         assert!(count.load(Ordering::SeqCst) > 0);
-        c.flush();
+        assert!(c.flush());
         assert_eq!(count.load(Ordering::SeqCst), COLLECT_THRESHOLD * 4);
     }
 
@@ -637,7 +722,7 @@ mod tests {
             j.join().unwrap();
         }
         let _h = c.register();
-        c.flush();
+        assert!(c.flush());
         assert_eq!(freed.load(Ordering::SeqCst), THREADS * OPS);
     }
 }

@@ -1,5 +1,5 @@
-//! The backend-polymorphic [`Guard`] and the type-erased retired-object
-//! representation shared by the hazard-pointer and owned-slot backends.
+//! The backend-polymorphic [`Guard`] and [`Retired`], the type-erased
+//! retired-object representation all three backends queue.
 //!
 //! A `Guard` is the witness every [`crate::AtomicArc`] operation demands.
 //! What the witness actually *means* differs per backend:
@@ -28,6 +28,7 @@ use crate::epoch::EpochGuard;
 use crate::hazard::HazardGuard;
 use crate::owned::OwnedGuard;
 use crate::reclaimer::ReclaimerKind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Witness that the current thread may operate on [`crate::AtomicArc`]
 /// cells, with backend-specific protection semantics (see the module
@@ -80,10 +81,15 @@ impl<'a> Guard<'a> {
     ///   through `AtomicArc` loads (which take strong references) may use
     ///   this with a hazard guard.
     pub fn defer<F: FnOnce() + Send + 'static>(&self, f: F) {
+        self.retire(Retired::from_closure(f));
+    }
+
+    /// Hands a retired object to the backend that issued this guard.
+    pub(crate) fn retire(&self, entry: Retired) {
         match &self.inner {
-            GuardInner::Epoch(g) => g.defer_boxed(Box::new(f)),
-            GuardInner::Hazard(g) => crate::hazard::retire(g, Retired::from_closure(Box::new(f))),
-            GuardInner::Owned(_) => crate::owned::retire(Retired::from_closure(Box::new(f))),
+            GuardInner::Epoch(g) => g.retire(entry),
+            GuardInner::Hazard(g) => crate::hazard::retire(g, entry),
+            GuardInner::Owned(_) => crate::owned::retire(entry),
         }
     }
 }
@@ -95,10 +101,11 @@ impl std::fmt::Debug for Guard<'_> {
 }
 
 /// A type-erased retired object: a thin pointer plus the monomorphized
-/// function that releases it. Two machine words, no allocation — this is
-/// what lets the hazard and owned backends retire displaced `Arc`
-/// references without the per-item `Box<dyn FnOnce>` the epoch engine
-/// pays.
+/// function that releases it. Two machine words, no allocation — every
+/// backend queues displaced `Arc` references in this form (epoch bins,
+/// hazard retire lists, the owned-slot limbo), so retiring a reference
+/// costs the structure nothing beyond the push. Only a [`Guard::defer`]
+/// closure allocates: one box to give its captures a thin pointer.
 pub(crate) struct Retired {
     ptr: *mut (),
     drop_fn: unsafe fn(*mut ()),
@@ -122,19 +129,18 @@ impl Retired {
         Retired { ptr, drop_fn }
     }
 
-    /// Wraps a deferred closure as a retired object (double-boxed so the
-    /// erased pointer is thin).
-    pub(crate) fn from_closure(f: Box<dyn FnOnce() + Send>) -> Self {
-        unsafe fn run(p: *mut ()) {
-            // SAFETY: `p` came from `Box::into_raw` below and is consumed
-            // exactly once.
-            let f = unsafe { Box::from_raw(p as *mut Box<dyn FnOnce() + Send>) };
+    /// Wraps a deferred closure as a retired object (boxed so the erased
+    /// pointer is thin; `run::<F>` remembers the concrete type).
+    pub(crate) fn from_closure<F: FnOnce() + Send + 'static>(f: F) -> Self {
+        unsafe fn run<F: FnOnce()>(p: *mut ()) {
+            // SAFETY: `p` came from `Box::<F>::into_raw` below and is
+            // consumed exactly once.
+            let f = unsafe { Box::from_raw(p as *mut F) };
             f();
         }
-        let thin = Box::into_raw(Box::new(f));
         Retired {
-            ptr: thin as *mut (),
-            drop_fn: run,
+            ptr: Box::into_raw(Box::new(f)) as *mut (),
+            drop_fn: run::<F>,
         }
     }
 
@@ -155,5 +161,20 @@ impl Retired {
         // SAFETY: forwarded contract; `new`/`from_closure` guarantee the
         // (ptr, drop_fn) pairing is the original one.
         unsafe { (self.drop_fn)(self.ptr) }
+    }
+}
+
+/// Subtracts a drain's entry count from a backend's retired gauge when
+/// dropped: after the drain released them, or while a panicking destructor
+/// unwinds through the drain. The entries behind such a panic are leaked,
+/// not re-queued, so they leave the gauge too — otherwise every later
+/// flush would wait out its deadline on objects no collect can reach.
+pub(crate) struct SettleGauge<'a>(pub(crate) &'a AtomicUsize, pub(crate) usize);
+
+impl Drop for SettleGauge<'_> {
+    fn drop(&mut self) {
+        // Release: pairs with the Acquire read of a flush, so a zero seen
+        // there happens-after every release this drain performed.
+        self.0.fetch_sub(self.1, Ordering::Release);
     }
 }

@@ -261,8 +261,9 @@ pub(crate) fn retire(guard: &HazardGuard, entry: Retired) {
 }
 
 /// Scans `record`'s retire list (plus the global fallback) against every
-/// published hazard, freeing the entries no slot protects.
-fn scan(record: &HazardRecord, block_on_fallback: bool) {
+/// published hazard, freeing the entries no slot protects. Returns whether
+/// the list came out empty.
+fn scan(record: &HazardRecord, block_on_fallback: bool) -> bool {
     cqs_chaos::inject!("reclaim.hazard.retire.pre-scan");
     cqs_stats::bump!(hp_scans);
     // SeqCst fence (invariant): the scan-side half of the Dekker pairing
@@ -313,14 +314,18 @@ fn scan(record: &HazardRecord, block_on_fallback: bool) {
         cqs_stats::bump!(retired_reclaimed, reclaimed);
         RETIRED_APPROX.fetch_sub(reclaimed, Ordering::Relaxed);
     }
+    list.is_empty()
 }
 
 /// Forces a scan of the calling thread's retire list and the global
-/// fallback. The hazard counterpart of [`crate::flush`].
-pub(crate) fn flush() {
+/// fallback — everything a flush can reach; another live thread's private
+/// list (at most [`SCAN_THRESHOLD`] entries) stays that thread's to scan.
+/// Returns whether every reachable entry was reclaimed. The hazard
+/// counterpart of one epoch `collect`.
+pub(crate) fn flush() -> bool {
     let guard = protect();
     // SAFETY: records are never deallocated.
-    scan(unsafe { &*guard.record }, true);
+    scan(unsafe { &*guard.record }, true)
 }
 
 /// Number of retired objects not yet proven reclaimable.

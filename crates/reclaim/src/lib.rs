@@ -93,7 +93,7 @@ mod tests {
         for _ in 0..64 {
             drop(handle.pin());
         }
-        collector.flush();
+        assert!(collector.flush());
         assert_eq!(drops.load(Ordering::SeqCst), 1);
     }
 }

@@ -16,7 +16,7 @@
 //! retirer that displaces a reference scans the stripes once: if all are
 //! zero, *no load anywhere in the process is mid-window*, so the displaced
 //! reference is dropped immediately — the GC-free fast path that also
-//! skips the epoch engine's global mutex and per-item closure allocation.
+//! skips the epoch engine's global mutex.
 //! Otherwise the reference parks in a small limbo list that is drained the
 //! next time the stripes read zero.
 //!
@@ -41,7 +41,7 @@
 //! only when the strong count hits zero, which the scan has just proven no
 //! in-window reader can be about to increment.
 
-use crate::guard::Retired;
+use crate::guard::{Retired, SettleGauge};
 use cqs_stats::CachePadded;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -61,8 +61,9 @@ const LIMBO_DRAIN_THRESHOLD: usize = 32;
 struct OwnedDomain {
     stripes: [CachePadded<AtomicUsize>; STRIPES],
     limbo: Mutex<Vec<Retired>>,
-    /// Mirror of `limbo.len()` readable without the lock, for the cheap
-    /// "anything to drain?" check and the watchdog gauge.
+    /// Entries parked in `limbo` plus those a drain has taken out but not
+    /// yet released, readable without the lock: the cheap "anything to
+    /// drain?" check, the watchdog gauge, and what a flush waits on.
     limbo_len: AtomicUsize,
 }
 
@@ -155,7 +156,7 @@ pub(crate) fn retire(entry: Retired) {
     } else {
         let mut limbo = DOMAIN.limbo.lock().unwrap();
         limbo.push(entry);
-        DOMAIN.limbo_len.store(limbo.len(), Ordering::Relaxed);
+        DOMAIN.limbo_len.fetch_add(1, Ordering::Relaxed);
         let drain_now = limbo.len() >= LIMBO_DRAIN_THRESHOLD;
         drop(limbo);
         if drain_now {
@@ -184,42 +185,35 @@ fn try_drain(block: bool) {
         if limbo.is_empty() {
             return;
         }
-        let taken = std::mem::take(&mut *limbo);
-        DOMAIN.limbo_len.store(0, Ordering::Relaxed);
-        taken
+        std::mem::take(&mut *limbo)
     };
     if stripes_all_zero() {
-        let _n = taken.len();
+        cqs_stats::bump!(retired_reclaimed, taken.len());
+        // Settled after the releases: a flush that reads zero (Acquire)
+        // must find these entries released, not merely taken.
+        let _settle = SettleGauge(&DOMAIN.limbo_len, taken.len());
         for entry in taken {
             // SAFETY: see the function documentation.
             unsafe { entry.reclaim() };
         }
-        cqs_stats::bump!(retired_reclaimed, _n);
     } else {
         // A load is mid-window somewhere: put everything back untouched.
-        let mut limbo = DOMAIN.limbo.lock().unwrap();
-        limbo.extend(taken);
-        DOMAIN.limbo_len.store(limbo.len(), Ordering::Relaxed);
+        DOMAIN.limbo.lock().unwrap().extend(taken);
     }
 }
 
-/// Aggressively drains the limbo; frees everything if no load is
-/// concurrently mid-window. The owned-slot counterpart of
-/// [`crate::flush`].
+/// One blocking drain of the limbo; frees everything if no load is
+/// concurrently mid-window. The owned-slot counterpart of one epoch
+/// `collect` — [`crate::flush_reclaimer`] retries it, since a drain can
+/// lose to a transient borrow and reclamation itself may push new entries.
 pub(crate) fn flush() {
-    // A couple of rounds: a drain that loses the race to a transient
-    // borrow retries, and reclamation itself may push new entries.
-    for _ in 0..3 {
-        if DOMAIN.limbo_len.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        try_drain(true);
-    }
+    try_drain(true);
 }
 
-/// Number of retired objects currently parked in limbo.
+/// Number of retired objects not yet released (parked in limbo or being
+/// drained right now).
 pub(crate) fn retired_approx() -> usize {
-    DOMAIN.limbo_len.load(Ordering::Relaxed)
+    DOMAIN.limbo_len.load(Ordering::Acquire)
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 use crate::guard::{Guard, GuardInner};
 use crate::{hazard, owned};
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::time::{Duration, Instant};
 
 /// Selects one of the three reclamation backends.
 ///
@@ -115,14 +116,45 @@ pub fn pin_with(kind: ReclaimerKind) -> Guard<'static> {
     }
 }
 
-/// Aggressively reclaims `kind`'s pending garbage, as far as concurrent
-/// protection allows. See [`crate::flush`] (epoch) for the caveats; the
-/// caller must not hold a guard of the flushed backend.
-pub fn flush_reclaimer(kind: ReclaimerKind) {
+/// How long a flush keeps retrying before it reports the backlog as stuck.
+const FLUSH_DEADLINE: Duration = Duration::from_secs(2);
+
+/// The quiescence barrier behind every backend's flush: runs `round`
+/// (one reclamation attempt, reporting whether the backlog is gone),
+/// yielding between rounds, until it succeeds or [`FLUSH_DEADLINE`]
+/// passes. One round is rarely enough on shared state — any thread
+/// protected at that instant vetoes the round — so a flush that must be
+/// observable (a test asserting drop counts) has to retry.
+pub(crate) fn flush_until(mut round: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + FLUSH_DEADLINE;
+    loop {
+        if round() {
+            return true;
+        }
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// Reclaims `kind`'s pending garbage, retrying while concurrent
+/// protection vetoes a round, and reports whether everything the flush
+/// can reach was reclaimed before the deadline: the whole backlog for
+/// epoch and owned ([`retired_approx`] reads zero); for hazard the
+/// caller's own retire list plus the lists of exited threads — another
+/// *live* thread's private list (bounded by the scan threshold) stays
+/// that thread's to scan. See [`crate::Collector::flush`] for the
+/// caveats; the caller must not hold a guard of the flushed backend.
+#[must_use = "false means garbage is still pending"]
+pub fn flush_reclaimer(kind: ReclaimerKind) -> bool {
     match kind {
         ReclaimerKind::Epoch => crate::flush(),
-        ReclaimerKind::Hazard => hazard::flush(),
-        ReclaimerKind::Owned => owned::flush(),
+        ReclaimerKind::Hazard => flush_until(hazard::flush),
+        ReclaimerKind::Owned => flush_until(|| {
+            owned::flush();
+            owned::retired_approx() == 0
+        }),
     }
 }
 
@@ -152,9 +184,11 @@ pub trait Reclaimer: Send + Sync {
     /// Acquires a guard; equivalent to [`pin_with`]`(self.kind())`.
     fn protect(&self) -> Guard<'static>;
 
-    /// Aggressively reclaims pending garbage; equivalent to
-    /// [`flush_reclaimer`]`(self.kind())`.
-    fn flush(&self);
+    /// Reclaims pending garbage and reports whether everything in reach
+    /// went (for hazard that is less than [`Self::retired_approx`] counts);
+    /// equivalent to [`flush_reclaimer`]`(self.kind())`.
+    #[must_use = "false means garbage is still pending"]
+    fn flush(&self) -> bool;
 
     /// Approximate retired-but-unreclaimed object count; equivalent to
     /// [`retired_approx`]`(self.kind())`.
@@ -174,7 +208,7 @@ macro_rules! unit_reclaimer {
             fn protect(&self) -> Guard<'static> {
                 pin_with($kind)
             }
-            fn flush(&self) {
+            fn flush(&self) -> bool {
                 flush_reclaimer($kind)
             }
             fn retired_approx(&self) -> usize {
@@ -257,7 +291,7 @@ mod tests {
                 if freed.load(Ordering::SeqCst) {
                     break;
                 }
-                flush_reclaimer(kind);
+                let _ = flush_reclaimer(kind); // `freed` is the check
                 std::thread::yield_now();
             }
             assert!(freed.load(Ordering::SeqCst), "defer never ran on {kind}");

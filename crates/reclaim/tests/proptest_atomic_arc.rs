@@ -103,7 +103,7 @@ proptest! {
             }
             drop(cell);
         }
-        collector.flush();
+        prop_assert!(collector.flush());
         prop_assert_eq!(
             drops.load(Ordering::SeqCst),
             created,

@@ -125,7 +125,10 @@ fn main() {
         hold.store(false, Ordering::Release);
         holder.join().unwrap();
         drop(cqs);
-        flush_reclaimer(kind);
+        assert!(
+            flush_reclaimer(kind),
+            "[{kind}] backlog stuck after release"
+        );
         let after = retired_approx(kind);
         println!("[{kind}] backlog under stalled guard: {during} (after flush: {after})");
         match kind {

@@ -244,7 +244,10 @@ fn stalled_guard_storm_defers_epoch_but_not_hazard_or_owned() {
             hold.store(false, Ordering::Release);
             holder.join().unwrap();
             drop(cqs);
-            flush_reclaimer(kind);
+            assert!(
+                flush_reclaimer(kind),
+                "seed {seed:#x} round {i}: {kind} backlog survived the holder's release"
+            );
         }
     }
     cqs_chaos::disable();

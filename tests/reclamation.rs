@@ -62,7 +62,7 @@ fn values_parked_in_cells_drop_with_the_queue() {
     }
     // Link references displaced during teardown are epoch-deferred; drain
     // them to make the drops observable.
-    cqs::reclaim::flush();
+    assert!(cqs::reclaim::flush(), "epoch backlog stuck behind a pin");
     assert_eq!(
         drops.load(Ordering::SeqCst),
         10,
@@ -84,7 +84,7 @@ fn pool_elements_drop_exactly_once() {
         // 10 taken and dropped; 10 still stored.
         assert_eq!(drops.load(Ordering::SeqCst), 10);
     }
-    cqs::reclaim::flush();
+    assert!(cqs::reclaim::flush(), "epoch backlog stuck behind a pin");
     assert_eq!(drops.load(Ordering::SeqCst), 20);
 }
 
@@ -101,7 +101,7 @@ fn stack_pool_elements_drop_exactly_once() {
         }
         assert_eq!(drops.load(Ordering::SeqCst), 7);
     }
-    cqs::reclaim::flush();
+    assert!(cqs::reclaim::flush(), "epoch backlog stuck behind a pin");
     assert_eq!(drops.load(Ordering::SeqCst), 20);
 }
 
@@ -152,7 +152,7 @@ fn atomic_arc_roundtrip_via_facade() {
         }
         drop(cell);
     }
-    collector.flush();
+    assert!(collector.flush());
     assert_eq!(drops.load(Ordering::SeqCst), 101);
 }
 

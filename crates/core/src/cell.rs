@@ -10,8 +10,8 @@
 //! * `waiter` — the suspended [`Request`], installed by `suspend()` before
 //!   the `EMPTY → REQUEST` transition and removed by whichever transition
 //!   leaves `REQUEST`. The slot is an [`AtomicArc`] so that a resumer may
-//!   clone the waiter concurrently with the cancellation handler removing
-//!   it.
+//!   read the waiter (guard-scoped, see `peek_waiter`) concurrently with
+//!   the cancellation handler removing it.
 //!
 //! The state word uses acquire/release atomics, not SeqCst: every protocol
 //! in this file is a *single-variable* handoff — a party writes a payload
@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cqs_future::Request;
-use cqs_reclaim::{AtomicArc, Guard};
+use cqs_reclaim::{AtomicArc, Guard, Protected};
 
 /// Cell states. `FUTURE_CANCELLED` from the paper's diagrams is not a
 /// separate word value: it is the combination of state `REQUEST` with a
@@ -193,9 +193,10 @@ impl<T: Send + 'static> CqsCell<T> {
         }
     }
 
-    /// Clones the waiter if the cell still holds one.
-    pub(crate) fn peek_waiter(&self, guard: &Guard) -> Option<Arc<Request<T>>> {
-        self.waiter.load(guard)
+    /// The waiter, if the cell still holds one, for as long as `guard` is
+    /// borrowed.
+    pub(crate) fn peek_waiter<'g>(&'g self, guard: &'g Guard) -> Option<Protected<'g, Request<T>>> {
+        self.waiter.load_protected(guard)
     }
 
     /// `VALUE | BROKEN → TAKEN`: the eliminating `suspend()` claims the

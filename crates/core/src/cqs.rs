@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use cqs_future::{CqsFuture, Request, WakeBatch};
-use cqs_reclaim::{pin_with, AtomicArc, Guard, ReclaimerKind};
+use cqs_reclaim::{pin_with, AtomicArc, Guard, Protected, ReclaimerKind};
 use cqs_stats::CachePadded;
 
 use crate::cell::{self, CancelSwap};
@@ -409,16 +409,11 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
     /// fully-cancelled segments are physically unlinked.
     pub fn live_segments(&self) -> usize {
         let guard = self.inner.protect();
-        let resume_head = self.inner.resume_segm.load(&guard);
-        let suspend_head = self.inner.suspend_segm.load(&guard);
-        let mut cur = match (resume_head, suspend_head) {
-            (Some(r), Some(s)) => Some(if r.id() <= s.id() { r } else { s }),
-            (r, s) => r.or(s),
-        };
+        let mut cur = self.inner.first_segment(&guard);
         let mut count = 0;
         while let Some(segment) = cur {
             count += 1;
-            cur = segment.next(&guard);
+            cur = Segment::next(&segment, &guard);
         }
         count
     }
@@ -432,6 +427,27 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
         let segment = self.inner.suspend_segm.load(&self.inner.protect());
         Arc::downgrade(&segment.expect("head pointers are never null"))
     }
+
+    /// Walks every linked segment under one pin, lets `meanwhile` run, and
+    /// checks that each segment still carries the id it was first seen
+    /// with: recycling (`Segment::reset_for_reuse`) must never get hold of
+    /// a segment a pinned traverser can still reach.
+    pub(crate) fn audit_segment_ids(&self, meanwhile: impl FnOnce()) {
+        let guard = self.inner.protect();
+        let mut seen: Vec<(u64, Protected<'_, Segment<T>>)> = Vec::new();
+        let mut cur = self.inner.first_segment(&guard);
+        while let Some(segment) = cur {
+            if let Some((last, _)) = seen.last() {
+                assert!(segment.id() > *last, "`next` links only lead forward");
+            }
+            cur = Segment::next(&segment, &guard);
+            seen.push((segment.id(), segment));
+        }
+        meanwhile();
+        for (id, segment) in &seen {
+            assert_eq!(segment.id(), *id, "segment recycled under a pin");
+        }
+    }
 }
 
 impl<T: Send + 'static, C: CqsCallbacks<T>> Drop for Cqs<T, C> {
@@ -441,17 +457,12 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Drop for Cqs<T, C> {
         // * `cell.waiter -> Request -> handler (the Arc<Segment>)` of
         //   waiters never completed nor cancelled.
         let guard = self.inner.protect();
-        let resume_head = self.inner.resume_segm.load(&guard);
-        let suspend_head = self.inner.suspend_segm.load(&guard);
-        let mut cur = match (resume_head, suspend_head) {
-            (Some(r), Some(s)) => Some(if r.id() <= s.id() { r } else { s }),
-            (r, s) => r.or(s),
-        };
+        let mut cur = self.inner.first_segment(&guard);
         while let Some(segment) = cur {
             for i in 0..segment.len() {
                 segment.cell(i).clear_waiter(&guard);
             }
-            let next = segment.next(&guard);
+            let next = Segment::next(&segment, &guard);
             segment.clear_links(&guard);
             cur = next;
         }
@@ -478,6 +489,17 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
         pin_with(self.reclaim)
     }
 
+    /// The earlier of the two head segments: every segment still linked
+    /// into the queue is reachable from it through `next`.
+    fn first_segment<'g>(&'g self, guard: &'g Guard) -> Option<Protected<'g, Segment<T>>> {
+        let resume_head = self.resume_segm.load_protected(guard);
+        let suspend_head = self.suspend_segm.load_protected(guard);
+        match (resume_head, suspend_head) {
+            (Some(r), Some(s)) => Some(if r.id() <= s.id() { r } else { s }),
+            (r, s) => r.or(s),
+        }
+    }
+
     fn suspend(&self) -> Suspend<T> {
         cqs_stats::bump!(suspends);
         let guard = self.protect();
@@ -486,7 +508,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
         // 14): this guarantees the target segment is reachable from `start`.
         let start = self
             .suspend_segm
-            .load(&guard)
+            .load_protected(&guard)
             .expect("head pointers are never null");
         cqs_chaos::inject!("cqs.suspend.pre-counter");
         // SeqCst (invariant): the paper's SC argument (Listing 14) orders
@@ -513,7 +535,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
         let request: Arc<Request<T>> = Arc::new(Request::new());
         if cell.try_install_waiter(Arc::clone(&request), &guard) {
             cqs_chaos::inject!("cqs.suspend.install-to-handler-window");
-            request.set_cancellation_handler(segment, index);
+            request.set_cancellation_handler(segment.into_arc(), index);
             cqs_watch::register_waiter!(
                 self.watch_id,
                 self.config.get_label(),
@@ -576,7 +598,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
             let guard = self.protect();
             let start = self
                 .resume_segm
-                .load(&guard)
+                .load_protected(&guard)
                 .expect("head pointers are never null");
             cqs_chaos::inject!("cqs.resume.pre-counter");
             // SeqCst (invariant): mirror of the suspend-side claim — see
@@ -876,7 +898,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
         // claimed cells are then guaranteed reachable from `start`.
         let start = self
             .resume_segm
-            .load(guard)
+            .load_protected(guard)
             .expect("head pointers are never null");
         cqs_chaos::inject!("cqs.resume-n.pre-counter");
         // SeqCst (invariant): the batch's single claim plays the same role
@@ -906,7 +928,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
                 let id = i / n_cells;
                 if segment.id() < id {
                     cqs_chaos::inject!("cqs.resume-n.pre-advance");
-                    segment = find_segment(Arc::clone(&segment), id, segment_size, guard);
+                    segment = find_segment(segment, id, segment_size, guard);
                     // Links to already-processed segments are not needed
                     // any more (mirrors the sequential path).
                     segment.clear_prev(guard);
@@ -1123,12 +1145,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
             // move their head past a still-pending waiter); one installed
             // after observes `closed` in its post-install double-check and
             // self-cancels.
-            let resume_head = self.resume_segm.load(&guard);
-            let suspend_head = self.suspend_segm.load(&guard);
-            let mut cur = match (resume_head, suspend_head) {
-                (Some(r), Some(s)) => Some(if r.id() <= s.id() { r } else { s }),
-                (r, s) => r.or(s),
-            };
+            let mut cur = self.first_segment(&guard);
             while let Some(segment) = cur {
                 for index in 0..segment.len() {
                     if let Some(request) = segment.cell(index).peek_waiter(&guard) {
@@ -1167,7 +1184,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
                         }
                     }
                 }
-                cur = segment.next(&guard);
+                cur = Segment::next(&segment, &guard);
             }
         }
         // The guard is dropped: the sweep is one batched traversal too —

@@ -8,15 +8,21 @@
 //!
 //! Reclamation: in the paper the JVM GC frees unlinked segments. Here the
 //! links are [`AtomicArc`]s, so a segment is deallocated when the last
-//! `Arc` reference — a link, a head pointer, an in-flight traversal, or a
-//! request that holds the segment as its cancellation handler — goes away
-//! (plus a grace period for displaced link references).
+//! `Arc` reference — a link, a head pointer, or a request that holds the
+//! segment as its cancellation handler — goes away (plus a grace period
+//! for displaced link references).
+//!
+//! Traversals are not in that list: they walk guard-scoped [`Protected`]
+//! references — under the default (epoch) reclaimer the paper's pointer
+//! reads — and mint a count (`to_arc`) only where a reference is
+//! *published or kept*: the head-pointer CAS, the links `remove` and a
+//! fresh tail write, a request's handler, `remove`'s `&Arc<Self>`.
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use cqs_future::CancellationHandler;
-use cqs_reclaim::{AtomicArc, Guard};
+use cqs_reclaim::{AtomicArc, Guard, Protected};
 
 use crate::cell::CqsCell;
 
@@ -36,13 +42,15 @@ const CANCELLED_MASK: u64 = POINTER_UNIT - 1;
 /// # Epoch safety
 ///
 /// A popped segment is reused only if `Arc::get_mut` succeeds, i.e. its
-/// strong count is exactly the freelist's own reference. Any thread that
-/// could still *reach* the segment — an in-flight traversal holding a
-/// clone, or a loader that read a stale link pointer while pinned (in
-/// which case the displaced link's epoch-deferred release has not run yet,
-/// so that reference is still counted) — keeps the count above one and
-/// vetoes the reuse. Exclusivity therefore cannot race with readers, and
-/// the reset needs no atomics at all.
+/// strong count is exactly the freelist's own reference. An epoch
+/// traversal holds *no* count on the segments it walks, so the veto rests
+/// on the links: a pinned traverser reaches the segment only through a
+/// link (or head pointer) it read under its pin, and that cell's reference
+/// is still in place, or displaced, retired and not released while the
+/// traverser stays pinned — counted either way. (Hazard and owned
+/// traversals hold counted clones; so does a request's handler.)
+/// Exclusivity therefore cannot race with readers, and the reset needs no
+/// atomics at all.
 ///
 /// The list lives inside the owning CQS; segments reach it through their
 /// `Weak` [`SegmentOwner`] back-reference, so it never forms a reference
@@ -136,7 +144,7 @@ impl<T: Send + 'static> Drop for SegmentFreelist<T> {
             if !ptr.is_null() {
                 // SAFETY: the slot owns this `Arc::into_raw` reference and
                 // `&mut self` excludes concurrent pops.
-                drop(unsafe { Arc::from_raw(ptr) });
+                drop_chain(Some(unsafe { Arc::from_raw(ptr) }));
             }
         }
     }
@@ -200,8 +208,11 @@ impl<T: Send + 'static> Segment<T> {
         self.cells.len()
     }
 
-    pub(crate) fn next(&self, guard: &Guard) -> Option<Arc<Segment<T>>> {
-        self.next.load(guard)
+    pub(crate) fn next<'g>(
+        this: &Protected<'g, Self>,
+        guard: &'g Guard,
+    ) -> Option<Protected<'g, Self>> {
+        this.follow(|segment| &segment.next, guard)
     }
 
     pub(crate) fn clear_prev(&self, guard: &Guard) {
@@ -293,9 +304,9 @@ impl<T: Send + 'static> Segment<T> {
 
             // Link next and prev to each other.
             cqs_chaos::inject!("segment.remove.pre-link");
-            next.prev.store(prev.clone(), guard);
+            next.prev.store(prev.as_ref().map(Protected::to_arc), guard);
             if let Some(prev) = &prev {
-                prev.next.store(Some(Arc::clone(&next)), guard);
+                prev.next.store(Some(next.to_arc()), guard);
             }
 
             // Restart if a neighbour was removed in the meantime (unless it
@@ -354,13 +365,13 @@ impl<T: Send + 'static> Segment<T> {
 
     /// First non-removed segment to the left, or `None` if all are removed
     /// or already processed.
-    fn alive_segment_left(&self, guard: &Guard) -> Option<Arc<Segment<T>>> {
-        let mut cur = self.prev.load(guard);
+    fn alive_segment_left<'g>(&'g self, guard: &'g Guard) -> Option<Protected<'g, Segment<T>>> {
+        let mut cur = self.prev.load_protected(guard);
         while let Some(segment) = &cur {
             if !segment.removed() {
                 return cur;
             }
-            cur = segment.prev.load(guard);
+            cur = segment.follow(|segment| &segment.prev, guard);
         }
         None
     }
@@ -371,16 +382,16 @@ impl<T: Send + 'static> Segment<T> {
     /// # Panics
     ///
     /// Must only be called on a segment that is not the tail.
-    fn alive_segment_right(&self, guard: &Guard) -> Arc<Segment<T>> {
+    fn alive_segment_right<'g>(&'g self, guard: &'g Guard) -> Protected<'g, Segment<T>> {
         let mut cur = self
             .next
-            .load(guard)
+            .load_protected(guard)
             .expect("alive_segment_right called on the tail segment");
         loop {
             if !cur.removed() {
                 return cur;
             }
-            match cur.next.load(guard) {
+            match Segment::next(&cur, guard) {
                 Some(next) => cur = next,
                 None => return cur, // the tail, even if removed
             }
@@ -399,15 +410,27 @@ impl<T: Send + 'static> CancellationHandler for Segment<T> {
     }
 }
 
-// Gated on the crate feature (not just the macro) so that without `stats`
-// the type has no drop glue at all — the counter hook must stay truly free.
-#[cfg(feature = "stats")]
 impl<T: Send + 'static> Drop for Segment<T> {
     fn drop(&mut self) {
         // Runs exactly once per segment, when the last `Arc` reference (a
-        // link, a head pointer or an in-flight traversal) goes away — the
+        // link, a head pointer or a request's handler) goes away — the
         // moment the memory is actually reclaimed.
         cqs_stats::bump!(segments_reclaimed);
+        drop_chain(self.next.take_mut());
+    }
+}
+
+/// Releases `first` and, in a loop, every `next` successor this was the
+/// last reference to (letting each `next` field drop its successor would
+/// recurse once per segment and overflow the stack on a long chain). Stops
+/// at the first segment someone else still holds.
+fn drop_chain<T: Send + 'static>(first: Option<Arc<Segment<T>>>) {
+    let mut cur = first;
+    while let Some(segment) = cur {
+        // (An unwrapped segment drops with its `next` already taken.)
+        cur = Arc::try_unwrap(segment)
+            .ok()
+            .and_then(|mut segment| segment.next.take_mut());
     }
 }
 
@@ -425,15 +448,15 @@ impl<T: Send + 'static> std::fmt::Debug for Segment<T> {
 /// Returns the first non-removed segment with `id >= target_id`, starting
 /// the search from `start` and creating new segments as needed (paper,
 /// Listing 15 `findSegment`).
-pub(crate) fn find_segment<T: Send + 'static>(
-    start: Arc<Segment<T>>,
+pub(crate) fn find_segment<'g, T: Send + 'static>(
+    start: Protected<'g, Segment<T>>,
     target_id: u64,
     segment_size: usize,
-    guard: &Guard,
-) -> Arc<Segment<T>> {
+    guard: &'g Guard,
+) -> Protected<'g, Segment<T>> {
     let mut cur = start;
     while cur.id < target_id || cur.removed() {
-        let next = match cur.next.load(guard) {
+        let next = match Segment::next(&cur, guard) {
             Some(next) => next,
             None => {
                 // Create (or recycle) and append a new tail segment.
@@ -443,18 +466,16 @@ pub(crate) fn find_segment<T: Send + 'static>(
                 cqs_chaos::inject!("segment.append.pre-cas");
                 match cur.next.compare_exchange_null(Arc::clone(&fresh), guard) {
                     Ok(()) => {
-                        fresh.prev.store(Some(Arc::clone(&cur)), guard);
+                        fresh.prev.store(Some(cur.to_arc()), guard);
                         // The old tail might have become logically removed
                         // while it was still protected by its tail status.
                         if cur.removed() {
-                            cur.remove(guard);
+                            cur.to_arc().remove(guard);
                         }
-                        fresh
+                        fresh.into()
                     }
                     // Someone else appended; reuse theirs.
-                    Err(_) => cur
-                        .next
-                        .load(guard)
+                    Err(_) => Segment::next(&cur, guard)
                         .expect("next observed non-null cannot revert to null"),
                 }
             }
@@ -469,7 +490,7 @@ pub(crate) fn find_segment<T: Send + 'static>(
 /// still referenced elsewhere, or detached segment with no freelist) so
 /// the caller allocates fresh.
 fn recycled_tail<T: Send + 'static>(
-    cur: &Arc<Segment<T>>,
+    cur: &Segment<T>,
     segment_size: usize,
 ) -> Option<Arc<Segment<T>>> {
     let owner = cur.owner.upgrade()?;
@@ -502,31 +523,37 @@ fn recycled_tail<T: Send + 'static>(
 /// which case the caller restarts its search.
 pub(crate) fn move_forward<T: Send + 'static>(
     pointer: &AtomicArc<Segment<T>>,
-    to: &Arc<Segment<T>>,
+    to: &Protected<'_, Segment<T>>,
     guard: &Guard,
 ) -> bool {
     loop {
-        let cur = pointer.load(guard).expect("head pointers are never null");
+        // The common case — the head already is `to` — is decided on the
+        // pointer alone (`to` is protected, so its address names it).
+        if pointer.load_ptr(guard) == to.as_ptr() {
+            return true;
+        }
+        let cur = pointer
+            .load_protected(guard)
+            .expect("head pointers are never null");
         if cur.id >= to.id {
             return true;
         }
         if !to.try_inc_pointers() {
             return false;
         }
-        let cur_ptr = Arc::as_ptr(&cur);
         cqs_chaos::inject!("segment.move-forward.pre-cas");
         if pointer
-            .compare_exchange(cur_ptr, Some(Arc::clone(to)), guard)
+            .compare_exchange(cur.as_ptr(), Some(to.to_arc()), guard)
             .is_ok()
         {
             if cur.dec_pointers() {
-                cur.remove(guard);
+                cur.to_arc().remove(guard);
             }
             return true;
         }
         // The head moved under us: give back the pointer count and retry.
         if to.dec_pointers() {
-            to.remove(guard);
+            to.to_arc().remove(guard);
         }
     }
 }
@@ -534,20 +561,19 @@ pub(crate) fn move_forward<T: Send + 'static>(
 /// `findAndMoveForward`: find the segment for `target_id` and advance the
 /// head pointer to it, restarting if the found segment gets removed before
 /// the pointer update lands.
-pub(crate) fn find_and_move_forward<T: Send + 'static>(
+pub(crate) fn find_and_move_forward<'g, T: Send + 'static>(
     pointer: &AtomicArc<Segment<T>>,
-    start: Arc<Segment<T>>,
+    start: Protected<'g, Segment<T>>,
     target_id: u64,
     segment_size: usize,
-    guard: &Guard,
-) -> Arc<Segment<T>> {
-    let mut from = start;
+    guard: &'g Guard,
+) -> Protected<'g, Segment<T>> {
+    let mut found = start;
     loop {
-        let found = find_segment(Arc::clone(&from), target_id, segment_size, guard);
+        found = find_segment(found, target_id, segment_size, guard);
         if move_forward(pointer, &found, guard) {
             return found;
         }
-        from = found;
     }
 }
 
@@ -568,13 +594,18 @@ mod tests {
         }
     }
 
+    /// A counted reference standing in for a traversal's guard-scoped one.
+    fn held(segment: &Arc<Segment<u32>>) -> Protected<'static, Segment<u32>> {
+        Arc::clone(segment).into()
+    }
+
     fn chain(len: usize, size: usize) -> Vec<Arc<Segment<u32>>> {
         let guard = pin();
         let first: Arc<Segment<u32>> = Segment::new(0, size, 2, Weak::<NoQueue>::new());
         let mut all = vec![Arc::clone(&first)];
         let mut cur = first;
         for _ in 1..len {
-            let next = find_segment(Arc::clone(&cur), cur.id + 1, size, &guard);
+            let next = find_segment(held(&cur), cur.id + 1, size, &guard).into_arc();
             all.push(Arc::clone(&next));
             cur = next;
         }
@@ -597,7 +628,7 @@ mod tests {
         segments[1].on_cancelled_cell(&guard);
         segments[1].on_cancelled_cell(&guard);
         assert!(segments[1].removed());
-        let found = find_segment(Arc::clone(&segments[0]), 1, 2, &guard);
+        let found = find_segment(held(&segments[0]), 1, 2, &guard);
         assert_eq!(found.id(), 2, "removed segment must be skipped");
     }
 
@@ -609,7 +640,7 @@ mod tests {
         segments[2].on_cancelled_cell(&guard);
         assert!(segments[1].removed() && segments[2].removed());
         // Segment 0 now links directly to segment 3.
-        let next = segments[0].next(&guard).unwrap();
+        let next = segments[0].next.load(&guard).unwrap();
         assert_eq!(next.id(), 3);
     }
 
@@ -620,11 +651,11 @@ mod tests {
         segments[1].on_cancelled_cell(&guard);
         assert!(segments[1].removed());
         // Still linked: removal of the tail is postponed.
-        assert_eq!(segments[0].next(&guard).unwrap().id(), 1);
+        assert_eq!(segments[0].next.load(&guard).unwrap().id(), 1);
         // Appending a new segment removes the old removed tail.
-        let s2 = find_segment(Arc::clone(&segments[0]), 2, 1, &guard);
+        let s2 = find_segment(held(&segments[0]), 2, 1, &guard);
         assert_eq!(s2.id(), 2);
-        assert_eq!(segments[0].next(&guard).unwrap().id(), 2);
+        assert_eq!(segments[0].next.load(&guard).unwrap().id(), 2);
     }
 
     #[test]
@@ -633,10 +664,10 @@ mod tests {
         let segments = chain(3, 2);
         let head: AtomicArc<Segment<u32>> = AtomicArc::new(Some(Arc::clone(&segments[0])));
         // segments[0] starts with 2 pointer units (constructor above).
-        assert!(move_forward(&head, &segments[2], &guard));
+        assert!(move_forward(&head, &held(&segments[2]), &guard));
         assert_eq!(head.load(&guard).unwrap().id(), 2);
         // Moving backwards is a no-op returning true.
-        assert!(move_forward(&head, &segments[1], &guard));
+        assert!(move_forward(&head, &held(&segments[1]), &guard));
         assert_eq!(head.load(&guard).unwrap().id(), 2);
     }
 
@@ -647,7 +678,7 @@ mod tests {
         let head: AtomicArc<Segment<u32>> = AtomicArc::new(Some(Arc::clone(&segments[0])));
         segments[1].on_cancelled_cell(&guard);
         assert!(segments[1].removed());
-        assert!(!move_forward(&head, &segments[1], &guard));
+        assert!(!move_forward(&head, &held(&segments[1]), &guard));
         assert_eq!(head.load(&guard).unwrap().id(), 0);
     }
 
@@ -657,9 +688,66 @@ mod tests {
         let segments = chain(4, 1);
         let head: AtomicArc<Segment<u32>> = AtomicArc::new(Some(Arc::clone(&segments[0])));
         segments[1].on_cancelled_cell(&guard);
-        let found = find_and_move_forward(&head, Arc::clone(&segments[0]), 1, 1, &guard);
+        let found = find_and_move_forward(&head, held(&segments[0]), 1, 1, &guard);
         assert_eq!(found.id(), 2);
         assert_eq!(head.load(&guard).unwrap().id(), 2);
+    }
+
+    /// A forward chain linked by hand (no `prev`, so no cycles): `len`
+    /// one-cell segments, returned as (head, the segment in the middle).
+    fn forward_chain(len: u64) -> (Arc<Segment<u32>>, Arc<Segment<u32>>) {
+        let guard = pin();
+        let head: Arc<Segment<u32>> = Segment::new(0, 1, 0, Weak::<NoQueue>::new());
+        let mut tail = Arc::clone(&head);
+        let mut middle = Arc::clone(&head);
+        for id in 1..len {
+            let next = Segment::new(id, 1, 0, Weak::<NoQueue>::new());
+            tail.next
+                .compare_exchange_null(Arc::clone(&next), &guard)
+                .unwrap();
+            if id == len / 2 {
+                middle = Arc::clone(&next);
+            }
+            tail = next;
+        }
+        (head, middle)
+    }
+
+    /// Runs `f` on a thread whose stack a per-segment recursion of the
+    /// chains below would overflow some 200 times over.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn long_chain_is_torn_down_iteratively() {
+        const LEN: u64 = 200_000;
+        let (head, middle) = forward_chain(LEN);
+        let first = Arc::downgrade(&head);
+        // The walk stops at the first segment someone else still holds...
+        on_small_stack(move || drop(head));
+        assert!(first.upgrade().is_none());
+        assert_eq!(Arc::strong_count(&middle), 1, "only our reference is left");
+        let after_middle = Arc::downgrade(&middle.next.load(&pin()).unwrap());
+        assert!(
+            after_middle.upgrade().is_some(),
+            "and nothing behind it went"
+        );
+        // ...and that holder's drop takes down the rest.
+        on_small_stack(move || drop(middle));
+        assert!(after_middle.upgrade().is_none());
+
+        // A chain parked in a freelist goes the same way.
+        let (head, middle) = forward_chain(LEN);
+        let freelist = SegmentFreelist::new(1);
+        freelist.push(head);
+        drop(middle);
+        on_small_stack(move || drop(freelist));
     }
 
     #[test]
@@ -668,15 +756,15 @@ mod tests {
         let segments = chain(3, 1);
         let head: AtomicArc<Segment<u32>> = AtomicArc::new(Some(Arc::clone(&segments[0])));
         // Pin segment 1 with the head pointer, then cancel its only cell.
-        assert!(move_forward(&head, &segments[1], &guard));
+        assert!(move_forward(&head, &held(&segments[1]), &guard));
         segments[1].on_cancelled_cell(&guard);
         assert!(
             !segments[1].removed(),
             "pointer reference must keep the segment alive"
         );
         // Moving the head off the segment completes the removal.
-        assert!(move_forward(&head, &segments[2], &guard));
+        assert!(move_forward(&head, &held(&segments[2]), &guard));
         assert!(segments[1].removed());
-        assert_eq!(segments[0].next(&guard).unwrap().id(), 2);
+        assert_eq!(segments[0].next.load(&guard).unwrap().id(), 2);
     }
 }

@@ -471,6 +471,20 @@ fn drop_with_pending_waiters() {
         // tests share the backends, so only our own segment is asserted —
         // not that the whole backlog went.
         let _ = crate::flush_reclaimer(kind);
+        // Under `watch` the registry's slab holds every request — and,
+        // through its handler, the segment — until a later registration
+        // claims the (terminated) record's slot: turn the slab over.
+        let filler = Cqs::new(CqsConfig::new(), CountingCallbacks::new());
+        for _ in 0..16 {
+            if !cfg!(feature = "watch") || segment.upgrade().is_none() {
+                break;
+            }
+            for _ in 0..256 {
+                assert!(filler.suspend().expect_future().cancel());
+            }
+            // The slab retires displaced records on the epoch backend.
+            let _ = crate::flush_reclaimer(crate::ReclaimerKind::Epoch);
+        }
         assert!(
             segment.upgrade().is_none(),
             "[{kind}] a segment outlived its queue and every waiter"
@@ -792,6 +806,161 @@ fn freelist_bound_is_configurable() {
         }
         cqs.resume(7).unwrap();
         assert_eq!(long_lived.wait(), Ok(7));
+    }
+}
+
+/// Two threads in real parallelism over one-permit semaphore accounting:
+/// an impatient one suspends and cancels whole segments, feeding the
+/// freelist, while a patient one acquires, audits and releases. Traversals
+/// hold guard-scoped borrows, not counted clones, so this is the net under
+/// the recycling veto: no pinned traverser may ever see a segment change
+/// identity, and the queue must stay exact while recycled segments are
+/// being reused under it.
+#[test]
+fn recycling_never_takes_a_segment_from_under_a_pinned_traverser() {
+    use cqs_reclaim::ReclaimerKind;
+    const ROUNDS: usize = 1_000;
+    /// Bounds every wait, so a failure on one side fails the other too
+    /// instead of hanging it.
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    struct Sem {
+        cqs: Cqs<u64, Arc<CountingCallbacks>>,
+        callbacks: Arc<CountingCallbacks>,
+        holders: AtomicUsize,
+        resumes_issued: AtomicUsize,
+        granted_by_resume: AtomicUsize,
+    }
+    impl Sem {
+        /// `None`: the permit was free. `Some`: queued behind the holder.
+        fn acquire(&self) -> Option<crate::CqsFuture<u64>> {
+            if self.callbacks.state.fetch_sub(1, Ordering::SeqCst) > 0 {
+                self.enter();
+                return None;
+            }
+            Some(self.cqs.suspend().expect_future())
+        }
+        fn enter(&self) {
+            assert_eq!(
+                self.holders.fetch_add(1, Ordering::SeqCst),
+                0,
+                "two holders"
+            );
+        }
+        fn release(&self) {
+            self.holders.fetch_sub(1, Ordering::SeqCst);
+            if self.callbacks.state.fetch_add(1, Ordering::SeqCst) < 0 {
+                self.resumes_issued.fetch_add(1, Ordering::SeqCst);
+                self.cqs.resume(0).unwrap();
+            }
+        }
+        /// A waiter found its future completed: it holds the permit now.
+        fn granted(&self) {
+            self.granted_by_resume.fetch_add(1, Ordering::SeqCst);
+            self.enter();
+        }
+    }
+
+    for kind in ReclaimerKind::ALL {
+        for segment_size in [1usize, 2] {
+            let before = cqs_stats::CqsStats::snapshot();
+            let callbacks = CountingCallbacks::new();
+            callbacks.state.store(1, Ordering::SeqCst);
+            let sem = Sem {
+                cqs: Cqs::new(
+                    CqsConfig::new()
+                        .segment_size(segment_size)
+                        .freelist_slots(2)
+                        .reclaimer(kind)
+                        .cancellation_mode(CancellationMode::Smart),
+                    Arc::clone(&callbacks),
+                ),
+                callbacks,
+                holders: AtomicUsize::new(0),
+                resumes_issued: AtomicUsize::new(0),
+                granted_by_resume: AtomicUsize::new(0),
+            };
+            let waves = AtomicUsize::new(0);
+            let rounds = AtomicUsize::new(0);
+            let mut parked_peak = 0;
+
+            // The patient side starts out holding the permit.
+            assert!(sem.acquire().is_none());
+            std::thread::scope(|scope| {
+                // Patient: holds the permit — and a pin over every linked
+                // segment — for a whole wave, so the wave queues up behind
+                // it, cancels, removes and tries to recycle under its eyes;
+                // then releases into the next wave and queues up itself.
+                scope.spawn(|| loop {
+                    let wave = waves.load(Ordering::SeqCst);
+                    if rounds.load(Ordering::SeqCst) == ROUNDS {
+                        return sem.release();
+                    }
+                    sem.cqs.audit_segment_ids(|| {
+                        let deadline = std::time::Instant::now() + PATIENCE;
+                        while waves.load(Ordering::SeqCst) == wave {
+                            assert!(std::time::Instant::now() < deadline, "no wave came");
+                            std::thread::yield_now();
+                        }
+                    });
+                    sem.release();
+                    if let Some(waiting) = sem.acquire() {
+                        assert_eq!(waiting.wait_timeout(PATIENCE), Ok(0));
+                        sem.granted();
+                    }
+                    rounds.fetch_add(1, Ordering::SeqCst);
+                });
+                // Impatient: four segments' worth of waiters per wave, all
+                // cancelled in FIFO order; a cancel that loses to a resume
+                // holds the permit and hands it on. One wave past the last
+                // round, so the patient side is never left waiting for one.
+                let mut last = false;
+                while !last {
+                    last = rounds.load(Ordering::SeqCst) == ROUNDS;
+                    let wave: Vec<_> = (0..4 * segment_size).map(|_| sem.acquire()).collect();
+                    for waiter in wave {
+                        match waiter {
+                            None => sem.release(),
+                            Some(waiting) if !waiting.cancel() => {
+                                // (The resumer may still be mid-`complete`.)
+                                assert_eq!(waiting.wait_timeout(PATIENCE), Ok(0));
+                                sem.granted();
+                                sem.release();
+                            }
+                            Some(_cancelled) => {}
+                        }
+                    }
+                    parked_peak = parked_peak.max(sem.cqs.recycling_queue_len());
+                    sem.cqs.audit_segment_ids(|| {});
+                    waves.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            let tag = format!("{kind}, segment_size {segment_size}");
+            assert_eq!(
+                sem.callbacks.state.load(Ordering::SeqCst),
+                1,
+                "permit lost: {tag}"
+            );
+            assert_eq!(sem.holders.load(Ordering::SeqCst), 0, "{tag}");
+            assert_eq!(
+                sem.resumes_issued.load(Ordering::SeqCst),
+                sem.granted_by_resume.load(Ordering::SeqCst)
+                    + sem.callbacks.refused.load(Ordering::SeqCst),
+                "a resume was lost or delivered twice: {tag}"
+            );
+            assert!(
+                parked_peak >= 1,
+                "no segment was ever offered for reuse: {tag}"
+            );
+            let segments = sem.cqs.live_segments();
+            assert!(segments <= 3, "{segments} segments linked at rest: {tag}");
+            // See `recycled_segments_are_reused_and_preserve_fifo` for the
+            // two feature conditions.
+            let delta = cqs_stats::CqsStats::snapshot().delta(&before);
+            if cfg!(feature = "stats") && !cfg!(feature = "watch") {
+                assert!(delta.segments_recycled > 0, "nothing was reused: {tag}");
+            }
+        }
     }
 }
 

@@ -11,7 +11,7 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cqs_reclaim::{pin, AtomicArc, Guard};
+use cqs_reclaim::{pin, AtomicArc, Guard, Protected};
 
 /// Storage used by [`crate::BlockingPool`]: a bag of elements with
 /// *rendezvous-failure* semantics (see module docs).
@@ -107,13 +107,13 @@ impl<E: Send + 'static> QueueBackend<E> {
     /// are freed. `start` must have been read from `head` *before* the
     /// index fetch-add (paper, Listing 14): that ordering guarantees
     /// `start.id <= id`, i.e. the target segment is reachable forward.
-    fn locate(
+    fn locate<'g>(
         &self,
         head: &AtomicArc<QueueSegment<E>>,
-        start: Arc<QueueSegment<E>>,
+        start: Protected<'g, QueueSegment<E>>,
         id: u64,
-        guard: &Guard,
-    ) -> Arc<QueueSegment<E>> {
+        guard: &'g Guard,
+    ) -> Protected<'g, QueueSegment<E>> {
         debug_assert!(
             start.id <= id,
             "segment {} not reachable from {}",
@@ -122,30 +122,30 @@ impl<E: Send + 'static> QueueBackend<E> {
         );
         let mut cur = start;
         while cur.id < id {
-            let next = match cur.next.load(guard) {
+            let next = match cur.follow(|segment| &segment.next, guard) {
                 Some(next) => next,
                 None => {
                     let fresh = QueueSegment::new(cur.id + 1, self.segment_size);
                     match cur.next.compare_exchange_null(Arc::clone(&fresh), guard) {
-                        Ok(()) => fresh,
+                        Ok(()) => fresh.into(),
                         Err(_) => cur
-                            .next
-                            .load(guard)
+                            .follow(|segment| &segment.next, guard)
                             .expect("next observed non-null cannot revert"),
                     }
                 }
             };
             cur = next;
         }
-        // Best-effort head advance (only forward).
-        loop {
-            let h = head.load(guard).expect("pool heads are never null");
-            if h.id >= cur.id {
-                break;
-            }
-            if head
-                .compare_exchange(Arc::as_ptr(&h), Some(Arc::clone(&cur)), guard)
-                .is_ok()
+        // Best-effort head advance (only forward); the common case — the
+        // head already is `cur` — is decided on the pointer alone.
+        while head.load_ptr(guard) != cur.as_ptr() {
+            let h = head
+                .load_protected(guard)
+                .expect("pool heads are never null");
+            if h.id >= cur.id
+                || head
+                    .compare_exchange(h.as_ptr(), Some(cur.to_arc()), guard)
+                    .is_ok()
             {
                 break;
             }
@@ -166,7 +166,7 @@ impl<E: Send + 'static> PoolBackend<E> for QueueBackend<E> {
         // Read the head before taking an index (see `locate`).
         let start = self
             .insert_segm
-            .load(&guard)
+            .load_protected(&guard)
             .expect("pool heads are never null");
         let i = self.insert_idx.fetch_add(1, Ordering::SeqCst);
         let segment = self.locate(
@@ -195,7 +195,7 @@ impl<E: Send + 'static> PoolBackend<E> for QueueBackend<E> {
         // Read the head before taking an index (see `locate`).
         let start = self
             .retrieve_segm
-            .load(&guard)
+            .load_protected(&guard)
             .expect("pool heads are never null");
         let i = self.retrieve_idx.fetch_add(1, Ordering::SeqCst);
         let segment = self.locate(

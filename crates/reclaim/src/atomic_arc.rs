@@ -1,22 +1,27 @@
 //! A lock-free, atomically swappable `Option<Arc<T>>` cell.
 //!
-//! The cell owns one strong reference to the stored value. Loads clone that
-//! reference (one atomic increment); stores/swaps/CASes replace the pointer
-//! and *retire* the displaced reference through the guard's reclamation
-//! backend — as a two-word `Retired` (pointer + monomorphized releaser),
-//! the same allocation-free package whichever backend queues it. Retiring
-//! is what makes [`AtomicArc::load`] sound: between reading the raw
-//! pointer and incrementing the strong count, the cell's own reference
+//! The cell owns one strong reference to the stored value.
+//! Stores/swaps/CASes replace the pointer and *retire* the displaced
+//! reference through the guard's reclamation backend — as a two-word
+//! `Retired` (pointer + monomorphized releaser), the same allocation-free
+//! package whichever backend queues it. Retiring is what makes reading the
+//! cell sound: after a reader saw the raw pointer, the cell's own reference
 //! cannot be dropped —
 //!
 //! * under an **epoch** guard, because every thread that could drop it is
-//!   excluded by the loader's pin for the guard's whole lifetime;
+//!   excluded by the reader's pin for the guard's whole lifetime;
 //! * under a **hazard** guard, because the load publishes the pointer in a
 //!   hazard slot and re-validates it, and retire-list scans spare hazarded
-//!   pointers;
+//!   pointers — until the load has taken its own strong reference;
 //! * under an **owned** guard, because the load holds a striped borrow
 //!   across the window and retires only proceed (or limbo entries only
-//!   drain) when every stripe reads zero.
+//!   drain) when every stripe reads zero — again until the load has taken
+//!   its own strong reference.
+//!
+//! [`AtomicArc::load_protected`] and [`Protected::follow`] hand that
+//! protection to the caller as a [`Protected`] — under epoch a plain
+//! borrow, no strong count touched; [`AtomicArc::load`] is the same read
+//! followed by [`Protected::into_arc`].
 //!
 //! Mixing backends on one cell voids these arguments: all threads
 //! operating on a given cell must present guards of the same kind.
@@ -104,23 +109,43 @@ impl<T: Send + Sync + 'static> AtomicArc<T> {
 
     /// Returns a clone of the stored reference, or `None` if empty.
     pub fn load(&self, guard: &Guard) -> Option<Arc<T>> {
-        match &guard.inner {
+        self.read(guard).map(Protected::into_arc)
+    }
+
+    /// Reads the stored reference for as long as `guard` **and the cell**
+    /// are borrowed, or `None` if empty; see [`Protected`]. Borrowing the
+    /// cell keeps the releases that wait for no pin — dropping it,
+    /// [`take_mut`](Self::take_mut), [`clear_mut`](Self::clear_mut) — from
+    /// running under a live `Protected`:
+    ///
+    /// ```compile_fail,E0502
+    /// use cqs_reclaim::{pin, AtomicArc};
+    /// let mut cell = AtomicArc::new(Some(std::sync::Arc::new(7)));
+    /// let guard = pin();
+    /// let seven = cell.load_protected(&guard).unwrap();
+    /// cell.clear_mut(); // would free the pointee under `seven`
+    /// assert_eq!(*seven, 7);
+    /// ```
+    pub fn load_protected<'g>(&'g self, guard: &'g Guard) -> Option<Protected<'g, T>> {
+        self.read(guard)
+    }
+
+    /// The one protected read. The caller vouches that the cell is neither
+    /// dropped nor handed out `&mut` for `'g`.
+    fn read<'g>(&self, guard: &'g Guard) -> Option<Protected<'g, T>> {
+        let inner = match &guard.inner {
             GuardInner::Epoch(_) => {
                 let p = self.ptr.load(Ordering::Acquire);
                 if p.is_null() {
                     return None;
                 }
-                // SAFETY: `p` was produced by `Arc::into_raw` and the
-                // reference the cell held at the moment of the load is
+                // The reference the cell held at the moment of the load is
                 // released only through an epoch-deferred drop, which
-                // cannot run while `guard` pins us. The strong count is
-                // therefore >= 1 here.
-                unsafe {
-                    Arc::increment_strong_count(p);
-                    Some(Arc::from_raw(p))
-                }
+                // cannot run while `guard` pins us — for all of `'g` — or
+                // through `&mut` on the cell, which the caller rules out.
+                ProtectedInner::Pinned(p, PhantomData)
             }
-            GuardInner::Hazard(h) => h.load_arc(&self.ptr),
+            GuardInner::Hazard(h) => ProtectedInner::Counted(h.load_arc(&self.ptr)?),
             GuardInner::Owned(_) => {
                 // The borrow spans the pointer read *and* the strong-count
                 // increment; `_borrow` drops only at scope exit, after the
@@ -132,15 +157,17 @@ impl<T: Send + Sync + 'static> AtomicArc<T> {
                 if p.is_null() {
                     return None;
                 }
+                cqs_stats::bump!(arc_increments);
                 // SAFETY: the held borrow forces a concurrent retire of the
                 // cell's reference into limbo, and limbo cannot drain while
                 // any stripe is non-zero. The strong count is >= 1 here.
-                unsafe {
+                ProtectedInner::Counted(unsafe {
                     Arc::increment_strong_count(p);
-                    Some(Arc::from_raw(p))
-                }
+                    Arc::from_raw(p)
+                })
             }
-        }
+        };
+        Some(Protected(inner))
     }
 
     /// Replaces the stored reference with `value`, releasing the previous
@@ -216,19 +243,104 @@ impl<T: Send + Sync + 'static> AtomicArc<T> {
         self.swap(None, guard)
     }
 
-    /// Empties the cell through exclusive access, releasing the stored
-    /// reference immediately.
-    ///
-    /// Unlike [`AtomicArc::store`] this needs no guard and defers nothing:
-    /// `&mut self` proves no concurrent loader can be racing the release.
-    /// Segment recycling uses this to reset link cells without feeding the
-    /// epoch engine.
-    pub fn clear_mut(&mut self) {
+    /// Takes the stored reference out through exclusive access. Unlike
+    /// [`AtomicArc::take`] this needs no guard and defers nothing: `&mut
+    /// self` proves no reader can be racing the hand-over. Segment
+    /// recycling and chain tear-down unhook link cells this way.
+    pub fn take_mut(&mut self) -> Option<Arc<T>> {
         let p = std::mem::replace(self.ptr.get_mut(), ptr::null_mut());
-        if !p.is_null() {
-            // SAFETY: exclusive access; the cell owns this reference.
-            unsafe { drop(Arc::from_raw(p)) }
+        // SAFETY: exclusive access; the cell owned this reference.
+        unsafe { from_ptr(p) }
+    }
+
+    /// [`take_mut`](Self::take_mut), releasing the reference immediately.
+    pub fn clear_mut(&mut self) {
+        drop(self.take_mut());
+    }
+}
+
+/// A reference read from an [`AtomicArc`], valid while the guard it was
+/// read under stays borrowed (`'g`).
+///
+/// * **Epoch** — nothing but the pointer: the pin keeps the pointee alive
+///   for `'g`, so neither the load nor the drop touches a strong count.
+/// * **Hazard / owned** — the counted clone those backends' loads produce
+///   (their protection ends when the load returns); so is a `Protected`
+///   built [`From`] an `Arc`.
+pub struct Protected<'g, T>(ProtectedInner<'g, T>);
+
+enum ProtectedInner<'g, T> {
+    /// The `Arc::into_raw` pointer an epoch load observed, kept raw so an
+    /// `Arc` minted from it has the allocation's provenance; `'g` pins it.
+    Pinned(*const T, PhantomData<&'g T>),
+    Counted(Arc<T>),
+}
+
+impl<T> Protected<'_, T> {
+    /// The pointee's address: for identity checks and CAS expectations.
+    pub fn as_ptr(&self) -> *const T {
+        &**self
+    }
+
+    /// Mints an owned reference (one strong-count increment).
+    pub fn to_arc(&self) -> Arc<T> {
+        cqs_stats::bump!(arc_increments);
+        match &self.0 {
+            // SAFETY: `p` came from `Arc::into_raw` and the pin keeps the
+            // cell's reference — hence a strong count >= 1 — alive.
+            ProtectedInner::Pinned(p, _) => unsafe {
+                Arc::increment_strong_count(*p);
+                Arc::from_raw(*p)
+            },
+            ProtectedInner::Counted(arc) => Arc::clone(arc),
         }
+    }
+
+    /// Converts into an owned reference, moving the count if one is held.
+    pub fn into_arc(self) -> Arc<T> {
+        match self.0 {
+            ProtectedInner::Counted(arc) => arc,
+            ProtectedInner::Pinned(..) => self.to_arc(),
+        }
+    }
+}
+
+impl<'g, T: Send + Sync + 'static> Protected<'g, T> {
+    /// Reads the cell `link` picks *inside the pointee* — the step of a
+    /// traversal; the result borrows only the guard, so it can replace
+    /// `self`. No borrow of that cell is needed: a pinned pointee is kept
+    /// alive for `'g` by a reference still in its cell or retired and
+    /// unreleased, so nobody can be its sole owner, which every road to
+    /// `&mut` on a cell in it (dropping it, `Arc::get_mut`, `try_unwrap`)
+    /// requires. A counted parent may be dropped; its links are cloned.
+    pub fn follow<U: Send + Sync + 'static>(
+        &self,
+        link: impl FnOnce(&T) -> &AtomicArc<U>,
+        guard: &'g Guard,
+    ) -> Option<Protected<'g, U>> {
+        match &self.0 {
+            ProtectedInner::Pinned(..) => link(self).read(guard),
+            ProtectedInner::Counted(arc) => link(arc).load(guard).map(Protected::from),
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Protected<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        match &self.0 {
+            // SAFETY: see `AtomicArc::read` — the pointee cannot be
+            // released while the guard borrowed for `'g` pins us and the
+            // cell it was read from stays put; `self` cannot outlive `'g`.
+            ProtectedInner::Pinned(p, _) => unsafe { &**p },
+            ProtectedInner::Counted(arc) => arc,
+        }
+    }
+}
+
+impl<T> From<Arc<T>> for Protected<'_, T> {
+    fn from(arc: Arc<T>) -> Self {
+        Protected(ProtectedInner::Counted(arc))
     }
 }
 
@@ -439,6 +551,128 @@ mod tests {
                 "backend {kind} leaked or double-dropped"
             );
         }
+    }
+
+    /// The borrow's safety net: a `Protected` read before the cell is
+    /// overwritten keeps dereferencing to the old value, which is released
+    /// exactly once and only after whatever protects it is gone — the
+    /// guard under epoch, the `Protected` itself under hazard and owned.
+    #[test]
+    fn protected_outlives_an_overwrite_on_every_backend() {
+        use crate::{flush_reclaimer, pin_with, LocalHandle, ReclaimerKind};
+        fn pin_as(kind: ReclaimerKind, handle: &LocalHandle) -> Guard<'_> {
+            match kind {
+                ReclaimerKind::Epoch => handle.pin(),
+                other => pin_with(other),
+            }
+        }
+        for kind in ReclaimerKind::ALL {
+            let collector = Collector::new();
+            let (reader, writer) = (collector.register(), collector.register());
+            let drops = Arc::new(AtomicUsize::new(0));
+            let filler_drops = Arc::new(AtomicUsize::new(0));
+            let old = Arc::new(Tracked {
+                value: 7,
+                drops: Arc::clone(&drops),
+            });
+            let cell = AtomicArc::new(Some(Arc::clone(&old)));
+            // Enough overwrites to cross several epoch collects, hazard
+            // scans and limbo drains.
+            let overwrite = |rounds: usize| {
+                for value in 0..rounds {
+                    let filler = Arc::new(Tracked {
+                        value,
+                        drops: Arc::clone(&filler_drops),
+                    });
+                    cell.store(Some(filler), &pin_as(kind, &writer));
+                }
+            };
+
+            let guard = pin_as(kind, &reader);
+            let protected = cell.load_protected(&guard).expect("cell is full");
+            // An epoch read touches no count; the other two hold a clone.
+            let held = usize::from(kind != ReclaimerKind::Epoch);
+            assert_eq!(Arc::strong_count(&old), 2 + held, "backend {kind}");
+            assert_eq!(protected.as_ptr(), Arc::as_ptr(&old));
+            let minted = protected.to_arc();
+            assert_eq!(Arc::strong_count(&old), 3 + held, "backend {kind}");
+            drop((minted, old));
+
+            overwrite(200);
+            assert_eq!(protected.value, 7, "backend {kind}");
+            assert_eq!(drops.load(Ordering::SeqCst), 0, "backend {kind}");
+            drop(protected);
+            if kind == ReclaimerKind::Epoch {
+                // The pin, not the `Protected`, was the protection.
+                overwrite(200);
+                assert_eq!(drops.load(Ordering::SeqCst), 0, "released under a pin");
+                drop(guard);
+                assert!(collector.flush());
+            } else {
+                // The displaced cell reference may still sit in a retire
+                // list or in limbo; the guard delays nothing.
+                for _ in 0..50 {
+                    if drops.load(Ordering::SeqCst) == 1 {
+                        break;
+                    }
+                    let _ = flush_reclaimer(kind); // the drop count is the check
+                    std::thread::yield_now();
+                }
+                drop(guard);
+            }
+            assert_eq!(drops.load(Ordering::SeqCst), 1, "backend {kind}");
+            drop(cell);
+            assert_eq!(drops.load(Ordering::SeqCst), 1, "backend {kind}: once");
+        }
+    }
+
+    /// `follow` steps through a link inside the pointee: uncounted from a
+    /// pinned parent, whose pointee outlives the step, and as a counted
+    /// clone from a counted parent, which may be dropped the next moment —
+    /// and with it the link cell, released immediately.
+    #[test]
+    fn follow_borrows_from_a_pinned_parent_and_clones_from_a_counted_one() {
+        use crate::{pin_with, ReclaimerKind};
+        struct Node {
+            next: AtomicArc<Node>,
+        }
+        for kind in ReclaimerKind::ALL {
+            let tail = Arc::new(Node {
+                next: AtomicArc::null(),
+            });
+            let head = Arc::new(Node {
+                next: AtomicArc::new(Some(Arc::clone(&tail))),
+            });
+            let root = AtomicArc::new(Some(Arc::clone(&head)));
+            let guard = pin_with(kind);
+            let held = usize::from(kind != ReclaimerKind::Epoch);
+
+            let first = root.load_protected(&guard).unwrap();
+            let second = first.follow(|node| &node.next, &guard).unwrap();
+            assert_eq!(second.as_ptr(), Arc::as_ptr(&tail), "backend {kind}");
+            assert_eq!(Arc::strong_count(&tail), 2 + held, "backend {kind}");
+            assert!(second.follow(|node| &node.next, &guard).is_none());
+            drop((first, second));
+
+            let counted: Protected<'_, Node> = head.into();
+            let second = counted.follow(|node| &node.next, &guard).unwrap();
+            assert_eq!(Arc::strong_count(&tail), 3, "a clone on backend {kind}");
+            drop((counted, root)); // the last owners of `head` and its link
+            assert_eq!(second.as_ptr(), Arc::as_ptr(&tail));
+            assert!(second.next.load(&guard).is_none(), "still readable");
+            assert_eq!(Arc::strong_count(&tail), 2, "backend {kind}");
+        }
+    }
+
+    #[test]
+    fn take_mut_hands_over_the_cell_reference() {
+        let value = Arc::new(5);
+        let mut cell = AtomicArc::new(Some(Arc::clone(&value)));
+        let taken = cell.take_mut().expect("cell is full");
+        assert!(Arc::ptr_eq(&taken, &value));
+        assert_eq!(Arc::strong_count(&value), 2, "moved, not cloned");
+        assert!(cell.take_mut().is_none());
+        cell.clear_mut(); // empty: a no-op
     }
 
     #[test]

@@ -8,21 +8,36 @@
 //!   retired by a same-epoch thread is freed while the guard lives.
 //!   Protection spans the guard's whole lifetime.
 //! * **Hazard** — the guard is only a handle to the thread's hazard-pointer
-//!   record. Protection is *per pointer load*: each `AtomicArc::load`
-//!   publishes the candidate pointer in a hazard slot, validates it, takes
-//!   its own strong reference and clears the slot before returning.
+//!   record. Protection is *per pointer load*: each load publishes the
+//!   candidate pointer in a hazard slot, validates it, takes its own
+//!   strong reference and clears the slot before returning.
 //! * **Owned** — the guard is a pure token (its acquisition performs no
 //!   atomic operation at all; see `guard_elisions` in `cqs-stats`).
 //!   Protection is again per load, through a striped borrow counter that
 //!   is held only for the few instructions between reading the raw pointer
 //!   and incrementing the strong count.
 //!
-//! This is sound for the CQS stack because of an invariant the whole
-//! workspace upholds: **every value an `AtomicArc` operation returns is an
-//! owned `Arc`**, so nothing needs protection beyond the in-operation
-//! window. Code must not cache a raw pointer from `load_ptr` and
-//! dereference it later under any backend (it never could under epoch
-//! either, once the guard dropped).
+//! # What a load returns, and how long it lasts
+//!
+//! An owned `Arc` (`load`, `swap`, `take`), or a
+//! [`Protected`](crate::Protected) borrowing the guard it was read under:
+//! it may outlive the cell being overwritten or emptied *through a guard*,
+//! not the guard's borrow. Until then its pointee is kept alive by:
+//!
+//! * **Epoch** — the pin: writes retire what they displace, and no
+//!   deferred drop runs while the guard pins the thread. The immediate
+//!   releases — dropping the cell, `take_mut`, `clear_mut` — are **not**
+//!   covered; the borrow checker keeps them away: `load_protected` borrows
+//!   the cell, and `follow`, reading a cell *inside* a pinned pointee,
+//!   need not — `&mut` on that cell takes sole ownership of the pointee,
+//!   and the reference the pin keeps unreleased (in its cell, or retired)
+//!   is a second owner. Segment recycling (`Arc::get_mut` in `cqs-core`)
+//!   is vetoed by that same reference.
+//! * **Hazard / owned** — a strong reference of its own, taken inside the
+//!   load's protected window as before; a stalled guard still pins nothing.
+//!
+//! Code must not cache a raw pointer from `load_ptr` and dereference it
+//! later under any backend; `load_ptr` is for identity comparisons only.
 
 use crate::epoch::EpochGuard;
 use crate::hazard::HazardGuard;

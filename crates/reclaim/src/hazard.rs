@@ -236,6 +236,7 @@ impl HazardGuard {
                 // and spare it. The strong count is therefore >= 1 until
                 // we clear the slot, which `_clear` does only after this
                 // increment.
+                cqs_stats::bump!(arc_increments);
                 unsafe {
                     Arc::increment_strong_count(candidate);
                     return Some(Arc::from_raw(candidate));

@@ -23,7 +23,9 @@
 //! lock-free cell holding an `Option<Arc<T>>` that can be loaded, stored,
 //! swapped and compare-exchanged concurrently; displaced references are
 //! retired through the guard's backend, so a concurrent [`AtomicArc::load`]
-//! can always safely increment the reference count it observed.
+//! can always safely increment the reference count it observed, and a
+//! traversal can skip the count: [`AtomicArc::load_protected`] returns a
+//! guard-scoped [`Protected`], under an epoch guard a plain borrow.
 //!
 //! # Example
 //!
@@ -51,7 +53,7 @@ mod hazard;
 mod owned;
 mod reclaimer;
 
-pub use atomic_arc::AtomicArc;
+pub use atomic_arc::{AtomicArc, Protected};
 pub use epoch::{flush, pin, Collector, LocalHandle};
 pub use guard::Guard;
 pub use reclaimer::{

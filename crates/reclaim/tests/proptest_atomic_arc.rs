@@ -12,6 +12,8 @@ use cqs_reclaim::{AtomicArc, Collector};
 #[derive(Debug, Clone)]
 enum Op {
     Load,
+    /// Guard-scoped read; with `true` it also mints an owned `Arc`.
+    LoadProtected(bool),
     Store(Option<u64>),
     Swap(Option<u64>),
     Take,
@@ -26,6 +28,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
             2 => Just(Op::Load),
+            2 => (0u64..2).prop_map(|mint| Op::LoadProtected(mint == 1)),
             2 => prop::option::of(0u64..100).prop_map(Op::Store),
             2 => prop::option::of(0u64..100).prop_map(Op::Swap),
             1 => Just(Op::Take),
@@ -71,6 +74,18 @@ proptest! {
                     Op::Load => {
                         let got = cell.load(&guard).map(|a| a.value);
                         prop_assert_eq!(got, model);
+                    }
+                    Op::LoadProtected(mint) => {
+                        let got = cell.load_protected(&guard);
+                        prop_assert_eq!(got.as_ref().map(|p| p.value), model);
+                        prop_assert_eq!(
+                            got.as_ref().map_or(std::ptr::null(), |p| p.as_ptr()),
+                            cell.load_ptr(&guard)
+                        );
+                        if mint {
+                            let owned = got.map(|p| p.to_arc());
+                            prop_assert_eq!(owned.map(|a| a.value), model);
+                        }
                     }
                     Op::Store(v) => {
                         cell.store(v.map(&mut make), &guard);

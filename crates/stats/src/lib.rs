@@ -214,6 +214,10 @@ define_counters! {
     /// owned-slot backends (immediate frees plus limbo/retire-list
     /// drains); the epoch engine's equivalent is `epoch_collects`.
     retired_reclaimed,
+    /// Strong-count increments minted by reading an `AtomicArc`: one per
+    /// `load`, per hazard/owned `load_protected` (a counted clone) and per
+    /// `Protected::to_arc`; an epoch `load_protected` counts nothing.
+    arc_increments,
     /// Batched resumption traversals (`Cqs::resume_n` / `resume_all` /
     /// the batched `close()` sweep) — one per traversal, however many
     /// cells it visited.

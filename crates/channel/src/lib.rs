@@ -16,8 +16,7 @@
 //!
 //! # Structure
 //!
-//! Two smart-cancellation CQS queues and two counters generalize the
-//! balance-counter rendezvous of the facade's `RendezvousChannel`:
+//! Two smart-cancellation CQS queues and two counters:
 //!
 //! * `size` (pool discipline): positive counts buffered elements,
 //!   negative counts waiting receivers. A sender's *delivery* does

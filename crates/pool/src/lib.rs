@@ -39,11 +39,13 @@ mod backend;
 mod sharded;
 
 pub use backend::{PoolBackend, QueueBackend, StackBackend};
-pub use sharded::{ShardedPool, ShardedQueuePool, ShardedStackPool, MAX_DEFAULT_SHARDS};
+pub use cqs_core::shard::MAX_DEFAULT_SHARDS;
+pub use sharded::{ShardedPool, ShardedQueuePool, ShardedStackPool};
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Weak};
 
+use cqs_core::shard::{RefusalHook, Shard};
 use cqs_core::{CancellationMode, Cqs, CqsCallbacks, CqsConfig, CqsFuture, Suspend};
 
 /// A pool over the queue backend: elements come back in insertion order.
@@ -60,11 +62,6 @@ struct PoolShared<E: Send + 'static, B: PoolBackend<E>> {
     cqs: Cqs<E, PoolCallbacks<E, B>>,
 }
 
-/// Hook a sharded wrapper installs to learn that a taker's cancellation
-/// refused an in-flight resume and re-stored its element. See
-/// [`PoolCallbacks::complete_refused_resume`].
-pub(crate) type RefusalHook = Box<dyn Fn() + Send + Sync>;
-
 /// Smart-cancellation hooks of the abstract pool (paper, Listing 17).
 ///
 /// Holds a weak reference to the pool internals: a strong one would form a
@@ -74,11 +71,7 @@ pub(crate) type RefusalHook = Box<dyn Fn() + Send + Sync>;
 struct PoolCallbacks<E: Send + 'static, B: PoolBackend<E>> {
     shared: Weak<PoolShared<E, B>>,
     /// Invoked after a refusal has fully settled (element back in this
-    /// shard's store). A refusal can settle on the *cancelling* thread —
-    /// when the resume delegated its element to the mid-flight canceller —
-    /// after the putting thread has long returned, so a sharded wrapper
-    /// cannot run its no-idle-element scan from the put path alone; this
-    /// hook hands it the only thread that knows.
+    /// shard's store); see [`RefusalHook`].
     on_refusal: Option<RefusalHook>,
 }
 
@@ -162,15 +155,8 @@ impl<E: Send + 'static, B: PoolBackend<E>> BlockingPool<E, B> {
     }
 
     /// Builds a shard of a sharded pool: the watchdog label distinguishes
-    /// shard queues in stall reports and `freelist_slots` is scaled down
-    /// by the shard count, bounding the idle segments pinned by the whole
-    /// primitive to `max(DEFAULT_FREELIST_SLOTS, shards)` — the
-    /// single-queue envelope up to 4 shards, one per shard beyond that
-    /// (each shard keeps at least one slot). `on_refusal` is invoked
-    /// whenever a taker's cancellation refuses an in-flight resume on this
-    /// shard (re-storing the element here), possibly on the cancelling
-    /// thread after the putter already returned — the wrapper runs its
-    /// cross-shard migration scan from it.
+    /// shard queues in stall reports; `freelist_slots` and `on_refusal`
+    /// are what [`cqs_core::shard::Sharded::new`] hands each shard.
     pub(crate) fn with_backend_config(
         backend: B,
         label: &'static str,
@@ -220,20 +206,6 @@ impl<E: Send + 'static, B: PoolBackend<E>> BlockingPool<E, B> {
     /// waiting [`take`](Self::take) if there is one.
     pub fn put(&self, element: E) {
         self.shared.put(element);
-    }
-
-    /// Crate-internal sibling of [`put`](Self::put) reporting whether the
-    /// element was stored (`true`) or handed to a waiting taker
-    /// (`false`); the sharded pool runs its migration scan exactly when
-    /// an element was stored.
-    pub(crate) fn put_reporting(&self, element: E) -> bool {
-        self.shared.put(element)
-    }
-
-    /// Crate-internal sibling of [`put_many`](Self::put_many) reporting
-    /// how many elements were stored rather than handed to takers.
-    pub(crate) fn put_many_reporting(&self, elements: impl IntoIterator<Item = E>) -> usize {
-        self.shared.put_many(elements.into_iter().collect())
     }
 
     /// Returns a whole batch of elements at once: a single `fetch_add` on
@@ -342,6 +314,54 @@ impl<E: Send + 'static, B: PoolBackend<E>> BlockingPool<E, B> {
     /// Whether [`close`](Self::close) was called.
     pub fn is_closed(&self) -> bool {
         self.shared.cqs.is_closed()
+    }
+}
+
+/// A pool is a shard whose items are its elements. `bank` / `bank_many`
+/// are [`put`](BlockingPool::put) / [`put_many`](BlockingPool::put_many)
+/// reporting whether the elements were stored or handed to takers, which
+/// the sharding layer runs its migration scan off.
+impl<E: Send + 'static, B: PoolBackend<E>> Shard for BlockingPool<E, B> {
+    type Item = E;
+
+    fn try_take_weak(&self) -> Option<E> {
+        BlockingPool::try_take_weak(self)
+    }
+
+    fn park(&self) -> CqsFuture<E> {
+        self.take()
+    }
+
+    fn bank(&self, element: E) -> bool {
+        self.shared.put(element)
+    }
+
+    fn bank_many(&self, elements: Vec<E>) -> usize {
+        self.shared.put_many(elements)
+    }
+
+    fn banked(&self) -> usize {
+        self.len()
+    }
+
+    fn waiting(&self) -> usize {
+        self.waiting_takers()
+    }
+
+    fn close(&self) {
+        BlockingPool::close(self);
+    }
+
+    fn is_closed(&self) -> bool {
+        BlockingPool::is_closed(self)
+    }
+
+    fn live_segments(&self) -> usize {
+        BlockingPool::live_segments(self)
+    }
+
+    fn watch_id(&self) -> u64 {
+        BlockingPool::watch_id(self)
     }
 }
 

@@ -1,49 +1,23 @@
 //! A sharded blocking pool: N per-shard CQS-backed [`BlockingPool`]s
 //! behind one logical element store.
 //!
-//! Mirrors `cqs-sync`'s `ShardedSemaphore`: each thread routes through a
-//! home shard ([`cqs_core::shard::home_shard`]), takes hit the home store
-//! first ([`BlockingPool::try_take_weak`]), miss into one bounded steal
-//! pass over the sibling stores, and park in the home shard's FIFO taker
-//! queue only on a global miss. Cancellation, timeouts and close flow
-//! through the ordinary per-shard CQS paths.
-//!
-//! Elements — unlike semaphore credit — cannot be deferred: a stored
-//! element next to a parked remote taker is a lost wake-up, and a pool has
-//! no "holder count" telling a put that more puts are coming. Every put
-//! that stores locally therefore runs a migration scan immediately:
-//! starving sibling shards are served from the home store in one
-//! [`BlockingPool::put_many`] batch each (the `Cqs::resume_n` machinery).
-//! Whether a put stored is decided by its own `fetch_add` on the size
-//! word (never by a `waiting_takers()` snapshot, which a concurrent
-//! taker cancellation can invalidate), and a settle check also runs
-//! after a served handoff, because the taker's cancellation can refuse
-//! the in-flight resume and re-store the element. A refusal can even
-//! settle on the *cancelling* thread after the putter returned (the
-//! resume delegates its element to a mid-flight canceller), so each
-//! shard additionally reports settled refusals through a hook that
-//! re-runs the scan from the cancelling thread. Combined with the
-//! taker-side re-scan after parking, the bank-vs-park race always
-//! resolves (each side's write precedes its read of the other's word,
-//! SeqCst) — no element idles while a taker waits.
-//!
-//! # Fairness, precisely
-//!
-//! Takers are FIFO **within a shard**, not across shards; a stored element
-//! may be claimed by a barging local take or a steal ahead of takers
-//! parked on other shards only inside the put-to-migration race window.
-//! Pools are unordered by contract, so element identity never depends on
-//! routing.
+//! [`ShardedPool`] is [`cqs_core::shard::Sharded`] over [`BlockingPool`]
+//! shards — the same layer as `cqs-sync`'s `ShardedSemaphore`, with an
+//! element attached to each banked unit. The protocol and the fairness
+//! contract are stated once, in the [`cqs_core::shard`] module docs. The
+//! pool's two parameters there: elements — unlike semaphore credit —
+//! cannot be deferred (a pool has no "holder count" telling a put that
+//! more puts are coming), so the rebalance interval is 1 — every put that
+//! stores locally migrates to starving siblings at once — and the no-idle
+//! sweep runs whenever anything is stored. A stored element may therefore
+//! be claimed ahead of takers parked on other shards only inside the
+//! put-to-migration race window. Pools are unordered by contract, so
+//! element identity never depends on routing.
 
-use std::sync::{Arc, Weak};
-
+use cqs_core::shard::{Sharded, MAX_DEFAULT_SHARDS};
 use cqs_core::{Cancelled, CqsFuture};
 
-use crate::{BlockingPool, PoolBackend, QueueBackend, RefusalHook, StackBackend};
-
-/// Default cap on [`ShardedPool::new`]'s shard count; see
-/// [`cqs_core::shard::default_shard_count`].
-pub const MAX_DEFAULT_SHARDS: usize = 8;
+use crate::{BlockingPool, PoolBackend, QueueBackend, StackBackend};
 
 /// A sharded pool over the queue backend.
 pub type ShardedQueuePool<E> = ShardedPool<E, QueueBackend<E>>;
@@ -53,7 +27,7 @@ pub type ShardedQueuePool<E> = ShardedPool<E, QueueBackend<E>>;
 pub type ShardedStackPool<E> = ShardedPool<E, StackBackend<E>>;
 
 /// A blocking pool sharded over N per-shard CQS instances. See the
-/// module docs above for the protocol and fairness contract.
+/// [`cqs_core::shard`] module docs for the protocol and fairness contract.
 ///
 /// # Example
 ///
@@ -66,80 +40,7 @@ pub type ShardedStackPool<E> = ShardedPool<E, StackBackend<E>>;
 /// pool.put(conn);
 /// ```
 pub struct ShardedPool<E: Send + 'static, B: PoolBackend<E>> {
-    /// The shards live behind an `Arc` so each shard's refusal hook can
-    /// hold a `Weak` back-reference: a refusal can settle on the
-    /// *cancelling* thread after the putting thread already scanned and
-    /// returned (the resume delegated its element to the mid-flight
-    /// canceller), making the canceller the only thread that can still run
-    /// the no-idle-element scan.
-    inner: Arc<PoolInner<E, B>>,
-}
-
-struct PoolInner<E: Send + 'static, B: PoolBackend<E>> {
-    shards: Box<[BlockingPool<E, B>]>,
-}
-
-impl<E: Send + 'static, B: PoolBackend<E>> PoolInner<E, B> {
-    fn len(&self) -> usize {
-        self.shards.iter().map(BlockingPool::len).sum()
-    }
-
-    fn waiting_takers(&self) -> usize {
-        self.shards.iter().map(BlockingPool::waiting_takers).sum()
-    }
-
-    /// Migrates stored elements from `home`'s store to starving sibling
-    /// shards, one batched [`BlockingPool::put_many`] per recipient, until
-    /// the store runs dry or no sibling is starving. Returns the number of
-    /// elements migrated.
-    fn rebalance_from(&self, home: usize) -> usize {
-        let n = self.shards.len();
-        let mut moved = 0;
-        for d in 1..n {
-            let victim = &self.shards[(home + d) % n];
-            let starving = victim.waiting_takers();
-            if starving == 0 {
-                continue;
-            }
-            cqs_chaos::inject!("sharded.rebalance.window");
-            // Reclaim a batch from our own store. Racing local takers may
-            // drain it first — then the elements went to completed
-            // operations instead, which is equally conservative.
-            let batch: Vec<E> = (0..starving)
-                .map_while(|_| self.shards[home].try_take_weak())
-                .collect();
-            if batch.is_empty() {
-                break;
-            }
-            cqs_stats::bump!(shard_rebalances, batch.len());
-            moved += batch.len();
-            victim.put_many(batch);
-        }
-        moved
-    }
-
-    fn rebalance(&self) -> usize {
-        (0..self.shards.len())
-            .map(|home| self.rebalance_from(home))
-            .sum()
-    }
-
-    /// The no-idle-element guarantee: while elements sit stored anywhere
-    /// and takers are parked anywhere, migrate toward them — from *every*
-    /// shard's store, until the system stops moving. The loop matters: a
-    /// migration batch can itself be outrun by a cancelling recipient
-    /// (whose refusal re-stores the elements at the recipient shard), so
-    /// a single pass is not enough. An element and a taker can never
-    /// coexist on the *same* shard (the signed size word is one or the
-    /// other), so `rebalance` always makes progress while the condition
-    /// holds; away from it this is a handful of loads.
-    ///
-    /// Runs from every put and, through each shard's refusal hook, from
-    /// every settled refusal — the latter covers re-stores that land on a
-    /// cancelling thread after the putter already scanned.
-    fn settle(&self) {
-        while self.len() > 0 && self.waiting_takers() > 0 && self.rebalance() > 0 {}
-    }
+    sharded: Sharded<BlockingPool<E, B>>,
 }
 
 impl<E: Send + 'static, B: PoolBackend<E> + Default> ShardedPool<E, B> {
@@ -170,40 +71,17 @@ impl<E: Send + 'static, B: PoolBackend<E> + Default> ShardedPool<E, B> {
     }
 
     fn build(shards: usize, reclaimer: Option<cqs_core::ReclaimerKind>) -> Self {
-        assert!(shards > 0, "a sharded pool needs at least one shard");
-        // Divide the default freelist bound across the shards; each keeps
-        // at least one slot, so the whole primitive pins at most
-        // `max(DEFAULT_FREELIST_SLOTS, shards)` idle segments (the
-        // single-queue envelope up to 4 shards, one per shard beyond).
-        let slots = (cqs_core::CqsConfig::DEFAULT_FREELIST_SLOTS / shards).max(1);
-        let inner = Arc::new_cyclic(|weak: &Weak<PoolInner<E, B>>| PoolInner {
-            shards: (0..shards)
-                .map(|_| {
-                    // With siblings to strand a taker on, each shard
-                    // reports settled refusals back so the wrapper can
-                    // re-run the settle scan from the cancelling thread
-                    // (the weak upgrade only fails when the whole primitive
-                    // is already gone — nothing left to serve).
-                    let on_refusal: Option<RefusalHook> = (shards > 1).then(|| {
-                        let weak = Weak::clone(weak);
-                        Box::new(move || {
-                            if let Some(inner) = weak.upgrade() {
-                                inner.settle();
-                            }
-                        }) as RefusalHook
-                    });
-                    BlockingPool::with_backend_config(
-                        B::default(),
-                        "sharded-pool.take",
-                        slots,
-                        on_refusal,
-                        reclaimer,
-                    )
-                })
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+        // Interval 1, sweep at 1 stored element: see the module docs.
+        let sharded = Sharded::new(shards, 1, 1, |_, slots, on_refusal| {
+            BlockingPool::with_backend_config(
+                B::default(),
+                "sharded-pool.take",
+                slots,
+                on_refusal,
+                reclaimer,
+            )
         });
-        ShardedPool { inner }
+        ShardedPool { sharded }
     }
 }
 
@@ -216,17 +94,17 @@ impl<E: Send + 'static, B: PoolBackend<E> + Default> Default for ShardedPool<E, 
 impl<E: Send + 'static, B: PoolBackend<E>> ShardedPool<E, B> {
     /// The number of shards.
     pub fn shards(&self) -> usize {
-        self.inner.shards.len()
+        self.sharded.shards().len()
     }
 
     /// The calling thread's home shard index.
     pub fn home(&self) -> usize {
-        cqs_core::shard::home_shard(self.inner.shards.len())
+        self.sharded.home()
     }
 
     /// A racy snapshot of the number of stored elements across all shards.
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.sharded.banked()
     }
 
     /// Whether no elements are currently stored on any shard.
@@ -236,16 +114,12 @@ impl<E: Send + 'static, B: PoolBackend<E>> ShardedPool<E, B> {
 
     /// A racy snapshot of the takers queued across all shards.
     pub fn waiting_takers(&self) -> usize {
-        self.inner.waiting_takers()
+        self.sharded.waiting()
     }
 
     /// Total live queue segments across all shards (diagnostics).
     pub fn live_segments(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(BlockingPool::live_segments)
-            .sum()
+        self.sharded.live_segments()
     }
 
     /// Retrieves an element routed through the calling thread's home shard.
@@ -257,45 +131,7 @@ impl<E: Send + 'static, B: PoolBackend<E>> ShardedPool<E, B> {
     /// deterministic core of [`take`](Self::take), also used by the
     /// model-checking programs to pin routing independently of TLS.
     pub fn take_at(&self, home: usize) -> CqsFuture<E> {
-        let shards = &self.inner.shards;
-        let n = shards.len();
-        let home = home % n;
-        if shards[home].is_closed() {
-            return CqsFuture::cancelled();
-        }
-        if let Some(element) = shards[home].try_take_weak() {
-            cqs_stats::bump!(shard_local_hits);
-            return CqsFuture::immediate(element);
-        }
-        for d in 1..n {
-            cqs_chaos::inject!("sharded.steal.window");
-            if let Some(element) = shards[(home + d) % n].try_take_weak() {
-                cqs_stats::bump!(shard_steals);
-                return CqsFuture::immediate(element);
-            }
-        }
-        // Global miss: park in the home shard's FIFO taker queue...
-        let f = shards[home].take();
-        if f.is_immediate() {
-            return f;
-        }
-        // ...then re-scan the sibling stores: a put that stored its element
-        // between our steal pass and our registration cannot have seen us
-        // waiting; this re-scan is our side of that race (see module docs).
-        // On a hit we abort the queued request; if the abort loses to an
-        // in-flight grant we hold one element too many and return it.
-        for d in 1..n {
-            cqs_chaos::inject!("sharded.steal.window");
-            if let Some(element) = shards[(home + d) % n].try_take_weak() {
-                if f.cancel() {
-                    cqs_stats::bump!(shard_steals);
-                    return CqsFuture::immediate(element);
-                }
-                self.put_at((home + d) % n, element);
-                return f;
-            }
-        }
-        f
+        self.sharded.take_at(home)
     }
 
     /// Blocking convenience: retrieves an element, waiting if necessary.
@@ -320,32 +156,7 @@ impl<E: Send + 'static, B: PoolBackend<E>> ShardedPool<E, B> {
     /// elements to any starving sibling shards (see the module docs for
     /// why pool migration cannot be deferred).
     pub fn put_at(&self, home: usize, element: E) {
-        let inner = &*self.inner;
-        let n = inner.shards.len();
-        let home = home % n;
-        // Whether the element was stored or handed to a local taker is
-        // decided by the put's own `fetch_add`, not by a
-        // `waiting_takers()` snapshot taken beforehand: a taker the
-        // snapshot counted can cancel concurrently (its `on_cancellation`
-        // increments the size word first), turning the would-be handoff
-        // into a store that a snapshot-guided early return would leave
-        // unmigrated — a lost wakeup for a taker parked on a sibling.
-        let stored = inner.shards[home].put_reporting(element);
-        if n == 1 {
-            // Single shard: the store serves its own FIFO queue directly.
-            return;
-        }
-        if stored {
-            inner.rebalance_from(home);
-        }
-        // On *both* paths: even a committed handoff can be voided by the
-        // taker's cancellation refusing the in-flight resume, which
-        // re-stores the element. When the refusal settles before this put
-        // returns, this scan catches it; when the resume delegated its
-        // element to a mid-flight canceller, the refusal settles on the
-        // cancelling thread *after* we return, and that shard's refusal
-        // hook re-runs the scan from there.
-        inner.settle();
+        self.sharded.bank_at(home, element);
     }
 
     /// Returns a batch of elements through shard `home % shards`: waiting
@@ -354,44 +165,8 @@ impl<E: Send + 'static, B: PoolBackend<E>> ShardedPool<E, B> {
     /// and the remainder is stored at home (followed by the same migration
     /// scan as [`put_at`](Self::put_at)).
     pub fn put_many_at(&self, home: usize, elements: impl IntoIterator<Item = E>) {
-        let mut elements: Vec<E> = elements.into_iter().collect();
-        if elements.is_empty() {
-            return;
-        }
-        let inner = &*self.inner;
-        let n = inner.shards.len();
-        let home = home % n;
-        for d in 0..n {
-            if elements.is_empty() {
-                break;
-            }
-            let idx = (home + d) % n;
-            let shard = &inner.shards[idx];
-            let waiters = shard.waiting_takers().min(elements.len());
-            if waiters > 0 {
-                if d > 0 {
-                    cqs_chaos::inject!("sharded.rebalance.window");
-                    cqs_stats::bump!(shard_rebalances, waiters);
-                }
-                let stored = shard.put_many_reporting(elements.drain(..waiters));
-                if stored > 0 && d > 0 {
-                    // Takers counted by the snapshot cancelled under us:
-                    // part of the batch landed in this *foreign* shard's
-                    // store. Sweep from it right away so the elements
-                    // reach takers parked elsewhere instead of stranding.
-                    inner.rebalance_from(idx);
-                }
-            }
-        }
-        // No early return above: every batched put ends with the home
-        // migration scan and the settle check, even when the taker counts
-        // it served against consumed the whole batch — those counts were
-        // snapshots and may have over-promised.
-        if !elements.is_empty() {
-            inner.shards[home].put_many(elements);
-        }
-        inner.rebalance_from(home);
-        inner.settle();
+        self.sharded
+            .bank_many_at(home, elements.into_iter().collect());
     }
 
     /// Returns a batch of elements through the calling thread's home shard;
@@ -404,47 +179,33 @@ impl<E: Send + 'static, B: PoolBackend<E>> ShardedPool<E, B> {
     /// shards. Normally unnecessary (puts migrate on their own); exposed
     /// for tests and operators reacting to a watchdog report.
     pub fn rebalance(&self) -> usize {
-        self.inner.rebalance()
+        self.sharded.rebalance()
     }
 
     /// Closes the pool: every waiting taker on every shard is woken with
     /// [`Cancelled`] and subsequent takes fail fast. Stored elements stay,
     /// and [`put`](Self::put) keeps working for orderly teardown.
     pub fn close(&self) {
-        for shard in self.inner.shards.iter() {
-            shard.close();
-        }
+        self.sharded.close();
     }
 
     /// Whether [`close`](Self::close) was called.
     pub fn is_closed(&self) -> bool {
-        self.inner.shards[0].is_closed()
+        self.sharded.is_closed()
     }
 
     /// Publishes per-shard depth and live-segment gauges to the watchdog
     /// (`shard_depth`, `live_segments`, keyed by each shard's primitive
     /// id). No-op without the `watch` feature.
     pub fn publish_gauges(&self) {
-        for shard in self.inner.shards.iter() {
-            cqs_watch::gauge!(
-                shard.watch_id(),
-                "shard_depth",
-                shard.waiting_takers() as i64
-            );
-            cqs_watch::gauge!(
-                shard.watch_id(),
-                "live_segments",
-                shard.live_segments() as i64
-            );
-            let _ = shard;
-        }
+        self.sharded.publish_gauges();
     }
 }
 
 impl<E: Send + 'static, B: PoolBackend<E>> std::fmt::Debug for ShardedPool<E, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedPool")
-            .field("shards", &self.inner.shards.len())
+            .field("shards", &self.shards())
             .field("len", &self.len())
             .finish()
     }

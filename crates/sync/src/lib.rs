@@ -50,13 +50,12 @@ mod semaphore;
 mod sharded;
 
 pub use barrier::{Barrier, BarrierFuture, BarrierGuard, CyclicBarrier};
+pub use cqs_core::shard::MAX_DEFAULT_SHARDS;
 pub use latch::{CountDownGuard, CountDownLatch, SimpleCancelLatch};
 pub use mutex::{LockError, Mutex, MutexGuard, RawMutex};
 pub use rwlock::{RawRwLock, RwLockFuture};
 pub use semaphore::{ExcessRelease, Semaphore, SemaphoreGuard};
-pub use sharded::{
-    ShardedSemaphore, ShardedSemaphoreGuard, DEFAULT_REBALANCE_INTERVAL, MAX_DEFAULT_SHARDS,
-};
+pub use sharded::{ShardedSemaphore, ShardedSemaphoreGuard, DEFAULT_REBALANCE_INTERVAL};
 
 // Re-export the future vocabulary users interact with.
 pub use cqs_core::{Cancelled, CqsFuture, FutureState};

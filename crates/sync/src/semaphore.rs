@@ -7,16 +7,12 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
+use cqs_core::shard::{RefusalHook, Shard};
 use cqs_core::{
     CancellationMode, Cancelled, Cqs, CqsCallbacks, CqsConfig, CqsFuture, ReclaimerKind,
     ResumeMode, Suspend,
 };
 use cqs_stats::CachePadded;
-
-/// Hook a sharded wrapper installs to learn that a cancellation refused an
-/// in-flight resume and re-banked its permit. See
-/// [`SemaphoreCallbacks::complete_refused_resume`].
-pub(crate) type RefusalHook = Box<dyn Fn() + Send + Sync>;
 
 /// Semaphore state shared with the smart-cancellation callbacks:
 /// `state >= 0` is the number of available permits, `state < 0` the negated
@@ -24,11 +20,7 @@ pub(crate) type RefusalHook = Box<dyn Fn() + Send + Sync>;
 struct SemaphoreCallbacks {
     state: Arc<CachePadded<AtomicI64>>,
     /// Invoked after a refusal has fully settled (permit re-banked and the
-    /// refused value consumed). A refusal can settle on the *cancelling*
-    /// thread — when the resume delegated its value to the mid-flight
-    /// canceller — after the releasing thread has long returned, so a
-    /// sharded wrapper cannot run its no-idle-permit sweep from the release
-    /// path alone; this hook hands it the only thread that knows.
+    /// refused value consumed); see [`RefusalHook`].
     on_refusal: Option<RefusalHook>,
 }
 
@@ -146,15 +138,8 @@ impl Semaphore {
     /// `initial` of the primitive's `cap` total permits banked here. The
     /// shard's excess-release accounting is capped at the *total* because
     /// rebalancing migrates credit between shards, so any one shard may
-    /// transiently bank every permit. `freelist_slots` is scaled down by
-    /// the shard count, bounding the idle segments pinned by the whole
-    /// primitive to `max(DEFAULT_FREELIST_SLOTS, shards)` — the
-    /// single-queue envelope up to 4 shards, one per shard beyond that
-    /// (each shard keeps at least one slot).
-    /// `on_refusal` is invoked whenever a cancellation refuses an in-flight
-    /// resume on this shard (re-banking the permit here), possibly on the
-    /// cancelling thread after the releaser already returned — the wrapper
-    /// runs its cross-shard sweep from it.
+    /// transiently bank every permit. `freelist_slots` and `on_refusal`
+    /// are what [`cqs_core::shard::Sharded::new`] hands each shard.
     pub(crate) fn with_initial(
         cap: usize,
         initial: usize,
@@ -504,30 +489,7 @@ impl Semaphore {
 
     /// Returns a permit, resuming the first waiter if there is one.
     pub fn release(&self) {
-        let _ = self.release_reporting();
-    }
-
-    /// Crate-internal sibling of [`release`](Semaphore::release) that
-    /// reports where the permit went: `true` if it was banked in the
-    /// free-permit counter, `false` if it was handed to a waiter. The
-    /// sharded semaphore keys its rebalance accounting off this — a
-    /// `waiting()` snapshot taken *before* the release cannot tell which
-    /// path will be taken (a waiter the snapshot counted may cancel
-    /// concurrently, turning the would-be handoff into a bank), but the
-    /// release's own `fetch_add` can. Note that `false` only means the
-    /// resume *committed*: a cancellation refusing the in-flight resume
-    /// still re-banks the permit via `on_cancellation` — and when the
-    /// resume delegated its value to the mid-flight canceller, that
-    /// re-banking happens on the cancelling thread, possibly *after* this
-    /// method returned. Wrappers that must react to the re-bank listen via
-    /// the `on_refusal` hook instead of inspecting this return value.
-    pub(crate) fn release_reporting(&self) -> bool {
-        // Linearizability-history seam (cqs-check): a release is a
-        // complete operation, so both edges are recorded here.
-        cqs_chaos::record!(self as *const Self as u64, "sem.release", Invoke, 0);
-        let banked = self.release_permit();
-        cqs_chaos::record!(self as *const Self as u64, "sem.release", Response, 0);
-        banked
+        let _ = self.bank(());
     }
 
     fn release_permit(&self) -> bool {
@@ -568,25 +530,43 @@ impl Semaphore {
     /// round-trips. Used by `BlockingPool` teardown to hand every parked
     /// worker its shutdown permit at once.
     pub fn release_n(&self, k: usize) {
-        let _ = self.release_n_reporting(k);
+        let _ = self.bank_many(vec![(); k]);
+    }
+}
+
+/// A semaphore is a shard whose items are permits. `bank` / `bank_many`
+/// are [`release`](Semaphore::release) / [`release_n`](Semaphore::release_n)
+/// reporting where the permits went, which the sharding layer keys its
+/// rebalance accounting off.
+impl Shard for Semaphore {
+    type Item = ();
+
+    fn try_take_weak(&self) -> Option<()> {
+        self.try_acquire_weak().then_some(())
     }
 
-    /// Crate-internal sibling of [`release_n`](Semaphore::release_n)
-    /// reporting how many of the `k` permits were banked rather than
-    /// handed to waiters (see [`release_reporting`](Semaphore::release_reporting)
-    /// for why a pre-release `waiting()` snapshot cannot provide this).
-    /// The count is exact in asynchronous mode; refused resumes re-bank
-    /// through `on_cancellation` (possibly on the cancelling thread, after
-    /// this returns) and are not counted — the `on_refusal` hook reports
-    /// them.
-    pub(crate) fn release_n_reporting(&self, k: usize) -> usize {
+    fn park(&self) -> CqsFuture<()> {
+        self.acquire()
+    }
+
+    fn bank(&self, (): ()) -> bool {
+        // Linearizability-history seam (cqs-check): a release is a
+        // complete operation, so both edges are recorded here.
+        cqs_chaos::record!(self as *const Self as u64, "sem.release", Invoke, 0);
+        let banked = self.release_permit();
+        cqs_chaos::record!(self as *const Self as u64, "sem.release", Response, 0);
+        banked
+    }
+
+    /// The count is exact in asynchronous mode.
+    fn bank_many(&self, permits: Vec<()>) -> usize {
+        let k = permits.len() as i64;
         if k == 0 {
             return 0;
         }
-        let k = k as i64;
         let s = self.state.fetch_add(k, Ordering::SeqCst);
         cqs_watch::gauge!(self.cqs.watch_id(), "state", s + k);
-        // See `release` for why the overshoot bound only holds in
+        // See `release_permit` for why the overshoot bound only holds in
         // asynchronous mode.
         debug_assert!(
             self.sync_mode || s + k <= self.permits as i64,
@@ -609,9 +589,40 @@ impl Semaphore {
             // own loop performs the Listing-16 refund increment and
             // retries, which is exactly the per-permit recovery we need.
             std::thread::yield_now();
-            banked += usize::from(self.release_reporting());
+            banked += usize::from(self.bank(()));
         }
         banked
+    }
+
+    /// One CAS for the whole batch instead of a take per permit.
+    fn migrate(&self, to: &Self, max: usize) -> usize {
+        let got = self.try_acquire_many_weak(max);
+        to.release_n(got);
+        got
+    }
+
+    fn banked(&self) -> usize {
+        self.available_permits()
+    }
+
+    fn waiting(&self) -> usize {
+        Semaphore::waiting(self)
+    }
+
+    fn close(&self) {
+        Semaphore::close(self);
+    }
+
+    fn is_closed(&self) -> bool {
+        Semaphore::is_closed(self)
+    }
+
+    fn live_segments(&self) -> usize {
+        Semaphore::live_segments(self)
+    }
+
+    fn watch_id(&self) -> u64 {
+        Semaphore::watch_id(self)
     }
 }
 

@@ -144,7 +144,7 @@ mod runtime {
     use cqs_reclaim::{pin, AtomicArc};
     use std::collections::{HashMap, HashSet};
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex, OnceLock};
+    use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
     use std::thread::ThreadId;
     use std::time::{Duration, Instant};
 
@@ -169,7 +169,18 @@ mod runtime {
         thread: ThreadId,
         thread_name: String,
         since: Instant,
-        handle: Arc<dyn WaiterHandle>,
+        /// Weak: the registry observes a waiter, it must not keep a
+        /// finished request — and through its inline handler its segment —
+        /// alive until a later registration happens to claim the slot.
+        handle: Weak<dyn WaiterHandle>,
+    }
+
+    impl WaiterRecord {
+        /// The waiter if it is still pending; a dropped request counts as
+        /// terminated.
+        fn live_handle(&self) -> Option<Arc<dyn WaiterHandle>> {
+            self.handle.upgrade().filter(|h| !h.is_terminated())
+        }
     }
 
     struct Registry {
@@ -215,8 +226,9 @@ mod runtime {
     /// [`crate::register_waiter!`].
     ///
     /// Lock-free: claims an empty or terminated slot with a CAS. There is
-    /// no explicit deregistration — records whose handle terminated are
-    /// reclaimed by later registrations and skipped by scans.
+    /// no explicit deregistration — records whose handle terminated (or
+    /// was dropped; the registry holds it weakly) are reclaimed by later
+    /// registrations and skipped by scans.
     pub fn runtime_register_waiter(
         primitive: u64,
         label: &'static str,
@@ -232,7 +244,7 @@ mod runtime {
             thread: current.id(),
             thread_name: thread_label(&current),
             since: Instant::now(),
-            handle,
+            handle: Arc::downgrade(&handle),
         });
         let guard = pin();
         let start = reg.cursor.fetch_add(1, Ordering::Relaxed);
@@ -247,7 +259,7 @@ mod runtime {
                         return;
                     }
                 }
-                Some(old) if old.handle.is_terminated() => {
+                Some(old) if old.live_handle().is_none() => {
                     if slot
                         .compare_exchange(Arc::as_ptr(&old), Some(Arc::clone(&record)), &guard)
                         .is_ok()
@@ -290,7 +302,10 @@ mod runtime {
         let mut out = Vec::new();
         for slot in &reg.slots {
             if let Some(record) = slot.load(&guard) {
-                if record.generation > min_generation && !record.handle.is_terminated() {
+                let Some(handle) = record.live_handle() else {
+                    continue;
+                };
+                if record.generation > min_generation {
                     out.push((
                         WaiterInfo {
                             generation: record.generation,
@@ -300,7 +315,7 @@ mod runtime {
                             thread_name: record.thread_name.clone(),
                             waited: now.saturating_duration_since(record.since),
                         },
-                        Arc::clone(&record.handle),
+                        handle,
                     ));
                 }
             }
@@ -1257,6 +1272,56 @@ mod tests {
         assert_eq!(live[0].label, "test.registry");
         w2.complete();
         assert!(mine(live_waiters(0)).is_empty());
+    }
+
+    /// The registry observes waiters, it does not own them: a finished
+    /// request is freed when its owner lets go, with no later registration
+    /// needed to turn its slot over, and a request dropped while pending
+    /// reads as terminated.
+    #[test]
+    fn registry_holds_waiters_weakly() {
+        /// Refuses `cancel`, so a sibling test's evicting scan cannot
+        /// terminate it behind this test's back.
+        struct Unevictable(AtomicBool);
+        impl WaiterHandle for Unevictable {
+            fn is_terminated(&self) -> bool {
+                self.0.load(Ordering::SeqCst)
+            }
+            fn cancel(&self) -> bool {
+                false
+            }
+        }
+        let id = next_primitive_id("test.weak");
+        let live = || {
+            live_waiters(0)
+                .into_iter()
+                .filter(|w| w.primitive == id)
+                .count()
+        };
+        let finished = Arc::new(Unevictable(AtomicBool::new(false)));
+        let abandoned = Arc::new(Unevictable(AtomicBool::new(false)));
+        // A sibling test's scan may hold a handle upgraded for the length
+        // of one `is_terminated` call; nothing holds it longer.
+        let freed = |waiter: Arc<Unevictable>| {
+            let probe = Arc::downgrade(&waiter);
+            drop(waiter);
+            let patience = std::time::Instant::now() + Duration::from_secs(10);
+            while probe.strong_count() > 0 {
+                assert!(
+                    std::time::Instant::now() < patience,
+                    "the registry kept a dropped waiter alive"
+                );
+                std::thread::yield_now();
+            }
+        };
+        register_waiter!(id, "test.weak", finished.clone());
+        register_waiter!(id, "test.weak", abandoned.clone());
+        assert_eq!(live(), 2);
+        finished.0.store(true, Ordering::SeqCst);
+        freed(finished);
+        assert_eq!(live(), 1);
+        freed(abandoned);
+        assert_eq!(live(), 0, "a dropped waiter must count as terminated");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Offline stand-in for the `proptest` property-testing crate.
 //!
 //! The build container has no access to crates.io, so this shim provides the
-//! subset of the proptest 1.x API the workspace's tests use: the [`Strategy`]
+//! subset of the proptest 1.x API the workspace's tests use: the [`Strategy`](strategy::Strategy)
 //! trait with `prop_map`/`prop_flat_map`, `Just`, integer-range and tuple
 //! strategies, `collection::vec`, `option::of`, the weighted
 //! [`prop_oneof!`] union, and the [`proptest!`] / [`prop_assert!`] /
@@ -94,7 +94,7 @@ pub mod strategy {
         }
     }
 
-    /// A weighted choice between strategies, built by [`prop_oneof!`].
+    /// A weighted choice between strategies, built by [`prop_oneof!`](crate::prop_oneof).
     pub struct Union<V> {
         arms: Vec<(u32, BoxedStrategy<V>)>,
         total_weight: u64,

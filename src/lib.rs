@@ -64,11 +64,7 @@ pub use cqs_sync::{
     SemaphoreGuard, ShardedSemaphore, ShardedSemaphoreGuard, SimpleCancelLatch,
 };
 
-mod channel;
-mod rendezvous;
-pub use channel::{Channel, Receive, SendError as LegacySendError, SendFuture};
 pub use cqs_channel::{ChannelRecv, ChannelSend, CqsChannel, RecvError, SendError};
-pub use rendezvous::{ReceiveRendezvous, RendezvousChannel};
 
 /// Segment-native MPMC channels (rendezvous / bounded / unbounded) built
 /// directly on CQS — see `crates/channel`. The flat re-exports

@@ -10,7 +10,7 @@ use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cqs::exec::{CoroStep, CoroWaker, Coroutine, Executor};
-use cqs::{Channel, CountDownLatch, QueuePool, RawMutex, Receive, Semaphore, SendFuture};
+use cqs::{ChannelRecv, ChannelSend, CountDownLatch, CqsChannel, QueuePool, RawMutex, Semaphore};
 
 struct ThreadWaker(Thread);
 
@@ -121,12 +121,12 @@ impl Wake for CoroStdWaker {
     }
 }
 
-/// Drives the legacy channel's `SendFuture` through its `Future` impl.
+/// Drives the channel's `ChannelSend` through its `Future` impl.
 struct ChannelSender {
-    ch: &'static Channel<u64>,
+    ch: CqsChannel<u64>,
     next: u64,
     end: u64,
-    pending: Option<SendFuture<u64>>,
+    pending: Option<ChannelSend<u64>>,
 }
 
 impl Coroutine for ChannelSender {
@@ -147,7 +147,7 @@ impl Coroutine for ChannelSender {
             };
             match Pin::new(&mut f).poll(&mut cx) {
                 Poll::Ready(Ok(())) => {}
-                Poll::Ready(Err(e)) => panic!("send rejected: {:?}", e.0),
+                Poll::Ready(Err(e)) => panic!("send rejected: {e:?}"),
                 Poll::Pending => {
                     self.pending = Some(f);
                     return CoroStep::Pending;
@@ -157,13 +157,13 @@ impl Coroutine for ChannelSender {
     }
 }
 
-/// Drives the legacy channel's `Receive` through its `Future` impl — the
-/// await path whose delivery hook must release the capacity permit.
+/// Drives the channel's `ChannelRecv` through its `Future` impl — the
+/// await path whose settlement hook must release the capacity slot.
 struct ChannelReceiver {
-    ch: &'static Channel<u64>,
+    ch: CqsChannel<u64>,
     left: u64,
     sum: Arc<AtomicU64>,
-    pending: Option<Receive<'static, u64>>,
+    pending: Option<ChannelRecv<u64>>,
 }
 
 impl Coroutine for ChannelReceiver {
@@ -193,21 +193,21 @@ impl Coroutine for ChannelReceiver {
     }
 }
 
-/// Round-trips 50 elements through a capacity-2 legacy channel on the
+/// Round-trips 50 elements through a capacity-2 bounded channel on the
 /// coroutine executor, with both sides suspending through their
 /// `std::future::Future` impls, then proves the await path leaked no
-/// capacity permit: exactly `CAPACITY` immediate sends fit afterwards.
+/// capacity slot: exactly `CAPACITY` immediate sends fit afterwards.
 #[test]
 fn executor_channel_round_trip_releases_every_permit() {
     const CAPACITY: usize = 2;
     const SENDERS: u64 = 2;
     const PER_SENDER: u64 = 25;
-    let ch: &'static Channel<u64> = Box::leak(Box::new(Channel::new(CAPACITY)));
+    let ch: CqsChannel<u64> = CqsChannel::bounded(CAPACITY);
     let executor = Executor::new(2);
     let sum = Arc::new(AtomicU64::new(0));
     for t in 0..SENDERS {
         executor.spawn(ChannelSender {
-            ch,
+            ch: ch.clone(),
             next: t * PER_SENDER + 1,
             end: (t + 1) * PER_SENDER + 1,
             pending: None,
@@ -215,7 +215,7 @@ fn executor_channel_round_trip_releases_every_permit() {
     }
     for _ in 0..2 {
         executor.spawn(ChannelReceiver {
-            ch,
+            ch: ch.clone(),
             left: SENDERS * PER_SENDER / 2,
             sum: Arc::clone(&sum),
             pending: None,

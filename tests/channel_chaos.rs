@@ -1,6 +1,5 @@
-//! Seeded chaos storms for the segment-native `CqsChannel` and the
-//! pinned-seed replay of the legacy channel's timeout-vs-delivery window
-//! (run with `--features chaos`).
+//! Seeded chaos storms for the segment-native `CqsChannel` (run with
+//! `--features chaos`).
 //!
 //! The storms drive send/receive/cancel/close traffic across 72 fixed
 //! seeds while every labelled `channel.*` race window (claim vs. retrieve,
@@ -25,7 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, OnceLock};
 use std::time::Duration;
 
-use cqs::{Channel, CqsChannel, RecvError};
+use cqs::{CqsChannel, RecvError};
 
 /// Chaos seeding is process-global; storms must not interleave.
 fn storm_lock() -> &'static StdMutex<()> {
@@ -243,68 +242,6 @@ fn close_storm_across_seeds_loses_nothing() {
             "accepted-element ledger broken under seed {seed}: \
              replay with CQS_CHAOS_SEED={seed}"
         );
-        cqs_chaos::disable();
-    }
-}
-
-/// The legacy composed channel's timeout-vs-delivery window, replayed
-/// under pinned seeds: the `channel.recv.timeout-window` label stretches
-/// the gap between the deadline expiring and the cancel reaching the CQS,
-/// so the cancel-loses-to-completion path runs deterministically. The
-/// element must be returned (never dropped) and the permit released.
-#[test]
-fn legacy_timeout_window_replays_pinned_seeds() {
-    let _serial = storm_lock().lock().unwrap();
-    const CAPACITY: usize = 2;
-    const ROUNDS: u64 = 30;
-    // The window label only fires on the receive path; a handful of
-    // pinned seeds covers both outcomes of the race.
-    for seed in [0x7133_0001u64, 0x7133_0002, 0x7133_0003, 0x7133_0004] {
-        cqs_chaos::set_seed(seed);
-        let ch = Arc::new(Channel::new(CAPACITY));
-        let received = Arc::new(AtomicU64::new(0));
-        let done = Arc::new(AtomicBool::new(false));
-        let receiver = {
-            let ch = Arc::clone(&ch);
-            let received = Arc::clone(&received);
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || loop {
-                match ch.receive().wait_timeout(Duration::from_micros(50)) {
-                    Ok(v) => {
-                        received.fetch_add(v, Ordering::SeqCst);
-                    }
-                    Err(_) => {
-                        if done.load(Ordering::SeqCst) && ch.is_empty() {
-                            return;
-                        }
-                    }
-                }
-            })
-        };
-        for v in 1..=ROUNDS {
-            ch.send(v).wait().unwrap_or_else(|_| {
-                panic!("send failed under seed {seed}: replay with CQS_CHAOS_SEED={seed}")
-            });
-        }
-        done.store(true, Ordering::SeqCst);
-        receiver.join().unwrap_or_else(|_| {
-            panic!("receiver panicked under seed {seed}: replay with CQS_CHAOS_SEED={seed}")
-        });
-        assert_eq!(
-            received.load(Ordering::SeqCst),
-            ROUNDS * (ROUNDS + 1) / 2,
-            "elements dropped in the timeout window under seed {seed}: \
-             replay with CQS_CHAOS_SEED={seed}"
-        );
-        // Every permit is back.
-        let fs: Vec<_> = (0..CAPACITY as u64).map(|v| ch.send(v)).collect();
-        for f in &fs {
-            assert!(
-                f.is_immediate(),
-                "permit leaked in the timeout window under seed {seed}: \
-                 replay with CQS_CHAOS_SEED={seed}"
-            );
-        }
         cqs_chaos::disable();
     }
 }

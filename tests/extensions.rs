@@ -1,12 +1,12 @@
 //! Integration tests for the extension primitives built beyond the paper's
 //! listings: the fair readers–writer lock (§7 future work) and the bounded
-//! channel composed from semaphore + pool.
+//! segment-native channel.
 
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cqs::{Channel, RawRwLock};
+use cqs::{CqsChannel, RawRwLock};
 
 #[test]
 fn rwlock_phase_fair_alternation() {
@@ -88,7 +88,7 @@ fn rwlock_mixed_invariant_long() {
 
 #[test]
 fn channel_backpressure_bounds_buffer() {
-    let ch = Arc::new(Channel::new(2));
+    let ch = CqsChannel::bounded(2);
     ch.send(1u32).wait().unwrap();
     ch.send(2).wait().unwrap();
     let blocked = ch.send(3);
@@ -104,13 +104,12 @@ fn channel_backpressure_bounds_buffer() {
 fn channel_pipeline_through_threads() {
     const STAGES: usize = 3;
     const ITEMS: u64 = 2_000;
-    let channels: Vec<Arc<Channel<u64>>> =
-        (0..=STAGES).map(|_| Arc::new(Channel::new(4))).collect();
+    let channels: Vec<CqsChannel<u64>> = (0..=STAGES).map(|_| CqsChannel::bounded(4)).collect();
 
     let mut joins = Vec::new();
     for stage in 0..STAGES {
-        let input = Arc::clone(&channels[stage]);
-        let output = Arc::clone(&channels[stage + 1]);
+        let input = channels[stage].clone();
+        let output = channels[stage + 1].clone();
         joins.push(std::thread::spawn(move || {
             for _ in 0..ITEMS {
                 let v = input.receive().wait().unwrap();
@@ -118,14 +117,14 @@ fn channel_pipeline_through_threads() {
             }
         }));
     }
-    let first = Arc::clone(&channels[0]);
+    let first = channels[0].clone();
     let feeder = std::thread::spawn(move || {
         for v in 0..ITEMS {
             first.send(v).wait().unwrap();
         }
     });
 
-    let last = Arc::clone(&channels[STAGES]);
+    let last = &channels[STAGES];
     let mut sum = 0u64;
     for _ in 0..ITEMS {
         sum += last.receive().wait().unwrap();
@@ -140,7 +139,7 @@ fn channel_pipeline_through_threads() {
 
 #[test]
 fn channel_receive_timeout_leaves_channel_intact() {
-    let ch: Channel<u32> = Channel::new(4);
+    let ch: CqsChannel<u32> = CqsChannel::bounded(4);
     for _ in 0..5 {
         assert!(ch.receive().wait_timeout(Duration::from_millis(5)).is_err());
     }

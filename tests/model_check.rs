@@ -38,8 +38,9 @@
 //!   while a resume traverses past it never loses the resume's value.
 //!
 //! With `--features "chaos planted-bug"` the permit-conservation program
-//! is required to *fail* instead: the planted `REFUSE -> CANCELLED` swap
-//! in `cqs-core` manufactures a phantom permit, and the test asserts the
+//! and the two sharded same-shard programs are required to *fail*
+//! instead: the planted `REFUSE -> CANCELLED` swap in `cqs-core`
+//! manufactures a phantom permit/element, and the tests assert the
 //! explorer finds it and that the recorded trace replays to the same
 //! violation.
 
@@ -540,6 +541,32 @@ fn sharded_release_scan_vs_cancel_is_exactly_once() {
     });
 }
 
+/// `check_exhaustive` for the programs that reach the smart-cancellation
+/// `REFUSE` transition and check what it conserves. With the planted
+/// `REFUSE -> CANCELLED` swap compiled in, the resumer parks a second
+/// (phantom) permit/element in the next cell, so such a program must
+/// instead *fail* — and, as in `explorer_catches_the_planted_refuse_bug`,
+/// the reported decision trace must replay to the same error.
+fn check_exhaustive_unless_planted<F: Fn() -> Program>(program: F) {
+    #[cfg(not(feature = "planted-bug"))]
+    explorer().check_exhaustive(program);
+    #[cfg(feature = "planted-bug")]
+    {
+        let cex = explorer()
+            .explore(&program)
+            .counterexample
+            .expect("the planted REFUSE bug must be caught within 2 preemptions");
+        assert!(
+            !cex.trace.steps.is_empty(),
+            "counterexample must carry a replayable decision trace"
+        );
+        let err = explorer()
+            .replay(&program, &cex.trace.choices())
+            .expect_err("replaying the recorded schedule must reproduce the failure");
+        assert_eq!(err, cex.error, "replay must reproduce the same violation");
+    }
+}
+
 /// The *same-shard* sibling of the program above — the lost-wakeup corner
 /// the `release_at` handoff path owns: the single permit is held through
 /// shard 0, one waiter parks on shard 0 (the release's own shard) and a
@@ -554,7 +581,7 @@ fn sharded_release_scan_vs_cancel_is_exactly_once() {
 #[test]
 fn sharded_same_shard_cancel_vs_release_handoff_loses_no_wakeup() {
     let _serial = serial();
-    explorer().check_exhaustive(|| {
+    check_exhaustive_unless_planted(|| {
         let sem = Arc::new(ShardedSemaphore::with_shards(1, 2));
         let held = sem.acquire_at(0);
         assert!(held.is_immediate(), "setup: the permit starts held");
@@ -635,7 +662,7 @@ fn sharded_same_shard_cancel_vs_release_handoff_loses_no_wakeup() {
 #[test]
 fn sharded_pool_same_shard_cancel_vs_put_loses_no_wakeup() {
     let _serial = serial();
-    explorer().check_exhaustive(|| {
+    check_exhaustive_unless_planted(|| {
         let pool: Arc<ShardedQueuePool<u64>> = Arc::new(ShardedQueuePool::with_shards(2));
         let local = pool.take_at(0);
         assert!(!local.is_immediate(), "setup: the shard-0 taker must park");

@@ -10,11 +10,11 @@
 //! * **A3 — batched resumption**: a multi-waiter wake as a loop of
 //!   `Cqs::resume()` calls versus one `Cqs::resume_n` traversal, as a
 //!   function of waiters-per-wake.
-//! * **A4 — memory reclamation**: the epoch, hazard-pointer and owned-slot
-//!   backends compared on the uncontended round-trip, the batched-resume
-//!   workload, and a churn soak with a deliberately stalled guard-holder
-//!   (the memory-bound story: epoch's garbage grows behind the stalled
-//!   pin, hazard/owned stay flat).
+//! * **A4 — memory reclamation**: the epoch and owned-slot backends
+//!   compared on the uncontended round-trip, the batched-resume workload,
+//!   and a churn soak with a deliberately stalled guard-holder (the
+//!   memory-bound story: epoch's garbage grows behind the stalled pin,
+//!   owned stays flat).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -189,9 +189,9 @@ pub fn reclaim_round_trip(scale: Scale, repeats: Repeats) -> Vec<Series> {
 }
 
 /// A4b: the A3 batched `resume_n` wake per reclamation backend. The batch
-/// traversal holds one guard across the whole wake, so backends with
-/// cheaper guard acquisition but costlier per-cell protection (hazard,
-/// owned) show their traversal-side cost here.
+/// traversal holds one guard across the whole wake, so a backend with
+/// cheaper guard acquisition but costlier per-cell protection (owned)
+/// shows its traversal-side cost here.
 pub fn reclaim_batch_resume(scale: Scale, repeats: Repeats) -> Vec<Series> {
     let rounds = match scale {
         Scale::Quick => 2_000u64,
@@ -235,8 +235,7 @@ pub fn reclaim_batch_resume(scale: Scale, repeats: Repeats) -> Vec<Series> {
 /// `SEGM_SIZE` operations. The resource snapshots tell the memory-bound
 /// story: under the epoch backend the stalled pin blocks *all*
 /// reclamation and `live_segments` grows linearly with the churn; under
-/// hazard/owned the stalled guard protects nothing, so the curve stays
-/// flat. The final snapshot is taken after the holder releases its guard
+/// owned the stalled guard protects nothing, so the curve stays flat. The final snapshot is taken after the holder releases its guard
 /// and the backend is flushed — epoch's backlog collapses there, proving
 /// the growth was the stalled guard and not a leak.
 pub fn reclaim_stalled_soak(scale: Scale, kind: ReclaimerKind) -> ScenarioResult {
@@ -252,7 +251,7 @@ pub fn reclaim_stalled_soak(scale: Scale, kind: ReclaimerKind) -> ScenarioResult
     let mut series = Series::new(kind.name());
     // Unreclaimed-object backlog over time: the deterministic counterpart
     // of the (noisy, process-wide) RSS snapshots. Epoch's line climbs
-    // while the guard is stalled; hazard/owned stay bounded.
+    // while the guard is stalled; owned stays bounded.
     let mut backlog = Series::new("retired backlog (objects)");
     let mut samples = Vec::new();
     std::thread::scope(|scope| {

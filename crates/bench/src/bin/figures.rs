@@ -47,8 +47,8 @@ FIGURE SELECTION:
     --fig N               one of 5|6|7|8|13|14|15|ch|a1|a2|a3|a4 (repeatable;
                           ch = channel producer-consumer extension)
     --ablation NAME       cancellation (a1), segment (a2), batch-resume (a3)
-                          or reclaim (a4: epoch vs hazard vs owned-slot
-                          backends, incl. the stalled-guard churn soaks)
+                          or reclaim (a4: epoch vs owned-slot backends,
+                          incl. the stalled-guard churn soaks)
     --scenario NAME       production-traffic scenario (not part of --all):
                           contended   closed-loop contended acquire,
                                       single-queue vs sharded
@@ -64,10 +64,6 @@ MEASUREMENT:
     --threads a,b,c       thread sweep (default: machine-derived)
     --warmup N            warmup repetitions per point
     --repeats N           timed repetitions per point (median reported)
-    --reclaimer NAME      process-default memory-reclamation backend for
-                          every queue the run constructs (epoch | hazard |
-                          owned; default epoch). The a4 ablation sweeps
-                          all three regardless.
 
 WAIT-LADDER TUNING (spin→yield→park; see cqs_core::WaitPolicy):
     --wait-spin N         spin_loop() polls before yielding (default 64)
@@ -140,12 +136,6 @@ fn parse_args() -> Options {
                     "reclaim" => "a4".to_string(),
                     other => panic!("unknown ablation {other}"),
                 });
-            }
-            "--reclaimer" => {
-                let which = args.next().expect("--reclaimer needs a name");
-                let kind = cqs_core::ReclaimerKind::parse(&which)
-                    .unwrap_or_else(|| panic!("unknown reclaimer {which} (epoch|hazard|owned)"));
-                cqs_core::set_default_reclaimer(kind);
             }
             "--scenario" => {
                 let which = args.next().expect("--scenario needs a name");

@@ -505,9 +505,9 @@ impl<T: Send + 'static> CqsChannel<T> {
     }
 
     /// Like [`bounded`](Self::bounded), but both waiter queues use the
-    /// given memory-reclamation backend instead of the process-wide
-    /// [`cqs_core::default_reclaimer`]. `bounded_with_reclaimer(0, ..)` is
-    /// a rendezvous channel.
+    /// given memory-reclamation backend instead of
+    /// [`ReclaimerKind::default`](cqs_core::ReclaimerKind).
+    /// `bounded_with_reclaimer(0, ..)` is a rendezvous channel.
     ///
     /// # Panics
     ///
@@ -517,13 +517,6 @@ impl<T: Send + 'static> CqsChannel<T> {
             Some(i64::try_from(capacity).expect("channel capacity exceeds i64")),
             Some(reclaimer),
         )
-    }
-
-    /// Like [`unbounded`](Self::unbounded), but the receiver queue uses
-    /// the given memory-reclamation backend instead of the process-wide
-    /// [`cqs_core::default_reclaimer`].
-    pub fn unbounded_with_reclaimer(reclaimer: cqs_core::ReclaimerKind) -> Self {
-        Self::build(None, Some(reclaimer))
     }
 
     /// The configured capacity; `None` when unbounded.

@@ -65,8 +65,7 @@ pub struct CqsConfig {
     wait_spin: Option<u32>,
     wait_yields: Option<u32>,
     /// Which memory-reclamation backend guards this queue's segment and
-    /// waiter traversals; `None` resolves the process-wide
-    /// [`cqs_reclaim::default_reclaimer`] at construction time.
+    /// waiter traversals; `None` means [`ReclaimerKind::default`].
     reclaimer: Option<ReclaimerKind>,
 }
 
@@ -170,8 +169,8 @@ impl CqsConfig {
     /// Selects the memory-reclamation backend for this queue. Every
     /// operation on the queue acquires its guards from this backend; the
     /// per-queue stamp means two queues in one process can run different
-    /// backends side by side. Unset, the queue resolves the process-wide
-    /// [`cqs_reclaim::default_reclaimer`] once, at construction.
+    /// backends side by side. Unset, the queue takes
+    /// [`ReclaimerKind::default`].
     #[must_use]
     pub fn reclaimer(mut self, kind: ReclaimerKind) -> Self {
         self.reclaimer = Some(kind);

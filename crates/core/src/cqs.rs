@@ -154,9 +154,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
             let first = Segment::new(0, config.get_segment_size(), 2, owner.clone());
             CqsInner {
                 watch_id: cqs_watch::next_primitive_id(config.get_label()),
-                reclaim: config
-                    .get_reclaimer()
-                    .unwrap_or_else(cqs_reclaim::default_reclaimer),
+                reclaim: config.get_reclaimer().unwrap_or_default(),
                 freelist: SegmentFreelist::new(config.get_freelist_slots()),
                 config,
                 suspend_idx: CachePadded::new(AtomicU64::new(0)),

@@ -69,10 +69,7 @@ pub use cqs_future::{
 // Re-export the reclamation vocabulary for the same reason: primitives
 // offering a backend knob ([`CqsConfig::reclaimer`]) name the kind without
 // depending on cqs-reclaim directly.
-pub use cqs_reclaim::{
-    default_reclaimer, flush_reclaimer, pin_with, retired_approx, set_default_reclaimer,
-    ReclaimerKind,
-};
+pub use cqs_reclaim::{flush_reclaimer, pin_with, retired_approx, ReclaimerKind};
 
 #[cfg(test)]
 mod tests;

@@ -47,8 +47,8 @@ const CANCELLED_MASK: u64 = POINTER_UNIT - 1;
 /// on the links: a pinned traverser reaches the segment only through a
 /// link (or head pointer) it read under its pin, and that cell's reference
 /// is still in place, or displaced, retired and not released while the
-/// traverser stays pinned — counted either way. (Hazard and owned
-/// traversals hold counted clones; so does a request's handler.)
+/// traverser stays pinned — counted either way. (Owned traversals hold
+/// counted clones; so does a request's handler.)
 /// Exclusivity therefore cannot race with readers, and the reset needs no
 /// atomics at all.
 ///

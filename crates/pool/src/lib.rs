@@ -137,20 +137,6 @@ impl<E: Send + 'static, B: PoolBackend<E>> BlockingPool<E, B> {
             "pool.take",
             CqsConfig::DEFAULT_FREELIST_SLOTS,
             None,
-            None,
-        )
-    }
-
-    /// Creates an empty pool around the given backend whose taker queue
-    /// uses the given memory-reclamation backend instead of the
-    /// process-wide [`cqs_core::default_reclaimer`].
-    pub fn with_backend_and_reclaimer(backend: B, reclaimer: cqs_core::ReclaimerKind) -> Self {
-        Self::with_backend_config(
-            backend,
-            "pool.take",
-            CqsConfig::DEFAULT_FREELIST_SLOTS,
-            None,
-            Some(reclaimer),
         )
     }
 
@@ -162,15 +148,11 @@ impl<E: Send + 'static, B: PoolBackend<E>> BlockingPool<E, B> {
         label: &'static str,
         freelist_slots: usize,
         on_refusal: Option<RefusalHook>,
-        reclaimer: Option<cqs_core::ReclaimerKind>,
     ) -> Self {
-        let mut config = CqsConfig::new()
+        let config = CqsConfig::new()
             .cancellation_mode(CancellationMode::Smart)
             .freelist_slots(freelist_slots)
             .label(label);
-        if let Some(kind) = reclaimer {
-            config = config.reclaimer(kind);
-        }
         let shared = Arc::new_cyclic(|weak: &Weak<PoolShared<E, B>>| PoolShared {
             size: AtomicI64::new(0),
             backend,

@@ -56,30 +56,9 @@ impl<E: Send + 'static, B: PoolBackend<E> + Default> ShardedPool<E, B> {
     ///
     /// Panics if `shards` is zero.
     pub fn with_shards(shards: usize) -> Self {
-        Self::build(shards, None)
-    }
-
-    /// Creates an empty sharded pool whose shard queues all use the given
-    /// memory-reclamation backend instead of the process-wide
-    /// [`cqs_core::default_reclaimer`]. Shard count follows
-    /// [`new`](Self::new).
-    pub fn with_reclaimer(reclaimer: cqs_core::ReclaimerKind) -> Self {
-        Self::build(
-            cqs_core::shard::default_shard_count(MAX_DEFAULT_SHARDS),
-            Some(reclaimer),
-        )
-    }
-
-    fn build(shards: usize, reclaimer: Option<cqs_core::ReclaimerKind>) -> Self {
         // Interval 1, sweep at 1 stored element: see the module docs.
         let sharded = Sharded::new(shards, 1, 1, |_, slots, on_refusal| {
-            BlockingPool::with_backend_config(
-                B::default(),
-                "sharded-pool.take",
-                slots,
-                on_refusal,
-                reclaimer,
-            )
+            BlockingPool::with_backend_config(B::default(), "sharded-pool.take", slots, on_refusal)
         });
         ShardedPool { sharded }
     }

@@ -10,13 +10,10 @@
 //!
 //! * under an **epoch** guard, because every thread that could drop it is
 //!   excluded by the reader's pin for the guard's whole lifetime;
-//! * under a **hazard** guard, because the load publishes the pointer in a
-//!   hazard slot and re-validates it, and retire-list scans spare hazarded
-//!   pointers — until the load has taken its own strong reference;
 //! * under an **owned** guard, because the load holds a striped borrow
 //!   across the window and retires only proceed (or limbo entries only
-//!   drain) when every stripe reads zero — again until the load has taken
-//!   its own strong reference.
+//!   drain) when every stripe reads zero — until the load has taken its
+//!   own strong reference.
 //!
 //! [`AtomicArc::load_protected`] and [`Protected::follow`] hand that
 //! protection to the caller as a [`Protected`] — under epoch a plain
@@ -145,7 +142,6 @@ impl<T: Send + Sync + 'static> AtomicArc<T> {
                 // through `&mut` on the cell, which the caller rules out.
                 ProtectedInner::Pinned(p, PhantomData)
             }
-            GuardInner::Hazard(h) => ProtectedInner::Counted(h.load_arc(&self.ptr)?),
             GuardInner::Owned(_) => {
                 // The borrow spans the pointer read *and* the strong-count
                 // increment; `_borrow` drops only at scope exit, after the
@@ -264,9 +260,9 @@ impl<T: Send + Sync + 'static> AtomicArc<T> {
 ///
 /// * **Epoch** — nothing but the pointer: the pin keeps the pointee alive
 ///   for `'g`, so neither the load nor the drop touches a strong count.
-/// * **Hazard / owned** — the counted clone those backends' loads produce
-///   (their protection ends when the load returns); so is a `Protected`
-///   built [`From`] an `Arc`.
+/// * **Owned** — the counted clone that backend's loads produce (its
+///   protection ends when the load returns); so is a `Protected` built
+///   [`From`] an `Arc`.
 pub struct Protected<'g, T>(ProtectedInner<'g, T>);
 
 enum ProtectedInner<'g, T> {
@@ -346,13 +342,12 @@ impl<T> From<Arc<T>> for Protected<'_, T> {
 
 /// Ordering for the pointer write of store/swap/CAS. The owned backend's
 /// soundness argument places the displacing write in the SeqCst total
-/// order against loader borrows (see `crate::owned`); the epoch and
-/// hazard backends need only AcqRel (their pairings go through the pin
-/// fence and the hazard publish/scan fences respectively).
+/// order against loader borrows (see `crate::owned`); the epoch backend
+/// needs only AcqRel (its pairing goes through the pin fence).
 fn write_ordering(guard: &Guard) -> Ordering {
     match &guard.inner {
         GuardInner::Owned(_) => Ordering::SeqCst,
-        _ => Ordering::AcqRel,
+        GuardInner::Epoch(_) => Ordering::AcqRel,
     }
 }
 
@@ -556,7 +551,7 @@ mod tests {
     /// The borrow's safety net: a `Protected` read before the cell is
     /// overwritten keeps dereferencing to the old value, which is released
     /// exactly once and only after whatever protects it is gone — the
-    /// guard under epoch, the `Protected` itself under hazard and owned.
+    /// guard under epoch, the `Protected` itself under owned.
     #[test]
     fn protected_outlives_an_overwrite_on_every_backend() {
         use crate::{flush_reclaimer, pin_with, LocalHandle, ReclaimerKind};
@@ -576,8 +571,8 @@ mod tests {
                 drops: Arc::clone(&drops),
             });
             let cell = AtomicArc::new(Some(Arc::clone(&old)));
-            // Enough overwrites to cross several epoch collects, hazard
-            // scans and limbo drains.
+            // Enough overwrites to cross several epoch collects and limbo
+            // drains.
             let overwrite = |rounds: usize| {
                 for value in 0..rounds {
                     let filler = Arc::new(Tracked {
@@ -590,7 +585,7 @@ mod tests {
 
             let guard = pin_as(kind, &reader);
             let protected = cell.load_protected(&guard).expect("cell is full");
-            // An epoch read touches no count; the other two hold a clone.
+            // An epoch read touches no count; an owned one holds a clone.
             let held = usize::from(kind != ReclaimerKind::Epoch);
             assert_eq!(Arc::strong_count(&old), 2 + held, "backend {kind}");
             assert_eq!(protected.as_ptr(), Arc::as_ptr(&old));
@@ -609,8 +604,8 @@ mod tests {
                 drop(guard);
                 assert!(collector.flush());
             } else {
-                // The displaced cell reference may still sit in a retire
-                // list or in limbo; the guard delays nothing.
+                // The displaced cell reference may still sit in limbo; the
+                // guard delays nothing.
                 for _ in 0..50 {
                     if drops.load(Ordering::SeqCst) == 1 {
                         break;
@@ -676,59 +671,58 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_stress_on_hazard_and_owned_backends() {
+    fn concurrent_stress_on_owned_backend() {
         use crate::{flush_reclaimer, pin_with, ReclaimerKind};
         const THREADS: usize = 4;
         const OPS: usize = 2_000;
-        for kind in [ReclaimerKind::Hazard, ReclaimerKind::Owned] {
-            let drops = Arc::new(AtomicUsize::new(0));
-            let created = Arc::new(AtomicUsize::new(0));
-            let cell = Arc::new(AtomicArc::new(Some(Arc::new(Tracked {
-                value: usize::MAX,
-                drops: Arc::clone(&drops),
-            }))));
-            created.fetch_add(1, Ordering::SeqCst);
-            let mut joins = Vec::new();
-            for t in 0..THREADS {
-                let cell = Arc::clone(&cell);
-                let drops = Arc::clone(&drops);
-                let created = Arc::clone(&created);
-                joins.push(std::thread::spawn(move || {
-                    for i in 0..OPS {
-                        let guard = pin_with(kind);
-                        if (i + t) % 3 == 0 {
-                            created.fetch_add(1, Ordering::SeqCst);
-                            cell.swap(
-                                Some(Arc::new(Tracked {
-                                    value: i,
-                                    drops: Arc::clone(&drops),
-                                })),
-                                &guard,
-                            );
-                        } else {
-                            let v = cell.load(&guard).expect("cell never empty");
-                            assert!(v.value == usize::MAX || v.value < OPS);
-                        }
+        let kind = ReclaimerKind::Owned;
+        let drops = Arc::new(AtomicUsize::new(0));
+        let created = Arc::new(AtomicUsize::new(0));
+        let cell = Arc::new(AtomicArc::new(Some(Arc::new(Tracked {
+            value: usize::MAX,
+            drops: Arc::clone(&drops),
+        }))));
+        created.fetch_add(1, Ordering::SeqCst);
+        let mut joins = Vec::new();
+        for t in 0..THREADS {
+            let cell = Arc::clone(&cell);
+            let drops = Arc::clone(&drops);
+            let created = Arc::clone(&created);
+            joins.push(std::thread::spawn(move || {
+                for i in 0..OPS {
+                    let guard = pin_with(kind);
+                    if (i + t) % 3 == 0 {
+                        created.fetch_add(1, Ordering::SeqCst);
+                        cell.swap(
+                            Some(Arc::new(Tracked {
+                                value: i,
+                                drops: Arc::clone(&drops),
+                            })),
+                            &guard,
+                        );
+                    } else {
+                        let v = cell.load(&guard).expect("cell never empty");
+                        assert!(v.value == usize::MAX || v.value < OPS);
                     }
-                }));
-            }
-            for j in joins {
-                j.join().unwrap();
-            }
-            drop(cell);
-            for _ in 0..100 {
-                if drops.load(Ordering::SeqCst) == created.load(Ordering::SeqCst) {
-                    break;
                 }
-                let _ = flush_reclaimer(kind); // the drop count is the check
-                std::thread::yield_now();
-            }
-            assert_eq!(
-                drops.load(Ordering::SeqCst),
-                created.load(Ordering::SeqCst),
-                "backend {kind} leaked or double-dropped references"
-            );
+            }));
         }
+        for j in joins {
+            j.join().unwrap();
+        }
+        drop(cell);
+        for _ in 0..100 {
+            if drops.load(Ordering::SeqCst) == created.load(Ordering::SeqCst) {
+                break;
+            }
+            let _ = flush_reclaimer(kind); // the drop count is the check
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            created.load(Ordering::SeqCst),
+            "backend {kind} leaked or double-dropped references"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The backend-polymorphic [`Guard`] and [`Retired`], the type-erased
-//! retired-object representation all three backends queue.
+//! retired-object representation both backends queue.
 //!
 //! A `Guard` is the witness every [`crate::AtomicArc`] operation demands.
 //! What the witness actually *means* differs per backend:
@@ -7,13 +7,9 @@
 //! * **Epoch** — the classic meaning: the thread is pinned, and no memory
 //!   retired by a same-epoch thread is freed while the guard lives.
 //!   Protection spans the guard's whole lifetime.
-//! * **Hazard** — the guard is only a handle to the thread's hazard-pointer
-//!   record. Protection is *per pointer load*: each load publishes the
-//!   candidate pointer in a hazard slot, validates it, takes its own
-//!   strong reference and clears the slot before returning.
 //! * **Owned** — the guard is a pure token (its acquisition performs no
 //!   atomic operation at all; see `guard_elisions` in `cqs-stats`).
-//!   Protection is again per load, through a striped borrow counter that
+//!   Protection is *per pointer load*, through a striped borrow counter that
 //!   is held only for the few instructions between reading the raw pointer
 //!   and incrementing the strong count.
 //!
@@ -33,14 +29,13 @@
 //!   and the reference the pin keeps unreleased (in its cell, or retired)
 //!   is a second owner. Segment recycling (`Arc::get_mut` in `cqs-core`)
 //!   is vetoed by that same reference.
-//! * **Hazard / owned** — a strong reference of its own, taken inside the
-//!   load's protected window as before; a stalled guard still pins nothing.
+//! * **Owned** — a strong reference of its own, taken inside the load's
+//!   protected window; a stalled guard pins nothing.
 //!
 //! Code must not cache a raw pointer from `load_ptr` and dereference it
 //! later under any backend; `load_ptr` is for identity comparisons only.
 
 use crate::epoch::EpochGuard;
-use crate::hazard::HazardGuard;
 use crate::owned::OwnedGuard;
 use crate::reclaimer::ReclaimerKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,7 +54,6 @@ pub struct Guard<'a> {
 
 pub(crate) enum GuardInner<'a> {
     Epoch(EpochGuard<'a>),
-    Hazard(HazardGuard),
     #[allow(dead_code)] // the token is carried for uniformity; never read
     Owned(OwnedGuard),
 }
@@ -75,7 +69,6 @@ impl<'a> Guard<'a> {
     pub fn kind(&self) -> ReclaimerKind {
         match &self.inner {
             GuardInner::Epoch(_) => ReclaimerKind::Epoch,
-            GuardInner::Hazard(_) => ReclaimerKind::Hazard,
             GuardInner::Owned(_) => ReclaimerKind::Owned,
         }
     }
@@ -90,11 +83,6 @@ impl<'a> Guard<'a> {
     ///   observed at zero, i.e. no load is mid-window. Owned guards
     ///   themselves do not delay it — their lifetime carries no
     ///   protection.
-    /// * **Hazard**: runs at the next retire-list scan. Hazard protection
-    ///   is keyed by *pointer*, and a closure has no pointer a reader
-    ///   could have published, so only callers whose protection went
-    ///   through `AtomicArc` loads (which take strong references) may use
-    ///   this with a hazard guard.
     pub fn defer<F: FnOnce() + Send + 'static>(&self, f: F) {
         self.retire(Retired::from_closure(f));
     }
@@ -103,7 +91,6 @@ impl<'a> Guard<'a> {
     pub(crate) fn retire(&self, entry: Retired) {
         match &self.inner {
             GuardInner::Epoch(g) => g.retire(entry),
-            GuardInner::Hazard(g) => crate::hazard::retire(g, entry),
             GuardInner::Owned(_) => crate::owned::retire(entry),
         }
     }
@@ -118,9 +105,9 @@ impl std::fmt::Debug for Guard<'_> {
 /// A type-erased retired object: a thin pointer plus the monomorphized
 /// function that releases it. Two machine words, no allocation — every
 /// backend queues displaced `Arc` references in this form (epoch bins,
-/// hazard retire lists, the owned-slot limbo), so retiring a reference
-/// costs the structure nothing beyond the push. Only a [`Guard::defer`]
-/// closure allocates: one box to give its captures a thin pointer.
+/// the owned-slot limbo), so retiring a reference costs the structure
+/// nothing beyond the push. Only a [`Guard::defer`] closure allocates: one
+/// box to give its captures a thin pointer.
 pub(crate) struct Retired {
     ptr: *mut (),
     drop_fn: unsafe fn(*mut ()),
@@ -157,13 +144,6 @@ impl Retired {
             ptr: Box::into_raw(Box::new(f)) as *mut (),
             drop_fn: run::<F>,
         }
-    }
-
-    /// The retired pointer, for hazard-set membership tests. Closure
-    /// entries expose their private box pointer, which no reader can ever
-    /// have published — they simply never match a hazard.
-    pub(crate) fn ptr(&self) -> *mut () {
-        self.ptr
     }
 
     /// Releases the object.

@@ -5,19 +5,26 @@
 //! The CQS paper assumes a garbage-collected runtime (the JVM): segments of
 //! the waiter queue are unlinked with plain pointer manipulation and the
 //! collector frees them once unreachable. A Rust reproduction must supply the
-//! reclamation story itself. This crate provides it behind the [`Reclaimer`]
-//! seam, with three interchangeable backends:
+//! reclamation story itself. This crate provides it behind one seam — a
+//! [`ReclaimerKind`] stamped per queue, dispatched by [`pin_with`],
+//! [`flush_reclaimer`], [`retired_approx`] and the [`Guard`] it hands out —
+//! with two interchangeable backends:
 //!
 //! * an **epoch-based reclamation engine** ([`Collector`], [`pin`]) in the
 //!   style of classic epoch schemes: three logical epochs, per-thread
 //!   participants, and deferred destruction that runs only after every
 //!   thread pinned in an older epoch has moved on — the default;
-//! * a **hazard-pointer backend** ([`ReclaimerKind::Hazard`]): per-thread
-//!   hazard slots published around each pointer load, retire lists scanned
-//!   against them — *bounded* garbage even when a thread stalls mid-pin;
 //! * a GC-free **owned-slot backend** ([`ReclaimerKind::Owned`]) exploiting
 //!   CQS structure: guards are free tokens, loads take a transient striped
-//!   borrow, and displaced references are usually dropped on the spot.
+//!   borrow, and displaced references are usually dropped on the spot — so
+//!   a stalled guard defers nothing.
+//!
+//! Two because each wins something the other cannot: epoch's loads touch no
+//! strong count, owned's garbage stays bounded behind a stalled guard. A
+//! third backend was measured and deleted because owned dominated it end to
+//! end (EXPERIMENTS.md, "Why there is no hazard backend"). The seam stays
+//! so the structure is argued against the guard *contract*, not one
+//! implementation of it.
 //!
 //! On top of whichever backend a [`Guard`] came from sits [`AtomicArc`], a
 //! lock-free cell holding an `Option<Arc<T>>` that can be loaded, stored,
@@ -49,17 +56,13 @@
 mod atomic_arc;
 mod epoch;
 mod guard;
-mod hazard;
 mod owned;
 mod reclaimer;
 
 pub use atomic_arc::{AtomicArc, Protected};
 pub use epoch::{flush, pin, Collector, LocalHandle};
 pub use guard::Guard;
-pub use reclaimer::{
-    default_reclaimer, flush_reclaimer, pin_with, reclaimer, retired_approx, set_default_reclaimer,
-    EpochReclaimer, HazardReclaimer, OwnedReclaimer, Reclaimer, ReclaimerKind,
-};
+pub use reclaimer::{flush_reclaimer, pin_with, retired_approx, ReclaimerKind};
 
 #[cfg(test)]
 mod tests {

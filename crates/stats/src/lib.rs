@@ -207,15 +207,12 @@ define_counters! {
     /// the GC-free backend's fast path, where protection is deferred to
     /// the individual pointer loads instead of a guard-lifetime pin.
     guard_elisions,
-    /// Hazard-pointer retire-list scans (each walks every registered
-    /// thread's published hazard slots once).
-    hp_scans,
-    /// Retired objects physically reclaimed by the hazard-pointer and
-    /// owned-slot backends (immediate frees plus limbo/retire-list
-    /// drains); the epoch engine's equivalent is `epoch_collects`.
+    /// Retired objects physically reclaimed by the owned-slot backend
+    /// (immediate frees plus limbo drains); the epoch engine's equivalent
+    /// is `epoch_collects`.
     retired_reclaimed,
     /// Strong-count increments minted by reading an `AtomicArc`: one per
-    /// `load`, per hazard/owned `load_protected` (a counted clone) and per
+    /// `load`, per owned `load_protected` (a counted clone) and per
     /// `Protected::to_arc`; an epoch `load_protected` counts nothing.
     arc_increments,
     /// Batched resumption traversals (`Cqs::resume_n` / `resume_all` /

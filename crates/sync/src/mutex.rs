@@ -20,8 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cqs_core::{
-    CancellationMode, Cancelled, Cqs, CqsCallbacks, CqsConfig, CqsFuture, ReclaimerKind,
-    ResumeMode, Suspend,
+    CancellationMode, Cancelled, Cqs, CqsCallbacks, CqsConfig, CqsFuture, ResumeMode, Suspend,
 };
 use cqs_stats::CachePadded;
 
@@ -97,25 +96,11 @@ pub struct RawMutex {
 impl RawMutex {
     /// Creates an unlocked mutex.
     pub fn new() -> Self {
-        Self::build(None)
-    }
-
-    /// Creates an unlocked mutex whose waiter queue uses the given
-    /// memory-reclamation backend instead of the process-wide
-    /// [`cqs_core::default_reclaimer`].
-    pub fn with_reclaimer(reclaimer: ReclaimerKind) -> Self {
-        Self::build(Some(reclaimer))
-    }
-
-    fn build(reclaimer: Option<ReclaimerKind>) -> Self {
         let state = Arc::new(CachePadded::new(AtomicI64::new(1)));
-        let mut config = CqsConfig::new()
+        let config = CqsConfig::new()
             .resume_mode(ResumeMode::Synchronous)
             .cancellation_mode(CancellationMode::Smart)
             .label("mutex.lock");
-        if let Some(kind) = reclaimer {
-            config = config.reclaimer(kind);
-        }
         let cqs = Cqs::new(
             config,
             MutexCallbacks {

@@ -100,9 +100,9 @@ impl Semaphore {
     }
 
     /// Creates an asynchronous-resumption semaphore whose waiter queue uses
-    /// the given memory-reclamation backend instead of the process-wide
-    /// [`cqs_core::default_reclaimer`]. See the `cqs_reclaim` crate docs
-    /// for the trade-offs between the backends.
+    /// the given memory-reclamation backend instead of
+    /// [`ReclaimerKind::default`]. See the `cqs_reclaim` crate docs for the
+    /// trade-offs between the backends.
     ///
     /// # Panics
     ///
@@ -146,19 +146,15 @@ impl Semaphore {
         label: &'static str,
         freelist_slots: usize,
         on_refusal: Option<RefusalHook>,
-        reclaimer: Option<ReclaimerKind>,
     ) -> Self {
         assert!(cap > 0, "a semaphore needs at least one permit");
         debug_assert!(initial <= cap, "initial share exceeds the permit cap");
         let state = Arc::new(CachePadded::new(AtomicI64::new(initial as i64)));
-        let mut config = CqsConfig::new()
+        let config = CqsConfig::new()
             .resume_mode(ResumeMode::Asynchronous)
             .cancellation_mode(CancellationMode::Smart)
             .freelist_slots(freelist_slots)
             .label(label);
-        if let Some(kind) = reclaimer {
-            config = config.reclaimer(kind);
-        }
         let cqs = Cqs::new(
             config,
             SemaphoreCallbacks {

@@ -79,44 +79,11 @@ impl ShardedSemaphore {
     ///
     /// Panics if `permits`, `shards` or `interval` is zero.
     pub fn with_shards_and_interval(permits: usize, shards: usize, interval: u64) -> Self {
-        Self::build(permits, shards, interval, None)
-    }
-
-    /// Creates a sharded semaphore whose shard queues all use the given
-    /// memory-reclamation backend instead of the process-wide
-    /// [`cqs_core::default_reclaimer`]. Shard count and rebalance interval
-    /// follow the defaults of [`new`](Self::new).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `permits` is zero.
-    pub fn with_reclaimer(permits: usize, reclaimer: cqs_core::ReclaimerKind) -> Self {
-        Self::build(
-            permits,
-            cqs_core::shard::default_shard_count(MAX_DEFAULT_SHARDS),
-            DEFAULT_REBALANCE_INTERVAL,
-            Some(reclaimer),
-        )
-    }
-
-    fn build(
-        permits: usize,
-        shards: usize,
-        interval: u64,
-        reclaimer: Option<cqs_core::ReclaimerKind>,
-    ) -> Self {
         assert!(permits > 0, "a semaphore needs at least one permit");
         // Sweep when every permit is banked: no holder is left to release.
         let sharded = Sharded::new(shards, interval, permits, |i, slots, on_refusal| {
             let share = permits / shards + usize::from(i < permits % shards);
-            Semaphore::with_initial(
-                permits,
-                share,
-                "sharded-semaphore.shard",
-                slots,
-                on_refusal,
-                reclaimer,
-            )
+            Semaphore::with_initial(permits, share, "sharded-semaphore.shard", slots, on_refusal)
         });
         ShardedSemaphore { sharded, permits }
     }

@@ -453,7 +453,7 @@ mod runtime {
     /// backend, as observed by a scan (`cqs_reclaim::retired_approx`).
     #[derive(Debug, Clone)]
     pub struct ReclaimGauge {
-        /// Backend name (`"epoch"`, `"hazard"`, `"owned"`).
+        /// Backend name (`"epoch"`, `"owned"`).
         pub backend: &'static str,
         /// Objects retired through this backend and still awaiting
         /// physical reclamation.
@@ -1578,8 +1578,8 @@ mod tests {
         );
         // The per-backend reclamation gauge serializes as an object with
         // one key per backend.
-        assert_eq!(report.reclaim.len(), 3);
-        for backend in ["epoch", "hazard", "owned"] {
+        assert_eq!(report.reclaim.len(), 2);
+        for backend in ["epoch", "owned"] {
             assert!(
                 doc.get("reclaim")
                     .and_then(|r| r.get(backend))

@@ -1,16 +1,14 @@
 //! Demonstrates the pluggable memory-reclamation seam: every queue picks
-//! one of three backends at construction (epoch, hazard-pointer, or the
-//! GC-free owned-slot backend) and behaves identically through the public
-//! API — reclamation is a memory concern, never a semantic one. The
-//! second half shows the difference that *does* exist: what happens to
-//! deferred memory when a thread stalls while holding a guard.
+//! one of two backends at construction (epoch, or the GC-free owned-slot
+//! backend) and behaves identically through the public API — reclamation
+//! is a memory concern, never a semantic one. The second half shows the
+//! difference that *does* exist: what happens to deferred memory when a
+//! thread stalls while holding a guard.
 //!
 //! Run with `--features chaos` (optionally `CQS_CHAOS_SEED=<n>`) to
 //! stretch the race windows with the deterministic fault-injection layer.
 
-use cqs::reclaim::{
-    default_reclaimer, flush_reclaimer, pin_with, retired_approx, set_default_reclaimer,
-};
+use cqs::reclaim::{flush_reclaimer, pin_with, retired_approx};
 use cqs::{Cqs, CqsChannel, CqsConfig, ReclaimerKind, Semaphore, SimpleCancellation};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -44,9 +42,9 @@ fn main() {
     }
 
     // --- Per-primitive selection --------------------------------------
-    // Semaphore, RawMutex, the sharded wrappers, pools and CqsChannel all
-    // take the same knob without changing their contracts.
-    let sem = Arc::new(Semaphore::with_reclaimer(2, ReclaimerKind::Hazard));
+    // `Semaphore` and `CqsChannel` wrap `CqsConfig::reclaimer`; the knob
+    // changes neither contract.
+    let sem = Arc::new(Semaphore::with_reclaimer(2, ReclaimerKind::Owned));
     let holders: Vec<_> = (0..4)
         .map(|_| {
             let sem = Arc::clone(&sem);
@@ -61,7 +59,7 @@ fn main() {
     for h in holders {
         h.join().unwrap();
     }
-    println!("Semaphore::with_reclaimer(2, Hazard): 4x100 acquire/release ok");
+    println!("Semaphore::with_reclaimer(2, Owned): 4x100 acquire/release ok");
 
     let ch = Arc::new(CqsChannel::bounded_with_reclaimer(1, ReclaimerKind::Owned));
     let recv = {
@@ -71,14 +69,6 @@ fn main() {
     ch.send(99u32).wait().unwrap();
     assert_eq!(recv.join().unwrap(), Ok(99));
     println!("CqsChannel::bounded_with_reclaimer(1, Owned): hand-off ok");
-
-    // --- Process-wide default -----------------------------------------
-    assert_eq!(default_reclaimer(), ReclaimerKind::Epoch);
-    set_default_reclaimer(ReclaimerKind::Owned);
-    let cqs: Cqs<u64> = Cqs::new(CqsConfig::new(), SimpleCancellation);
-    assert_eq!(cqs.reclaimer(), ReclaimerKind::Owned);
-    set_default_reclaimer(ReclaimerKind::Epoch);
-    println!("set_default_reclaimer: new queues pick up the process default");
 
     // --- The stalled-guard difference ---------------------------------
     // A side thread takes a guard and sits on it while another thread

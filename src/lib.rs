@@ -45,8 +45,8 @@
 //! `cqs-core` (the framework), `cqs-sync` (primitives), `cqs-pool`
 //! (blocking pools), `cqs-channel` (MPMC channels, see [`channels`]),
 //! `cqs-future` (the future model), `cqs-exec`
-//! (a coroutine executor), `cqs-reclaim` (pluggable epoch / hazard-pointer
-//! / owned-slot reclamation + `AtomicArc`)
+//! (a coroutine executor), `cqs-reclaim` (pluggable epoch / owned-slot
+//! reclamation + `AtomicArc`)
 //! and `cqs-baseline` (AQS, CLH, MCS, blocking queues — the paper's
 //! comparison targets, exposed under [`baseline`]).
 
@@ -80,13 +80,12 @@ pub mod exec {
     pub use cqs_exec::{CoroStep, CoroWaker, Coroutine, Executor, FnCoroutine};
 }
 
-/// Pluggable memory reclamation (epoch, hazard-pointer and owned-slot
-/// backends) and atomic `Arc` cells (the GC substitute).
+/// Pluggable memory reclamation (epoch and owned-slot backends) and
+/// atomic `Arc` cells (the GC substitute).
 pub mod reclaim {
     pub use cqs_reclaim::{
-        default_reclaimer, flush, flush_reclaimer, pin, pin_with, reclaimer, retired_approx,
-        set_default_reclaimer, AtomicArc, Collector, EpochReclaimer, Guard, HazardReclaimer,
-        LocalHandle, OwnedReclaimer, Reclaimer, ReclaimerKind,
+        flush, flush_reclaimer, pin, pin_with, retired_approx, AtomicArc, Collector, Guard,
+        LocalHandle, ReclaimerKind,
     };
 }
 

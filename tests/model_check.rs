@@ -870,9 +870,8 @@ fn sync_mode_resume_vs_cancel_is_exactly_once() {
 /// Segment retirement racing a resume traversal, once per reclamation
 /// backend. With `segment_size(1)` each waiter owns a segment and
 /// `freelist_slots(0)` forces an unlinked segment through the backend's
-/// retire path (`epoch.defer.pre-bin` / `reclaim.hazard.retire.pre-scan` /
-/// `reclaim.owned.retire.pre-scan` — each a schedule point under the
-/// explorer). T1 cancels waiter 0, unlinking its segment mid-race, while
+/// retire path (`epoch.defer.pre-bin` / `reclaim.owned.retire.pre-scan`
+/// — each a schedule point under the explorer). T1 cancels waiter 0, unlinking its segment mid-race, while
 /// T2 resumes 9 and must traverse past that segment: in every
 /// interleaving the value lands exactly once — on waiter 0 if the resume
 /// beat the cancel, on waiter 1 if the retire won — and the traversal

@@ -1,15 +1,15 @@
-//! The three memory-reclamation backends (epoch, hazard-pointer,
-//! owned-slot) are *observationally equivalent*: reclamation is a memory
-//! concern, never a semantic one, so the same operation sequence must
-//! produce identical outcomes on queues stamped with each backend — and
-//! all three must agree with the sequential cell-array model.
+//! The two memory-reclamation backends (epoch, owned-slot) are
+//! *observationally equivalent*: reclamation is a memory concern, never a
+//! semantic one, so the same operation sequence must produce identical
+//! outcomes on queues stamped with each backend — and both must agree
+//! with the sequential cell-array model.
 //!
 //! The second half is the memory-bound story: a chaos storm across 72
 //! seeds with a deliberately *stalled* guard-holder planted on a side
 //! thread. The epoch backend must defer everything behind the stalled pin
-//! (its retired backlog grows with the churn), while hazard-pointer and
-//! owned-slot — whose stalled guards protect nothing — keep reclaiming
-//! throughout and end the storm with a bounded backlog.
+//! (its retired backlog grows with the churn), while owned-slot — whose
+//! stalled guards protect nothing — keeps reclaiming throughout and ends
+//! the storm with a bounded backlog.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, OnceLock};
@@ -17,7 +17,10 @@ use std::sync::{Arc, Mutex as StdMutex, OnceLock};
 use proptest::prelude::*;
 
 use cqs::reclaim::{flush_reclaimer, pin_with, retired_approx};
-use cqs::{Cqs, CqsConfig, CqsFuture, FutureState, ReclaimerKind, SimpleCancellation};
+use cqs::{
+    Cqs, CqsChannel, CqsConfig, CqsFuture, FutureState, ReclaimerKind, RecvError,
+    SimpleCancellation,
+};
 use cqs_check::models::CellArrayModel;
 
 /// Backend gauges (`retired_approx`) and chaos seeding are process-global;
@@ -56,6 +59,8 @@ fn check_against_model(kind: ReclaimerKind, ops: &[Op]) -> Result<(), String> {
         SimpleCancellation,
     );
     assert_eq!(cqs.reclaimer(), kind, "constructor must stamp the backend");
+    let plain: Cqs<u64> = Cqs::new(CqsConfig::new(), SimpleCancellation);
+    assert_eq!(plain.reclaimer(), ReclaimerKind::default());
     let mut model = CellArrayModel::default();
     let mut pending: Vec<(usize, CqsFuture<u64>)> = Vec::new();
 
@@ -132,11 +137,25 @@ fn check_against_model(kind: ReclaimerKind, ops: &[Op]) -> Result<(), String> {
     Ok(())
 }
 
+/// A channel on a chosen backend: buffered send and receive, a cancelled
+/// receive, and a send that skips the cancelled receiver's cell.
+fn channel_round(kind: ReclaimerKind) {
+    let ch = CqsChannel::bounded_with_reclaimer(1, kind);
+    ch.send(1u64).wait().unwrap();
+    assert_eq!(ch.receive().wait(), Ok(1), "[{kind}]");
+    let parked = ch.receive();
+    assert!(!parked.is_immediate(), "[{kind}] the channel is empty");
+    assert!(parked.cancel(), "[{kind}] nothing was delivered yet");
+    assert_eq!(parked.wait(), Err(RecvError::Cancelled), "[{kind}]");
+    ch.send(2).wait().unwrap();
+    assert_eq!(ch.receive().wait(), Ok(2), "[{kind}]");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Every backend runs the same sequence and agrees with the model —
-    /// hence all three are observationally equivalent to each other.
+    /// hence both are observationally equivalent to each other.
     #[test]
     fn backends_are_observationally_equivalent(ops in ops()) {
         let _serial = serial();
@@ -144,6 +163,7 @@ proptest! {
             if let Err(e) = check_against_model(kind, &ops) {
                 prop_assert!(false, "{}", e);
             }
+            channel_round(kind);
         }
     }
 }
@@ -154,18 +174,15 @@ proptest! {
 ///
 /// * epoch: the stalled pin blocks the global epoch, so every displaced
 ///   waiter/segment defers — the backlog must visibly grow;
-/// * hazard / owned-slot: a stalled guard publishes no hazard slots and
-///   holds no stripe borrow, so reclamation proceeds and the backlog
-///   stays bounded the entire time.
+/// * owned-slot: a stalled guard holds no stripe borrow, so reclamation
+///   proceeds and the backlog stays bounded the entire time.
 #[test]
-fn stalled_guard_storm_defers_epoch_but_not_hazard_or_owned() {
+fn stalled_guard_storm_defers_epoch_but_not_owned() {
     let _serial = serial();
     const THREADS: usize = 3;
     const OPS: usize = 40;
-    // Hazard retires in per-thread batches scanned at a threshold; the
-    // backlog bound is threads x (threshold + slots) with slack for the
-    // storm threads' leftovers. Owned reclaims on the spot (bound 0 held
-    // borrows, but a racing borrow can park a handful in limbo).
+    // Owned reclaims on the spot (bound 0 held borrows, but a racing
+    // borrow can park a handful in limbo).
     const BOUNDED: usize = 512;
 
     for (i, seed) in (0..72u64).map(|i| (i, 0xC0DE_0000 + i * 7919)) {
@@ -234,7 +251,7 @@ fn stalled_guard_storm_defers_epoch_but_not_hazard_or_owned() {
                     "seed {seed:#x} round {i}: epoch reclaimed through a stalled pin \
                      (backlog {during})"
                 ),
-                ReclaimerKind::Hazard | ReclaimerKind::Owned => assert!(
+                ReclaimerKind::Owned => assert!(
                     during < BOUNDED,
                     "seed {seed:#x} round {i}: {kind} backlog {during} not bounded \
                      under a stalled guard"

@@ -5,8 +5,8 @@
 //! CAS and the links of a fresh tail.
 //!
 //! The count is `cqs_stats`' `arc_increments`: one per `AtomicArc::load`,
-//! per hazard/owned `load_protected` (whose protection is a counted clone)
-//! and per `Protected::to_arc`; an epoch `load_protected` counts nothing.
+//! per owned `load_protected` (whose protection is a counted clone) and
+//! per `Protected::to_arc`; an epoch `load_protected` counts nothing.
 //! The counters are process-global, so this binary holds a single `#[test]`
 //! and every case runs on one thread.
 //!
@@ -55,16 +55,14 @@ fn handoffs_stay_within_their_strong_count_budget() {
     // Suspended acquire + resuming release: the handler's reference, and
     // per segment two head CASes and one `prev` link (1 + 3/16).
     semaphore_handoff("semaphore acquire+release", 1.5, Semaphore::new(1));
-    // Hazard and owned loads must clone; five per pair is what the same
-    // pair cost on every backend before traversals borrowed (two head
-    // loads each side plus the waiter).
-    for kind in [ReclaimerKind::Hazard, ReclaimerKind::Owned] {
-        semaphore_handoff(
-            &format!("semaphore acquire+release ({kind})"),
-            5.0,
-            Semaphore::with_reclaimer(1, kind),
-        );
-    }
+    // Owned loads must clone; five per pair is what the same pair cost on
+    // every backend before traversals borrowed (two head loads each side
+    // plus the waiter).
+    semaphore_handoff(
+        "semaphore acquire+release (owned)",
+        5.0,
+        Semaphore::with_reclaimer(1, ReclaimerKind::Owned),
+    );
 
     let pool: QueuePool<u64> = QueuePool::new(); // empty: every take suspends
     assert_budget("pool take+put, suspended", 1.5, || {

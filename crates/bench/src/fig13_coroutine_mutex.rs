@@ -8,12 +8,13 @@
 //! speedups of the CQS versions over the legacy one; the `figures` binary
 //! prints both raw per-operation times and the derived speedup.
 
+use std::future::Future;
 use std::sync::Arc;
 use std::time::Instant;
 
 use cqs_baseline::LegacyMutex;
-use cqs_exec::{CoroStep, CoroWaker, Coroutine, Executor};
-use cqs_future::{CqsFuture, FutureState};
+use cqs_exec::Executor;
+use cqs_future::CqsFuture;
 use cqs_harness::{CqsStats, PointStats, Repeats, Series, Workload};
 use cqs_sync::Semaphore;
 
@@ -48,64 +49,28 @@ impl CoroLock for LegacyMutex {
 /// The benchmark coroutine: `iterations` rounds of work + lock + work +
 /// unlock, suspending (not blocking the carrier) whenever the lock is
 /// contended.
-struct MutexCoroutine<L: CoroLock> {
+///
+/// The RNG is seeded here, by the spawner, and moved into the block. As an
+/// `async fn` seeding it in its first poll, the state machine keeps the
+/// arguments beside the locals and is 136 bytes instead of 112: past
+/// glibc's 128-byte fastbin limit, so every carrier-side free takes the
+/// arena lock the spawning thread allocates under, and a spawn costs 2.5×
+/// (EXPERIMENTS.md, "One task model (PR 23)").
+fn mutex_coroutine<L: CoroLock>(
     lock: Arc<L>,
     iterations: u64,
     work: Workload,
-    rng: rand::rngs::SmallRng,
-    pending: Option<CqsFuture<()>>,
-}
-
-impl<L: CoroLock> MutexCoroutine<L> {
-    fn new(lock: Arc<L>, iterations: u64, work: Workload, seed: u64) -> Self {
-        let rng = work.rng(seed);
-        MutexCoroutine {
-            lock,
-            iterations,
-            work,
-            rng,
-            pending: None,
-        }
-    }
-
-    /// Completes the critical section after the lock was obtained.
-    fn critical_section(&mut self) {
-        self.work.run(&mut self.rng);
-        self.lock.unlock();
-        self.iterations -= 1;
-    }
-}
-
-impl<L: CoroLock> Coroutine for MutexCoroutine<L> {
-    fn step(&mut self, waker: &CoroWaker) -> CoroStep {
-        // Resuming after a suspension: the lock is ours now.
-        if let Some(mut f) = self.pending.take() {
-            match f.try_get() {
-                FutureState::Ready(()) => self.critical_section(),
-                FutureState::Pending => {
-                    // Spurious scheduling; re-arm.
-                    waker.wake_on_ready(&f);
-                    self.pending = Some(f);
-                    return CoroStep::Pending;
-                }
-                FutureState::Cancelled => unreachable!("benchmark never cancels"),
-            }
-        }
-        while self.iterations > 0 {
+    seed: u64,
+) -> impl Future<Output = ()> + Send {
+    let mut rng = work.rng(seed);
+    async move {
+        for _ in 0..iterations {
             // Work before taking the lock.
-            self.work.run(&mut self.rng);
-            let mut f = self.lock.lock();
-            match f.try_get() {
-                FutureState::Ready(()) => self.critical_section(),
-                FutureState::Pending => {
-                    waker.wake_on_ready(&f);
-                    self.pending = Some(f);
-                    return CoroStep::Pending;
-                }
-                FutureState::Cancelled => unreachable!("benchmark never cancels"),
-            }
+            work.run(&mut rng);
+            lock.lock().await.expect("benchmark never cancels");
+            work.run(&mut rng);
+            lock.unlock();
         }
-        CoroStep::Done
     }
 }
 
@@ -119,7 +84,7 @@ fn bench<L: CoroLock>(
     let executor = Executor::new(threads);
     let begin = Instant::now();
     for c in 0..coroutines {
-        executor.spawn(MutexCoroutine::new(
+        executor.spawn(mutex_coroutine(
             Arc::clone(&lock),
             iterations,
             work,

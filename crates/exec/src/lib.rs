@@ -10,121 +10,122 @@
 //! a fixed-size scheduler) — and to let library users actually consume
 //! `CqsFuture`s without parking threads.
 //!
-//! A [`Coroutine`] is a resumable state machine: the executor calls
-//! [`Coroutine::step`] until it returns [`CoroStep::Done`]. When a step
-//! would block on a [`cqs_future::CqsFuture`], the coroutine arranges its
-//! own wake-up with [`CoroWaker::wake_on_ready`] and returns
-//! [`CoroStep::Pending`]; the carrier thread immediately picks up another
-//! coroutine.
+//! A task is any `Future<Output = ()> + Send + 'static`, in practice an
+//! `async` block awaiting `CqsFuture`s. [`Executor::spawn`] puts it at the
+//! back of one FIFO run queue; a carrier thread polls it with a
+//! [`std::task::Waker`] that re-enqueues the task. When the poll returns
+//! `Pending` the carrier immediately picks up another task; a task that
+//! only wants to let the others run awaits [`yield_now`]. [`block_on`]
+//! drives a single future on the calling thread instead.
 //!
 //! # Example
 //!
 //! ```
-//! use cqs_exec::{CoroStep, CoroWaker, Executor, FnCoroutine};
+//! use cqs_exec::{yield_now, Executor};
 //!
 //! let executor = Executor::new(2);
 //! for i in 0..8 {
-//!     executor.spawn(FnCoroutine::new(move |_waker| {
+//!     executor.spawn(async move {
 //!         // ... do some work for task i ...
 //!         let _ = i;
-//!         CoroStep::Done
-//!     }));
+//!         yield_now().await;
+//!     });
 //! }
 //! executor.wait_idle();
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::future::Future;
+use std::pin::Pin;
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::task::{Context, Poll, Wake, Waker};
+use std::thread::{JoinHandle, Thread};
 
-use cqs_future::CqsFuture;
+/// Suspended: not in the run queue; the next wake enqueues it.
+const IDLE: u8 = 0;
+/// In the run queue (or about to be pushed); further wakes are no-ops.
+const QUEUED: u8 = 1;
+/// Being polled by a carrier.
+const RUNNING: u8 = 2;
+/// Being polled, and woken since the poll began: the carrier re-enqueues
+/// it when the poll returns `Pending`.
+const NOTIFIED: u8 = 3;
+/// Finished or panicked; wakes are no-ops.
+const DONE: u8 = 4;
 
-/// Result of one [`Coroutine::step`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoroStep {
-    /// The coroutine finished; it will not run again.
-    Done,
-    /// The coroutine yields; re-enqueue it immediately.
-    Yield,
-    /// The coroutine suspended; it registered a wake-up (via
-    /// [`CoroWaker::wake_on_ready`] or [`CoroWaker::wake`]) that will
-    /// re-enqueue it.
-    Pending,
-}
+type TaskFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
 
-/// A resumable task. Implementations typically keep an explicit state
-/// machine: which phase the task is in and, when suspended, the future it
-/// is waiting on.
-pub trait Coroutine: Send + 'static {
-    /// Runs until completion, a yield point, or a suspension.
-    fn step(&mut self, waker: &CoroWaker) -> CoroStep;
-}
-
-/// Adapter turning a closure into a [`Coroutine`]: the closure is invoked
-/// on every step.
-pub struct FnCoroutine<F>(F);
-
-impl<F: FnMut(&CoroWaker) -> CoroStep + Send + 'static> FnCoroutine<F> {
-    /// Wraps `f` as a coroutine.
-    pub fn new(f: F) -> Self {
-        FnCoroutine(f)
-    }
-}
-
-impl<F: FnMut(&CoroWaker) -> CoroStep + Send + 'static> Coroutine for FnCoroutine<F> {
-    fn step(&mut self, waker: &CoroWaker) -> CoroStep {
-        (self.0)(waker)
-    }
-}
-
-type BoxedCoroutine = Box<dyn Coroutine>;
-
-#[derive(Default)]
-struct ParkCell {
-    coroutine: Option<BoxedCoroutine>,
-    /// Set if the wake-up fired before the carrier parked the coroutine.
-    woken_early: bool,
-}
-
-/// Re-enqueues a suspended coroutine. Each step invocation gets a fresh
-/// waker; it is cheap to clone into wake-up callbacks.
-#[derive(Clone)]
-pub struct CoroWaker {
+/// One spawned future. The task is its own waker: `Arc<Task>` converts into
+/// a [`Waker`], so scheduling allocates once per task, not per poll.
+struct Task {
+    /// `None` once the future finished or panicked. The lock is never
+    /// contended — `state` admits one poller at a time — it only makes the
+    /// exclusive access safe to express.
+    future: Mutex<Option<TaskFuture>>,
+    state: AtomicU8,
     shared: Arc<ExecShared>,
-    cell: Arc<Mutex<ParkCell>>,
 }
 
-impl CoroWaker {
-    /// Schedules the suspended coroutine to run again. Idempotent; callable
-    /// from any thread, including before the suspending step has returned.
-    pub fn wake(&self) {
-        let parked = {
-            let mut cell = self.cell.lock().unwrap();
-            match cell.coroutine.take() {
-                Some(c) => Some(c),
-                None => {
-                    cell.woken_early = true;
-                    None
-                }
-            }
-        };
-        if let Some(c) = parked {
-            self.shared.enqueue(c);
+// Every access to `state` is `SeqCst`. A waker publishes its news, then
+// reads `state`; a carrier writes `RUNNING`, then polls for news. With
+// anything weaker both could read the old value — the wake a no-op on
+// `QUEUED`, the poll `Pending` — and the task would sleep on news it has.
+impl Wake for Task {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        let woken =
+            self.state
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |state| match state {
+                    IDLE => Some(QUEUED),
+                    RUNNING => Some(NOTIFIED),
+                    _ => None,
+                });
+        if woken == Ok(IDLE) {
+            self.shared.enqueue(Runnable::Woken(Arc::clone(self)));
+        }
+    }
+}
+
+/// Sends the calling task to the back of the run queue: the returned future
+/// resolves on its second poll, after every task that was already runnable
+/// has had its turn.
+pub fn yield_now() -> impl Future<Output = ()> {
+    let mut yielded = false;
+    std::future::poll_fn(move |cx| {
+        if yielded {
+            return Poll::Ready(());
+        }
+        yielded = true;
+        cx.waker().wake_by_ref();
+        Poll::Pending
+    })
+}
+
+/// Drives `future` to completion on the calling thread, parking it between
+/// polls. For code outside an [`Executor`] that needs one result.
+pub fn block_on<F: Future>(future: F) -> F::Output {
+    struct ThreadWaker(Thread);
+
+    impl Wake for ThreadWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.unpark();
         }
     }
 
-    /// Convenience: wires this waker to fire when `future` completes or is
-    /// cancelled, then the caller returns [`CoroStep::Pending`].
-    pub fn wake_on_ready<T>(&self, future: &CqsFuture<T>) {
-        let waker = self.clone();
-        future.on_ready(move || waker.wake());
-    }
-}
-
-impl std::fmt::Debug for CoroWaker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("CoroWaker")
+    let mut future = std::pin::pin!(future);
+    let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
+    let mut cx = Context::from_waker(&waker);
+    loop {
+        match future.as_mut().poll(&mut cx) {
+            Poll::Ready(output) => return output,
+            // An unpark that precedes the park makes it return at once, and
+            // a spurious return only costs one more poll.
+            Poll::Pending => std::thread::park(),
+        }
     }
 }
 
@@ -161,8 +162,19 @@ fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// An entry of the run queue.
+enum Runnable {
+    /// Not polled yet. The carrier that first polls it makes the [`Task`]:
+    /// made by the spawner, the task's allocation and its count on `shared`
+    /// are released on another thread than took them, which costs a
+    /// one-carrier fig. 13 some 10 % at 10 000 coroutines (EXPERIMENTS.md,
+    /// "One task model (PR 23)").
+    Spawned(TaskFuture),
+    Woken(Arc<Task>),
+}
+
 struct ExecShared {
-    queue: Mutex<VecDeque<BoxedCoroutine>>,
+    queue: Mutex<VecDeque<Runnable>>,
     work_available: Condvar,
     /// Coroutines spawned and not yet Done.
     live: AtomicUsize,
@@ -179,8 +191,17 @@ struct ExecShared {
 }
 
 impl ExecShared {
-    fn enqueue(&self, c: BoxedCoroutine) {
-        self.queue.lock().unwrap().push_back(c);
+    /// Puts `task` at the back of the run queue.
+    fn enqueue(&self, task: Runnable) {
+        let mut queue = self.queue.lock().unwrap();
+        // Nobody drains the queue after shutdown, and a task left in it
+        // would keep `self` alive through its own reference. Returning
+        // releases the lock before `task`: dropping a future may wake.
+        if self.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        queue.push_back(task);
+        drop(queue);
         self.work_available.notify_one();
     }
 
@@ -202,7 +223,7 @@ impl ExecShared {
     }
 }
 
-/// A fixed-size thread pool running [`Coroutine`]s (see crate docs).
+/// A fixed-size thread pool running futures as coroutines (see crate docs).
 pub struct Executor {
     shared: Arc<ExecShared>,
     workers: Vec<JoinHandle<()>>,
@@ -239,15 +260,15 @@ impl Executor {
         Executor { shared, workers }
     }
 
-    /// Submits a coroutine for execution.
-    pub fn spawn<C: Coroutine>(&self, coroutine: C) {
+    /// Submits a coroutine for execution, at the back of the run queue.
+    pub fn spawn(&self, future: impl Future<Output = ()> + Send + 'static) {
         let _previous = self.shared.live.fetch_add(1, Ordering::SeqCst);
         cqs_watch::gauge!(self.shared.watch_id, "live", _previous as i64 + 1);
-        self.shared.enqueue(Box::new(coroutine));
+        self.shared.enqueue(Runnable::Spawned(Box::pin(future)));
     }
 
-    /// Blocks until every spawned coroutine has finished. Coroutine panics
-    /// do not fail this call (matching historical behaviour) but are never
+    /// Blocks until every spawned coroutine has finished. A coroutine's panic
+    /// does not fail this call (matching historical behaviour) but is never
     /// silent: each is logged to stderr when caught and counted in
     /// [`panic_count`](Self::panic_count); use
     /// [`wait_idle_checked`](Self::wait_idle_checked) to surface them as an
@@ -291,63 +312,66 @@ impl Executor {
 
 fn worker_loop(shared: &Arc<ExecShared>) {
     loop {
-        let coroutine = {
+        let runnable = {
             let mut queue = shared.queue.lock().unwrap();
             loop {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                if let Some(c) = queue.pop_front() {
-                    break c;
+                if let Some(runnable) = queue.pop_front() {
+                    break runnable;
                 }
                 queue = shared.work_available.wait(queue).unwrap();
             }
         };
-        run_one(shared, coroutine);
+        let task = match runnable {
+            Runnable::Woken(task) => task,
+            Runnable::Spawned(future) => Arc::new(Task {
+                future: Mutex::new(Some(future)),
+                state: AtomicU8::new(QUEUED),
+                shared: Arc::clone(shared),
+            }),
+        };
+        run_one(shared, task);
     }
 }
 
-fn run_one(shared: &Arc<ExecShared>, mut coroutine: BoxedCoroutine) {
-    loop {
-        let waker = CoroWaker {
-            shared: Arc::clone(shared),
-            cell: Arc::new(Mutex::new(ParkCell::default())),
-        };
-        let step =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| coroutine.step(&waker)));
-        let step = match step {
-            Ok(step) => step,
-            Err(payload) => {
-                // A panicking coroutine counts as finished; the carrier
-                // thread survives and keeps serving other coroutines. The
-                // payload is logged and kept for `wait_idle_checked`.
-                shared.record_panic(payload.as_ref());
-                shared.finish_one();
-                return;
-            }
-        };
-        match step {
-            CoroStep::Done => {
-                shared.finish_one();
-                return;
-            }
-            CoroStep::Yield => {
-                shared.enqueue(coroutine);
-                return;
-            }
-            CoroStep::Pending => {
-                let mut cell = waker.cell.lock().unwrap();
-                if cell.woken_early {
-                    // The wake-up raced ahead of us: keep running.
-                    cell.woken_early = false;
-                    drop(cell);
-                    continue;
-                }
-                cell.coroutine = Some(coroutine);
-                return;
-            }
+/// Polls `task` once. It was popped from the queue, so no other carrier
+/// holds it: `QUEUED` is left only here.
+fn run_one(shared: &ExecShared, task: Arc<Task>) {
+    task.state.store(RUNNING, Ordering::SeqCst);
+    let waker = Waker::from(Arc::clone(&task));
+    let mut slot = task.future.lock().unwrap();
+    let future = slot.as_mut().expect("a queued task holds its future");
+    let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        future.as_mut().poll(&mut Context::from_waker(&waker))
+    }));
+    if let Ok(Poll::Pending) = polled {
+        drop(slot);
+        // A wake that landed during the poll found `RUNNING`, left
+        // `NOTIFIED` and enqueued nothing: the task is still ours to
+        // re-enqueue, at the back.
+        if task
+            .state
+            .compare_exchange(RUNNING, IDLE, Ordering::SeqCst, Ordering::SeqCst)
+            .is_err()
+        {
+            task.state.store(QUEUED, Ordering::SeqCst);
+            shared.enqueue(Runnable::Woken(task));
         }
+        return;
     }
+    task.state.store(DONE, Ordering::SeqCst);
+    // The future's captures are released before `wait_idle` can return.
+    *slot = None;
+    drop(slot);
+    if let Err(payload) = polled {
+        // A panicking coroutine counts as finished; the carrier thread
+        // survives and keeps serving other coroutines. The payload is
+        // logged and kept for `wait_idle_checked`.
+        shared.record_panic(payload.as_ref());
+    }
+    shared.finish_one();
 }
 
 impl Drop for Executor {
@@ -361,6 +385,10 @@ impl Drop for Executor {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+        // Tasks still queued refer back to `shared`; release them, outside
+        // the lock (see `enqueue`).
+        let abandoned = std::mem::take(&mut *self.shared.queue.lock().unwrap());
+        drop(abandoned);
     }
 }
 
@@ -376,8 +404,10 @@ impl std::fmt::Debug for Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqs_future::Request;
-    use std::sync::atomic::AtomicUsize;
+    use cqs_future::{CqsFuture, Request};
+    use std::future::poll_fn;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn runs_simple_tasks() {
@@ -385,10 +415,9 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..100 {
             let counter = Arc::clone(&counter);
-            executor.spawn(FnCoroutine::new(move |_| {
+            executor.spawn(async move {
                 counter.fetch_add(1, Ordering::SeqCst);
-                CoroStep::Done
-            }));
+            });
         }
         executor.wait_idle();
         assert_eq!(counter.load(Ordering::SeqCst), 100);
@@ -399,16 +428,12 @@ mod tests {
         let executor = Executor::new(2);
         let counter = Arc::new(AtomicUsize::new(0));
         let c2 = Arc::clone(&counter);
-        let mut remaining = 10;
-        executor.spawn(FnCoroutine::new(move |_| {
-            c2.fetch_add(1, Ordering::SeqCst);
-            remaining -= 1;
-            if remaining == 0 {
-                CoroStep::Done
-            } else {
-                CoroStep::Yield
+        executor.spawn(async move {
+            for _ in 0..10 {
+                c2.fetch_add(1, Ordering::SeqCst);
+                yield_now().await;
             }
-        }));
+        });
         executor.wait_idle();
         assert_eq!(counter.load(Ordering::SeqCst), 10);
     }
@@ -418,52 +443,134 @@ mod tests {
         let executor = Executor::new(2);
         let request: Arc<Request<u64>> = Arc::new(Request::new());
         let result = Arc::new(AtomicUsize::new(0));
+        let (polled_tx, polled_rx) = mpsc::channel();
 
-        let mut future = Some(CqsFuture::suspended(Arc::clone(&request)));
-        let r2 = Arc::clone(&result);
-        executor.spawn(FnCoroutine::new(move |waker| {
-            let f = future.as_mut().expect("still waiting");
-            match f.try_get() {
-                cqs_future::FutureState::Ready(v) => {
-                    r2.store(v as usize, Ordering::SeqCst);
-                    CoroStep::Done
-                }
-                cqs_future::FutureState::Pending => {
-                    waker.wake_on_ready(f);
-                    CoroStep::Pending
-                }
-                cqs_future::FutureState::Cancelled => unreachable!(),
-            }
-        }));
+        let r2 = Arc::clone(&request);
+        let res2 = Arc::clone(&result);
+        executor.spawn(async move {
+            let mut polls = 0;
+            let v = poll_fn(|cx| {
+                let poll = r2.poll(cx);
+                polls += 1;
+                polled_tx.send(polls).unwrap();
+                poll
+            })
+            .await
+            .expect("never cancelled");
+            res2.store(v as usize, Ordering::SeqCst);
+        });
 
-        std::thread::sleep(std::time::Duration::from_millis(30));
+        // The first poll registered the task's waker and returned `Pending`.
+        assert_eq!(polled_rx.recv(), Ok(1));
         assert_eq!(executor.live_count(), 1, "coroutine must be suspended");
         request.complete(55).unwrap();
         executor.wait_idle();
+        assert_eq!(polled_rx.try_iter().last(), Some(2), "one wake, one poll");
         assert_eq!(result.load(Ordering::SeqCst), 55);
     }
 
     #[test]
     fn wake_before_park_is_not_lost() {
-        // A future that is completed *during* the step, so the wake fires
-        // before the carrier parks the coroutine.
+        // One carrier, so the interleaving is fixed. The first task's wake
+        // fires from inside its own poll, which still returns `Pending`;
+        // the second is woken by a sibling while suspended.
         let executor = Executor::new(1);
         let done = Arc::new(AtomicUsize::new(0));
-        let d2 = Arc::clone(&done);
-        let mut state = 0;
-        executor.spawn(FnCoroutine::new(move |waker| {
-            if state == 0 {
-                state = 1;
-                let f = CqsFuture::immediate(1u32); // already ready
-                waker.wake_on_ready(&f); // fires immediately
-                CoroStep::Pending
-            } else {
-                d2.fetch_add(1, Ordering::SeqCst);
-                CoroStep::Done
-            }
-        }));
+
+        let own: Arc<Request<u32>> = Arc::new(Request::new());
+        let d = Arc::clone(&done);
+        executor.spawn(async move {
+            let mut first = true;
+            let v = poll_fn(|cx| {
+                if first {
+                    first = false;
+                    assert!(own.poll(cx).is_pending());
+                    own.complete(7).unwrap();
+                    return Poll::Pending;
+                }
+                own.poll(cx)
+            })
+            .await;
+            assert_eq!(v, Ok(7));
+            d.fetch_add(1, Ordering::SeqCst);
+        });
+
+        let handed: Arc<Request<u32>> = Arc::new(Request::new());
+        let waiting = CqsFuture::suspended(Arc::clone(&handed));
+        let d = Arc::clone(&done);
+        executor.spawn(async move {
+            assert_eq!(waiting.await, Ok(9));
+            d.fetch_add(1, Ordering::SeqCst);
+        });
+        executor.spawn(async move { handed.complete(9).unwrap() });
+
+        executor.wait_idle_checked().unwrap();
+        assert_eq!(done.load(Ordering::SeqCst), 2);
+    }
+
+    /// 10 000 rounds in which a task hands its waker to another thread and
+    /// keeps polling: the wake lands during the poll or just after it. A
+    /// wake that enqueued a running task would have the second carrier poll
+    /// it too (concurrently, or once more than it was woken); a wake
+    /// dropped on the floor would strand it.
+    #[test]
+    fn wake_during_poll_neither_doubles_nor_strands() {
+        const TASKS: usize = 4;
+        const ROUNDS: usize = 2_500;
+        let executor = Executor::new(2);
+        let (waker_tx, waker_rx) = mpsc::channel::<Waker>();
+        let remote = std::thread::spawn(move || waker_rx.iter().for_each(Waker::wake));
+        let (done_tx, done_rx) = mpsc::channel();
+        let polls = Arc::new(AtomicUsize::new(0));
+
+        for _ in 0..TASKS {
+            let waker_tx = waker_tx.clone();
+            let done_tx = done_tx.clone();
+            let polls = Arc::clone(&polls);
+            let in_poll = AtomicBool::new(false);
+            executor.spawn(async move {
+                for round in 0..ROUNDS {
+                    let mut handed_off = false;
+                    poll_fn(|cx| {
+                        assert!(
+                            !in_poll.swap(true, Ordering::SeqCst),
+                            "polled twice at once"
+                        );
+                        polls.fetch_add(1, Ordering::Relaxed);
+                        let poll = if handed_off {
+                            Poll::Ready(())
+                        } else {
+                            handed_off = true;
+                            waker_tx.send(cx.waker().clone()).unwrap();
+                            if round % 2 == 0 {
+                                // Give the remote wake time to land mid-poll.
+                                std::thread::yield_now();
+                            }
+                            Poll::Pending
+                        };
+                        in_poll.store(false, Ordering::SeqCst);
+                        poll
+                    })
+                    .await;
+                }
+                done_tx.send(()).unwrap();
+            });
+        }
+        drop((waker_tx, done_tx));
+
+        // A panicked task drops its sender, so this ends early, not late.
+        let finished = (0..TASKS)
+            .map_while(|_| done_rx.recv_timeout(Duration::from_secs(60)).ok())
+            .count();
+        assert_eq!(executor.panic_count(), 0);
+        assert_eq!(finished, TASKS, "a task was stranded");
         executor.wait_idle();
-        assert_eq!(done.load(Ordering::SeqCst), 1);
+        assert_eq!(
+            polls.load(Ordering::Relaxed),
+            2 * TASKS * ROUNDS,
+            "one poll per wake"
+        );
+        remote.join().unwrap();
     }
 
     #[test]
@@ -472,16 +579,14 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..1000 {
             let counter = Arc::clone(&counter);
-            let mut steps = 3;
-            executor.spawn(FnCoroutine::new(move |_| {
-                counter.fetch_add(1, Ordering::SeqCst);
-                steps -= 1;
-                if steps == 0 {
-                    CoroStep::Done
-                } else {
-                    CoroStep::Yield
+            executor.spawn(async move {
+                for step in 0..3 {
+                    if step > 0 {
+                        yield_now().await;
+                    }
+                    counter.fetch_add(1, Ordering::SeqCst);
                 }
-            }));
+            });
         }
         executor.wait_idle();
         assert_eq!(counter.load(Ordering::SeqCst), 3000);
@@ -490,7 +595,7 @@ mod tests {
     #[test]
     fn drop_shuts_down_workers() {
         let executor = Executor::new(3);
-        executor.spawn(FnCoroutine::new(|_| CoroStep::Done));
+        executor.spawn(async {});
         executor.wait_idle();
         drop(executor); // must not hang
     }
@@ -499,20 +604,18 @@ mod tests {
 #[cfg(test)]
 mod panic_tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn panicking_coroutine_does_not_kill_the_executor() {
         let executor = Executor::new(1);
-        executor.spawn(FnCoroutine::new(|_| panic!("boom")));
+        executor.spawn(async { panic!("boom") });
         executor.wait_idle();
         // The single worker must still be alive and able to run tasks.
         let ran = Arc::new(AtomicUsize::new(0));
         let r2 = Arc::clone(&ran);
-        executor.spawn(FnCoroutine::new(move |_| {
+        executor.spawn(async move {
             r2.fetch_add(1, Ordering::SeqCst);
-            CoroStep::Done
-        }));
+        });
         executor.wait_idle();
         assert_eq!(ran.load(Ordering::SeqCst), 1);
         assert_eq!(executor.panic_count(), 1);
@@ -521,10 +624,10 @@ mod panic_tests {
     #[test]
     fn wait_idle_checked_surfaces_payloads_once() {
         let executor = Executor::new(2);
-        executor.spawn(FnCoroutine::new(|_| panic!("first failure")));
-        executor.spawn(FnCoroutine::new(|_| {
+        executor.spawn(async { panic!("first failure") });
+        executor.spawn(async {
             panic!("code {}", 42); // formatted payload → String
-        }));
+        });
         let err = executor.wait_idle_checked().unwrap_err();
         assert_eq!(err.payloads.len(), 2);
         assert!(err.payloads.contains(&"first failure".to_string()));
@@ -539,7 +642,7 @@ mod panic_tests {
     #[test]
     fn wait_idle_checked_ok_when_nothing_panicked() {
         let executor = Executor::new(1);
-        executor.spawn(FnCoroutine::new(|_| CoroStep::Done));
+        executor.spawn(async {});
         executor.wait_idle_checked().unwrap();
         assert_eq!(executor.panic_count(), 0);
     }
@@ -548,7 +651,6 @@ mod panic_tests {
 #[cfg(test)]
 mod order_tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A single-threaded executor runs ready coroutines in FIFO spawn order.
     #[test]
@@ -558,20 +660,15 @@ mod order_tests {
         // Occupy the worker so spawns below queue up deterministically.
         let gate = Arc::new(AtomicUsize::new(0));
         let g2 = Arc::clone(&gate);
-        executor.spawn(FnCoroutine::new(move |_| {
-            if g2.load(Ordering::SeqCst) == 0 {
+        executor.spawn(async move {
+            while g2.load(Ordering::SeqCst) == 0 {
                 std::thread::yield_now();
-                CoroStep::Yield
-            } else {
-                CoroStep::Done
+                yield_now().await;
             }
-        }));
+        });
         for i in 0..5 {
             let log = Arc::clone(&log);
-            executor.spawn(FnCoroutine::new(move |_| {
-                log.lock().unwrap().push(i);
-                CoroStep::Done
-            }));
+            executor.spawn(async move { log.lock().unwrap().push(i) });
         }
         gate.store(1, Ordering::SeqCst);
         executor.wait_idle();
@@ -596,10 +693,9 @@ mod order_tests {
         for _round in 0..5 {
             for _ in 0..20 {
                 let count = Arc::clone(&count);
-                executor.spawn(FnCoroutine::new(move |_| {
+                executor.spawn(async move {
                     count.fetch_add(1, Ordering::SeqCst);
-                    CoroStep::Done
-                }));
+                });
             }
             executor.wait_idle();
         }

@@ -9,11 +9,11 @@
 //! completed later by a `resume(..)` and cancellable via
 //! [`CqsFuture::cancel`].
 //!
-//! The same object serves threads, callback-style coroutines and async code:
+//! The same object serves threads and async code (coroutines included):
 //!
 //! * [`CqsFuture::wait`] parks the calling thread until completion;
-//! * [`CqsFuture::on_ready`] registers a callback (used by `cqs-exec`);
-//! * [`CqsFuture`] implements [`std::future::Future`].
+//! * [`CqsFuture`] implements [`std::future::Future`], which is how
+//!   `cqs-exec` tasks await it.
 //!
 //! # Example
 //!
@@ -217,13 +217,12 @@ impl SettledHooks {
 #[derive(Default)]
 struct WakerSlot {
     thread: Option<Thread>,
-    callback: Option<Box<dyn FnOnce() + Send>>,
-    /// Settlement hooks ([`CqsFuture::on_settled`]): unlike `callback`
-    /// (single slot, latest registration wins — task-waker semantics for
-    /// executors), these chain and every one runs at the terminal state,
-    /// with the outcome. Primitives use them for resource accounting that
-    /// must happen exactly once per operation — e.g. a channel releasing
-    /// a capacity slot when a receiver is actually delivered a value.
+    /// Settlement hooks ([`CqsFuture::on_settled`]): unlike `task_waker`
+    /// (single slot, latest registration wins), these chain and every one
+    /// runs at the terminal state, with the outcome. Primitives use them
+    /// for resource accounting that must happen exactly once per operation
+    /// — e.g. a channel releasing a capacity slot when a receiver is
+    /// actually delivered a value.
     settled: SettledHooks,
     task_waker: Option<std::task::Waker>,
 }
@@ -247,7 +246,6 @@ struct WakerSlot {
 #[derive(Default)]
 pub struct PendingWake {
     thread: Option<Thread>,
-    callback: Option<Box<dyn FnOnce() + Send>>,
     settled: SettledHooks,
     /// Outcome passed to the settlement hooks: `true` when the request
     /// completed with a value, `false` when it was cancelled. Captured at
@@ -257,19 +255,15 @@ pub struct PendingWake {
 }
 
 impl PendingWake {
-    /// Whether there is nothing to wake (no thread parked, no callback,
-    /// settlement hook or task waker registered at extraction time).
+    /// Whether there is nothing to wake (no thread parked, no settlement
+    /// hook or task waker registered at extraction time).
     pub fn is_empty(&self) -> bool {
-        self.thread.is_none()
-            && self.callback.is_none()
-            && self.settled.is_empty()
-            && self.task_waker.is_none()
+        self.thread.is_none() && self.settled.is_empty() && self.task_waker.is_none()
     }
 
     /// Fires the extracted wake-ups: runs the settlement hooks (accounting
     /// first, so a woken waiter finds the books balanced), unparks the
-    /// thread, runs the callback, wakes the task — whichever were
-    /// registered.
+    /// thread, wakes the task — whichever were registered.
     pub fn fire(mut self) {
         self.fire_remaining();
     }
@@ -284,9 +278,6 @@ impl PendingWake {
         if let Some(t) = self.thread.take() {
             cqs_stats::bump!(unparks);
             t.unpark();
-        }
-        if let Some(cb) = self.callback.take() {
-            cb();
         }
         if let Some(w) = self.task_waker.take() {
             w.wake();
@@ -312,7 +303,6 @@ impl fmt::Debug for PendingWake {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PendingWake")
             .field("thread", &self.thread.is_some())
-            .field("callback", &self.callback.is_some())
             .field("settled", &self.settled.len())
             .field("task_waker", &self.task_waker.is_some())
             .finish()
@@ -387,7 +377,7 @@ impl WakeBatch {
     /// Fires every held wake, in insertion order, leaving the batch empty.
     ///
     /// Each wake fires inside a panic-isolation boundary: a panicking waker
-    /// (an `on_ready` callback, a task waker, a settlement hook) cannot
+    /// (a settlement hook, a task waker) cannot
     /// prevent the remaining wakes from firing. Once every wake has fired,
     /// the *first* captured panic is re-raised for the caller.
     pub fn fire(&mut self) {
@@ -741,7 +731,6 @@ impl<T> Request<T> {
         let mut slot = self.waker.lock().unwrap();
         PendingWake {
             thread: slot.thread.take(),
-            callback: slot.callback.take(),
             settled: std::mem::take(&mut slot.settled),
             settled_ok: !self.is_cancelled(),
             task_waker: slot.task_waker.take(),
@@ -797,8 +786,7 @@ enum Inner<T> {
 /// `CqsFuture` is an owned, single-consumer handle: taking the value
 /// requires `&mut self` or consumes the future. It can be observed without
 /// blocking ([`try_get`](Self::try_get)), waited on synchronously
-/// ([`wait`](Self::wait)), hooked with a callback
-/// ([`on_ready`](Self::on_ready)) or awaited as a [`std::future::Future`].
+/// ([`wait`](Self::wait)) or awaited as a [`std::future::Future`].
 pub struct CqsFuture<T> {
     inner: Inner<T>,
     /// `None` = resolve the process-wide default at wait time.
@@ -902,34 +890,14 @@ impl<T> CqsFuture<T> {
         }
     }
 
-    /// Registers `callback` to run when the future reaches a terminal state
-    /// (completed *or* cancelled). If it already has, the callback runs
-    /// immediately on this thread. Used by executors to reschedule
-    /// coroutines.
-    pub fn on_ready<F: FnOnce() + Send + 'static>(&self, callback: F) {
-        match &self.inner {
-            Inner::Immediate(_) | Inner::Cancelled => callback(),
-            Inner::Suspended(r) => {
-                {
-                    let mut slot = r.waker.lock().unwrap();
-                    if !r.is_terminated() {
-                        slot.callback = Some(Box::new(callback));
-                        return;
-                    }
-                }
-                callback();
-            }
-        }
-    }
-
     /// Registers a settlement hook: runs exactly once when the future
     /// reaches a terminal state, receiving `true` if it completed with a
     /// value and `false` if it was cancelled. If the future is already
     /// terminal, the hook runs immediately on this thread.
     ///
-    /// Unlike [`on_ready`](Self::on_ready) — a single slot with
-    /// latest-wins semantics, meant for executor wakers — settlement hooks
-    /// *chain*: every registered hook fires, in registration order, on the
+    /// Unlike the task waker a poll registers — a single slot, the latest
+    /// poll's waker wins — settlement hooks *chain*: every registered hook
+    /// fires, in registration order, on the
     /// thread that completes or cancels the request (or, for batched
     /// resumption, the thread firing the [`WakeBatch`]). They run before
     /// any thread unpark or task wake, so primitives can use them for
@@ -984,6 +952,22 @@ impl<T> fmt::Debug for CqsFuture<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::task::{Wake, Waker};
+
+    /// Registers a task waker on the pending `request` the way an executor
+    /// does, through a poll, and returns that waker's wake count.
+    pub(super) fn register_waker<T>(request: &Request<T>) -> Arc<AtomicUsize> {
+        struct Counting(Arc<AtomicUsize>);
+        impl Wake for Counting {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let wakes = Arc::new(AtomicUsize::new(0));
+        let waker = Waker::from(Arc::new(Counting(Arc::clone(&wakes))));
+        assert!(request.poll(&mut Context::from_waker(&waker)).is_pending());
+        wakes
+    }
 
     #[test]
     fn immediate_future_is_ready() {
@@ -1109,60 +1093,35 @@ mod tests {
     }
 
     #[test]
-    fn on_ready_fires_for_completion() {
-        let fired = Arc::new(AtomicUsize::new(0));
+    fn task_waker_fires_for_completion() {
         let r = Arc::new(Request::new());
-        let f = CqsFuture::suspended(Arc::clone(&r));
-        let fired2 = Arc::clone(&fired);
-        f.on_ready(move || {
-            fired2.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(fired.load(Ordering::SeqCst), 0);
+        let wakes = register_waker(&r);
+        assert_eq!(wakes.load(Ordering::SeqCst), 0);
         r.complete(1).unwrap();
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        assert_eq!(wakes.load(Ordering::SeqCst), 1);
     }
 
     #[test]
-    fn on_ready_fires_immediately_if_already_done() {
-        let fired = Arc::new(AtomicUsize::new(0));
-        let r = Arc::new(Request::new());
-        r.complete(1).unwrap();
-        let f = CqsFuture::suspended(r);
-        let fired2 = Arc::clone(&fired);
-        f.on_ready(move || {
-            fired2.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn on_ready_fires_on_cancel() {
-        let fired = Arc::new(AtomicUsize::new(0));
+    fn task_waker_fires_on_cancel() {
         let r: Arc<Request<u32>> = Arc::new(Request::new());
-        let f = CqsFuture::suspended(Arc::clone(&r));
-        let fired2 = Arc::clone(&fired);
-        f.on_ready(move || {
-            fired2.fetch_add(1, Ordering::SeqCst);
-        });
-        f.cancel();
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        let wakes = register_waker(&r);
+        assert!(r.cancel());
+        assert_eq!(wakes.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn async_poll_integration() {
-        // A minimal hand-rolled block_on to avoid external runtimes.
-        use std::task::Wake;
+        // A minimal hand-rolled block_on: `cqs-exec` depends on this crate.
         struct ThreadWaker(Thread);
         impl Wake for ThreadWaker {
             fn wake(self: Arc<Self>) {
                 self.0.unpark();
             }
         }
-        fn block_on<F: std::future::Future>(mut fut: F) -> F::Output {
+        fn block_on<F: std::future::Future>(fut: F) -> F::Output {
             let waker = Arc::new(ThreadWaker(std::thread::current())).into();
             let mut cx = Context::from_waker(&waker);
-            // SAFETY: fut is stack-pinned and never moved afterwards.
-            let mut fut = unsafe { Pin::new_unchecked(&mut fut) };
+            let mut fut = std::pin::pin!(fut);
             loop {
                 match fut.as_mut().poll(&mut cx) {
                     Poll::Ready(v) => return v,
@@ -1215,7 +1174,6 @@ mod tests {
 #[cfg(test)]
 mod edge_tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn send_sync_bounds() {
@@ -1254,25 +1212,6 @@ mod edge_tests {
         }
     }
 
-    /// Multiple `on_ready` registrations: the last one wins (documented
-    /// single-slot semantics); earlier callbacks are dropped unfired.
-    #[test]
-    fn on_ready_is_single_slot() {
-        let fired = Arc::new(AtomicUsize::new(0));
-        let r = Arc::new(Request::new());
-        let f = CqsFuture::suspended(Arc::clone(&r));
-        let f1 = Arc::clone(&fired);
-        f.on_ready(move || {
-            f1.fetch_add(1, Ordering::SeqCst);
-        });
-        let f2 = Arc::clone(&fired);
-        f.on_ready(move || {
-            f2.fetch_add(10, Ordering::SeqCst);
-        });
-        r.complete(0u32).unwrap();
-        assert_eq!(fired.load(Ordering::SeqCst), 10);
-    }
-
     /// A future dropped while pending leaves the request completable; the
     /// value is then released with the request.
     #[test]
@@ -1287,20 +1226,17 @@ mod edge_tests {
 
 #[cfg(test)]
 mod batch_tests {
+    use super::tests::register_waker;
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
     /// `complete_deferred` fully completes the request (a poller takes the
-    /// value) but does not run the registered callback until `fire()`.
+    /// value) but does not wake the registered task until `fire()`.
     #[test]
     fn complete_deferred_separates_completion_from_wake() {
-        let fired = Arc::new(AtomicUsize::new(0));
         let r = Arc::new(Request::new());
         let f = CqsFuture::suspended(Arc::clone(&r));
-        let fired2 = Arc::clone(&fired);
-        f.on_ready(move || {
-            fired2.fetch_add(1, Ordering::SeqCst);
-        });
+        let fired = register_waker(&r);
         let wake = r.complete_deferred(5u32).unwrap();
         assert!(!wake.is_empty());
         assert_eq!(fired.load(Ordering::SeqCst), 0, "wake ran before fire()");
@@ -1324,7 +1260,6 @@ mod batch_tests {
     #[test]
     fn cancel_deferred_runs_handler_inline() {
         let handler_runs = Arc::new(AtomicUsize::new(0));
-        let fired = Arc::new(AtomicUsize::new(0));
         let r: Arc<Request<u32>> = Arc::new(Request::new());
         let h = Arc::clone(&handler_runs);
         r.set_cancellation_handler(
@@ -1333,11 +1268,7 @@ mod batch_tests {
             }),
             0,
         );
-        let f = CqsFuture::suspended(Arc::clone(&r));
-        let fired2 = Arc::clone(&fired);
-        f.on_ready(move || {
-            fired2.fetch_add(1, Ordering::SeqCst);
-        });
+        let fired = register_waker(&r);
         let wake = r.cancel_deferred().expect("first cancel wins");
         assert_eq!(handler_runs.load(Ordering::SeqCst), 1);
         assert_eq!(fired.load(Ordering::SeqCst), 0);
@@ -1364,22 +1295,19 @@ mod batch_tests {
     /// the global spill counter exactly once per batch.
     #[test]
     fn wake_batch_spills_past_inline_capacity() {
-        let fired = Arc::new(AtomicUsize::new(0));
         let before = wake_batch_spill_count();
         let mut batch = WakeBatch::new();
+        let mut fired = Vec::new();
         for _ in 0..WAKE_BATCH_INLINE + 3 {
             let r: Arc<Request<u32>> = Arc::new(Request::new());
-            let fired2 = Arc::clone(&fired);
-            CqsFuture::suspended(Arc::clone(&r)).on_ready(move || {
-                fired2.fetch_add(1, Ordering::SeqCst);
-            });
+            fired.push(register_waker(&r));
             batch.push(r.complete_deferred(0).unwrap());
         }
         assert_eq!(batch.len(), WAKE_BATCH_INLINE + 3);
         assert_eq!(wake_batch_spill_count(), before + 1);
         batch.fire();
         assert!(batch.is_empty());
-        assert_eq!(fired.load(Ordering::SeqCst), WAKE_BATCH_INLINE + 3);
+        assert!(fired.iter().all(|wakes| wakes.load(Ordering::SeqCst) == 1));
     }
 
     /// Empty wakes do not occupy batch slots (and cannot cause spills).
@@ -1396,13 +1324,9 @@ mod batch_tests {
     /// Dropping a batch fires its remaining wakes (panic-safety net).
     #[test]
     fn dropping_a_batch_fires_it() {
-        let fired = Arc::new(AtomicUsize::new(0));
         let mut batch = WakeBatch::new();
         let r: Arc<Request<u32>> = Arc::new(Request::new());
-        let fired2 = Arc::clone(&fired);
-        CqsFuture::suspended(Arc::clone(&r)).on_ready(move || {
-            fired2.fetch_add(1, Ordering::SeqCst);
-        });
+        let fired = register_waker(&r);
         batch.push(r.complete_deferred(0).unwrap());
         assert_eq!(fired.load(Ordering::SeqCst), 0);
         drop(batch);
@@ -1475,19 +1399,19 @@ mod settled_tests {
         assert_eq!(seen.load(Ordering::SeqCst), -100);
     }
 
-    /// Settlement hooks coexist with an `on_ready` executor callback and
-    /// fire before it (accounting precedes scheduling).
+    /// Settlement hooks coexist with an executor's task waker and fire
+    /// before it (accounting precedes scheduling).
     #[test]
-    fn settled_fires_before_on_ready() {
+    fn settled_fires_before_task_wake() {
         let r: Arc<Request<u32>> = Arc::new(Request::new());
         let f = CqsFuture::suspended(Arc::clone(&r));
-        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let o = Arc::clone(&order);
-        f.on_settled(move |_| o.lock().unwrap().push("settled"));
-        let o = Arc::clone(&order);
-        f.on_ready(move || o.lock().unwrap().push("ready"));
+        let wakes = super::tests::register_waker(&r);
+        let wakes_at_hook = Arc::new(AtomicI32::new(-1));
+        let (w, seen) = (Arc::clone(&wakes), Arc::clone(&wakes_at_hook));
+        f.on_settled(move |_| seen.store(w.load(Ordering::SeqCst) as i32, Ordering::SeqCst));
         r.complete(3).unwrap();
-        assert_eq!(*order.lock().unwrap(), vec!["settled", "ready"]);
+        assert_eq!(wakes_at_hook.load(Ordering::SeqCst), 0, "hook ran first");
+        assert_eq!(wakes.load(Ordering::SeqCst), 1);
     }
 
     /// Deferred completion carries the hooks through the `WakeBatch`.

@@ -816,7 +816,7 @@ mod tests {
         lock.read_unlock();
     }
 
-    fn futures_block_on<F: std::future::Future>(mut f: F) -> F::Output {
+    fn futures_block_on<F: std::future::Future>(f: F) -> F::Output {
         use std::task::{Context, Poll, Wake};
         struct W(std::thread::Thread);
         impl Wake for W {
@@ -826,8 +826,7 @@ mod tests {
         }
         let waker = Arc::new(W(std::thread::current())).into();
         let mut cx = Context::from_waker(&waker);
-        // SAFETY: stack-pinned, not moved afterwards.
-        let mut f = unsafe { std::pin::Pin::new_unchecked(&mut f) };
+        let mut f = std::pin::pin!(f);
         loop {
             match f.as_mut().poll(&mut cx) {
                 Poll::Ready(v) => return v,

@@ -11,65 +11,29 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cqs::exec::{CoroStep, CoroWaker, Coroutine, Executor};
-use cqs::{CountDownLatch, FutureState, QueuePool};
+use cqs::exec::{yield_now, Executor};
+use cqs::{CountDownLatch, QueuePool};
 
 const PRODUCERS: usize = 1_000;
 const TRANSFORMERS: usize = 1_000;
 const ITEMS_PER_PRODUCER: u64 = 20;
 
 /// Stage 1: produces items into the raw pool.
-struct Producer {
-    raw: Arc<QueuePool<u64>>,
-    remaining: u64,
-    seed: u64,
-}
-
-impl Coroutine for Producer {
-    fn step(&mut self, _waker: &CoroWaker) -> CoroStep {
-        if self.remaining == 0 {
-            return CoroStep::Done;
-        }
-        self.remaining -= 1;
-        self.raw.put(self.seed * 1_000 + self.remaining);
+async fn producer(raw: Arc<QueuePool<u64>>, seed: u64) {
+    for remaining in (0..ITEMS_PER_PRODUCER).rev() {
+        raw.put(seed * 1_000 + remaining);
         // Yield between items so carriers interleave thousands of tasks.
-        CoroStep::Yield
+        yield_now().await;
     }
 }
 
-/// Stage 2: takes raw items (suspending when none are ready), transforms
-/// them, and accumulates a checksum.
-struct Transformer {
-    raw: Arc<QueuePool<u64>>,
-    checksum: Arc<AtomicU64>,
-    quota: u64,
-    pending: Option<cqs::CqsFuture<u64>>,
-}
-
-impl Coroutine for Transformer {
-    fn step(&mut self, waker: &CoroWaker) -> CoroStep {
-        loop {
-            if self.quota == 0 {
-                return CoroStep::Done;
-            }
-            let mut f = match self.pending.take() {
-                Some(f) => f,
-                None => self.raw.take(),
-            };
-            match f.try_get() {
-                FutureState::Ready(item) => {
-                    self.checksum.fetch_add(item, Ordering::Relaxed);
-                    self.quota -= 1;
-                }
-                FutureState::Pending => {
-                    // Suspend without blocking the carrier thread.
-                    waker.wake_on_ready(&f);
-                    self.pending = Some(f);
-                    return CoroStep::Pending;
-                }
-                FutureState::Cancelled => unreachable!("pipeline never cancels"),
-            }
-        }
+/// Stage 2: takes raw items (suspending, without blocking the carrier
+/// thread, when none are ready), transforms them, and accumulates a
+/// checksum.
+async fn transformer(raw: Arc<QueuePool<u64>>, checksum: Arc<AtomicU64>, quota: u64) {
+    for _ in 0..quota {
+        let item = raw.take().await.expect("pipeline never cancels");
+        checksum.fetch_add(item, Ordering::Relaxed);
     }
 }
 
@@ -83,19 +47,14 @@ fn main() {
     assert_eq!(total_items % TRANSFORMERS as u64, 0);
 
     for seed in 0..PRODUCERS as u64 {
-        executor.spawn(Producer {
-            raw: Arc::clone(&raw),
-            remaining: ITEMS_PER_PRODUCER,
-            seed,
-        });
+        executor.spawn(producer(Arc::clone(&raw), seed));
     }
     for _ in 0..TRANSFORMERS {
-        executor.spawn(Transformer {
-            raw: Arc::clone(&raw),
-            checksum: Arc::clone(&checksum),
-            quota: total_items / TRANSFORMERS as u64,
-            pending: None,
-        });
+        executor.spawn(transformer(
+            Arc::clone(&raw),
+            Arc::clone(&checksum),
+            total_items / TRANSFORMERS as u64,
+        ));
     }
 
     executor.wait_idle();

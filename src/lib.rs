@@ -14,9 +14,9 @@
 //! * [`Cqs`] itself, for building new primitives in a few lines each.
 //!
 //! Waiters are represented as [`CqsFuture`]s, which can be waited on
-//! synchronously, hooked with callbacks (see [`exec`] for a coroutine
-//! executor), awaited as standard Rust futures — and **cancelled** at any
-//! time at amortized constant cost, the paper's key contribution.
+//! synchronously, awaited as standard Rust futures (see [`exec`] for a
+//! coroutine executor that runs them) — and **cancelled** at any time at
+//! amortized constant cost, the paper's key contribution.
 //!
 //! ## Quickstart
 //!
@@ -77,7 +77,7 @@ pub mod channels {
 /// The coroutine executor used by the paper's Kotlin-coroutines experiments
 /// and by applications that multiplex many waiters over few threads.
 pub mod exec {
-    pub use cqs_exec::{CoroStep, CoroWaker, Coroutine, Executor, FnCoroutine};
+    pub use cqs_exec::{block_on, yield_now, Executor};
 }
 
 /// Pluggable memory reclamation (epoch and owned-slot backends) and

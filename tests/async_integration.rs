@@ -1,37 +1,16 @@
 //! `CqsFuture` as a standard Rust `Future`: primitives awaited from async
-//! code with a hand-rolled `block_on` (no external runtime needed).
+//! code, on the calling thread through `block_on` and as tasks on the
+//! coroutine executor.
 
+use std::future::{poll_fn, Future};
 use std::pin::Pin;
-use std::sync::Arc;
-use std::task::{Context, Poll, Wake};
-use std::thread::Thread;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 
-use std::future::Future;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use cqs::exec::{CoroStep, CoroWaker, Coroutine, Executor};
-use cqs::{ChannelRecv, ChannelSend, CountDownLatch, CqsChannel, QueuePool, RawMutex, Semaphore};
-
-struct ThreadWaker(Thread);
-
-impl Wake for ThreadWaker {
-    fn wake(self: Arc<Self>) {
-        self.0.unpark();
-    }
-}
-
-fn block_on<F: std::future::Future>(mut future: F) -> F::Output {
-    let waker = Arc::new(ThreadWaker(std::thread::current())).into();
-    let mut cx = Context::from_waker(&waker);
-    // SAFETY: `future` is stack-pinned and never moved afterwards.
-    let mut future = unsafe { Pin::new_unchecked(&mut future) };
-    loop {
-        match future.as_mut().poll(&mut cx) {
-            Poll::Ready(v) => return v,
-            Poll::Pending => std::thread::park(),
-        }
-    }
-}
+use cqs::exec::{block_on, yield_now, Executor};
+use cqs::{
+    Cancelled, CountDownLatch, CqsChannel, CqsFuture, QueuePool, RawMutex, Request, Semaphore,
+};
 
 #[test]
 fn await_semaphore_acquire() {
@@ -111,92 +90,10 @@ fn awaited_future_can_be_cancelled_first() {
     assert!(result.is_err());
 }
 
-/// Bridges the executor's [`CoroWaker`] into a `std::task::Waker`, so
-/// coroutines can drive `std::future::Future`s directly.
-struct CoroStdWaker(CoroWaker);
-
-impl Wake for CoroStdWaker {
-    fn wake(self: Arc<Self>) {
-        self.0.wake();
-    }
-}
-
-/// Drives the channel's `ChannelSend` through its `Future` impl.
-struct ChannelSender {
-    ch: CqsChannel<u64>,
-    next: u64,
-    end: u64,
-    pending: Option<ChannelSend<u64>>,
-}
-
-impl Coroutine for ChannelSender {
-    fn step(&mut self, waker: &CoroWaker) -> CoroStep {
-        let std_waker = Arc::new(CoroStdWaker(waker.clone())).into();
-        let mut cx = Context::from_waker(&std_waker);
-        loop {
-            let mut f = match self.pending.take() {
-                Some(f) => f,
-                None => {
-                    if self.next == self.end {
-                        return CoroStep::Done;
-                    }
-                    let v = self.next;
-                    self.next += 1;
-                    self.ch.send(v)
-                }
-            };
-            match Pin::new(&mut f).poll(&mut cx) {
-                Poll::Ready(Ok(())) => {}
-                Poll::Ready(Err(e)) => panic!("send rejected: {e:?}"),
-                Poll::Pending => {
-                    self.pending = Some(f);
-                    return CoroStep::Pending;
-                }
-            }
-        }
-    }
-}
-
-/// Drives the channel's `ChannelRecv` through its `Future` impl — the
-/// await path whose settlement hook must release the capacity slot.
-struct ChannelReceiver {
-    ch: CqsChannel<u64>,
-    left: u64,
-    sum: Arc<AtomicU64>,
-    pending: Option<ChannelRecv<u64>>,
-}
-
-impl Coroutine for ChannelReceiver {
-    fn step(&mut self, waker: &CoroWaker) -> CoroStep {
-        let std_waker = Arc::new(CoroStdWaker(waker.clone())).into();
-        let mut cx = Context::from_waker(&std_waker);
-        loop {
-            if self.left == 0 {
-                return CoroStep::Done;
-            }
-            let mut f = match self.pending.take() {
-                Some(f) => f,
-                None => self.ch.receive(),
-            };
-            match Pin::new(&mut f).poll(&mut cx) {
-                Poll::Ready(Ok(v)) => {
-                    self.sum.fetch_add(v, Ordering::SeqCst);
-                    self.left -= 1;
-                }
-                Poll::Ready(Err(e)) => panic!("receive cancelled: {e:?}"),
-                Poll::Pending => {
-                    self.pending = Some(f);
-                    return CoroStep::Pending;
-                }
-            }
-        }
-    }
-}
-
 /// Round-trips 50 elements through a capacity-2 bounded channel on the
-/// coroutine executor, with both sides suspending through their
-/// `std::future::Future` impls, then proves the await path leaked no
-/// capacity slot: exactly `CAPACITY` immediate sends fit afterwards.
+/// coroutine executor, with both sides suspending in `.await`, then proves
+/// the await path leaked no capacity slot: exactly `CAPACITY` immediate
+/// sends fit afterwards.
 #[test]
 fn executor_channel_round_trip_releases_every_permit() {
     const CAPACITY: usize = 2;
@@ -206,22 +103,26 @@ fn executor_channel_round_trip_releases_every_permit() {
     let executor = Executor::new(2);
     let sum = Arc::new(AtomicU64::new(0));
     for t in 0..SENDERS {
-        executor.spawn(ChannelSender {
-            ch: ch.clone(),
-            next: t * PER_SENDER + 1,
-            end: (t + 1) * PER_SENDER + 1,
-            pending: None,
+        let ch = ch.clone();
+        executor.spawn(async move {
+            for v in t * PER_SENDER + 1..=(t + 1) * PER_SENDER {
+                ch.send(v).await.expect("send rejected");
+            }
         });
     }
     for _ in 0..2 {
-        executor.spawn(ChannelReceiver {
-            ch: ch.clone(),
-            left: SENDERS * PER_SENDER / 2,
-            sum: Arc::clone(&sum),
-            pending: None,
+        let ch = ch.clone();
+        let sum = Arc::clone(&sum);
+        executor.spawn(async move {
+            for _ in 0..SENDERS * PER_SENDER / 2 {
+                // The await path whose settlement hook must release the
+                // capacity slot.
+                let v = ch.receive().await.expect("receive cancelled");
+                sum.fetch_add(v, Ordering::SeqCst);
+            }
         });
     }
-    executor.wait_idle();
+    executor.wait_idle_checked().unwrap();
     let total = SENDERS * PER_SENDER;
     assert_eq!(sum.load(Ordering::SeqCst), total * (total + 1) / 2);
     // Exactly CAPACITY permits are free: no leak, no over-release.
@@ -266,4 +167,116 @@ fn async_pipeline() {
     });
     assert_eq!(total, 45);
     producer.join().unwrap();
+}
+
+/// A request whose cancel handle stays with the test, a count of its
+/// cancellation handler's runs, and the future a task awaits it through.
+fn cancellable() -> (Arc<Request<u32>>, Arc<AtomicUsize>, CqsFuture<u32>) {
+    let request = Arc::new(Request::new());
+    let handler_runs = Arc::new(AtomicUsize::new(0));
+    let runs = Arc::clone(&handler_runs);
+    request.set_cancellation_handler(
+        Arc::new(move || {
+            runs.fetch_add(1, Ordering::SeqCst);
+        }),
+        0,
+    );
+    let future = CqsFuture::suspended(Arc::clone(&request));
+    (request, handler_runs, future)
+}
+
+/// Awaits `future`, reporting each poll that leaves the task suspended.
+async fn observed(
+    mut future: CqsFuture<u32>,
+    suspended: mpsc::Sender<()>,
+) -> Result<u32, Cancelled> {
+    poll_fn(|cx| {
+        let poll = Pin::new(&mut future).poll(cx);
+        if poll.is_pending() {
+            suspended.send(()).unwrap();
+        }
+        poll
+    })
+    .await
+}
+
+/// *run-yield*: `b` is cancelled while the task sits in a yield. The yield
+/// returns normally; the cancellation shows only when the task awaits `b`.
+#[test]
+fn cancel_during_yield_is_seen_at_the_next_await() {
+    for carriers in [1, 2] {
+        let executor = Executor::new(carriers);
+        let (b, b_handler_runs, b_future) = cancellable();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let cancelled = Arc::new(AtomicBool::new(false));
+        let (yielding_tx, yielding_rx) = mpsc::channel();
+
+        let (l, c) = (Arc::clone(&log), Arc::clone(&cancelled));
+        executor.spawn(async move {
+            yielding_tx.send(()).unwrap();
+            // Holds the task in the yield until the cancel has landed.
+            while !c.load(Ordering::SeqCst) {
+                yield_now().await;
+            }
+            l.lock().unwrap().push("yielded".to_string());
+            let got = b_future.await;
+            l.lock().unwrap().push(format!("b = {got:?}"));
+        });
+
+        yielding_rx.recv().unwrap();
+        assert!(b.cancel());
+        assert_eq!(b_handler_runs.load(Ordering::SeqCst), 1, "at cancel time");
+        assert!(
+            log.lock().unwrap().is_empty(),
+            "the task left its yield early"
+        );
+        cancelled.store(true, Ordering::SeqCst);
+
+        executor.wait_idle_checked().unwrap();
+        assert_eq!(*log.lock().unwrap(), ["yielded", "b = Err(Cancelled)"]);
+        assert_eq!(b_handler_runs.load(Ordering::SeqCst), 1);
+    }
+}
+
+/// *run-suspend*: `b` is cancelled while the task is suspended on `a`. The
+/// task stays suspended until a sibling task completes `a`, reads `a`'s
+/// value, and only then sees `b`'s cancellation. The sibling's own late
+/// `cancel()` of `a` loses to its `complete()`.
+#[test]
+fn cancel_during_suspension_is_seen_at_the_next_await() {
+    for carriers in [1, 2] {
+        let executor = Executor::new(carriers);
+        let (a, a_handler_runs, a_future) = cancellable();
+        let (b, b_handler_runs, b_future) = cancellable();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (suspended_tx, suspended_rx) = mpsc::channel();
+
+        let l = Arc::clone(&log);
+        executor.spawn(async move {
+            let got = observed(a_future, suspended_tx).await;
+            l.lock().unwrap().push(format!("a = {got:?}"));
+            let got = b_future.await;
+            l.lock().unwrap().push(format!("b = {got:?}"));
+        });
+
+        suspended_rx.recv().unwrap();
+        assert!(b.cancel());
+        assert_eq!(b_handler_runs.load(Ordering::SeqCst), 1, "at cancel time");
+
+        let l = Arc::clone(&log);
+        executor.spawn(async move {
+            assert!(l.lock().unwrap().is_empty(), "woken before `a` completed");
+            a.complete(1).unwrap();
+            assert!(!a.cancel(), "cancel lost to complete");
+        });
+
+        executor.wait_idle_checked().unwrap();
+        assert_eq!(*log.lock().unwrap(), ["a = Ok(1)", "b = Err(Cancelled)"]);
+        assert!(
+            suspended_rx.try_recv().is_err(),
+            "`a` was polled without a wake"
+        );
+        assert_eq!(a_handler_runs.load(Ordering::SeqCst), 0);
+        assert_eq!(b_handler_runs.load(Ordering::SeqCst), 1);
+    }
 }

@@ -24,7 +24,7 @@ fn resume_n_past_inline_capacity_spills_and_fires_fifo() {
     let order: Arc<Mutex<Vec<usize>>> = Arc::default();
     for (i, f) in futures.iter().enumerate() {
         let order = Arc::clone(&order);
-        f.on_ready(move || order.lock().unwrap().push(i));
+        f.on_settled(move |_| order.lock().unwrap().push(i));
     }
     let before = wake_batch_spill_count();
     let failed = cqs.resume_n(0..N as u64, N);

@@ -4,10 +4,9 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cqs::exec::{CoroStep, Executor, FnCoroutine};
+use cqs::exec::Executor;
 use cqs::{
-    Barrier, CountDownLatch, CyclicBarrier, FutureState, Mutex, QueuePool, RawMutex, Semaphore,
-    StackPool,
+    Barrier, CountDownLatch, CyclicBarrier, Mutex, QueuePool, RawMutex, Semaphore, StackPool,
 };
 
 /// A work-crew pattern: a latch gates the start, a barrier synchronizes
@@ -73,26 +72,11 @@ fn executor_pool_latch_composition() {
         let pool = Arc::clone(&pool);
         let done = Arc::clone(&done);
         let sum = Arc::clone(&sum);
-        let mut pending: Option<cqs::CqsFuture<u64>> = None;
-        executor.spawn(FnCoroutine::new(move |waker| {
-            let mut f = match pending.take() {
-                Some(f) => f,
-                None => pool.take(),
-            };
-            match f.try_get() {
-                FutureState::Ready(v) => {
-                    sum.fetch_add(v, Ordering::SeqCst);
-                    done.count_down();
-                    CoroStep::Done
-                }
-                FutureState::Pending => {
-                    waker.wake_on_ready(&f);
-                    pending = Some(f);
-                    CoroStep::Pending
-                }
-                FutureState::Cancelled => unreachable!(),
-            }
-        }));
+        executor.spawn(async move {
+            let v = pool.take().await.expect("never cancelled");
+            sum.fetch_add(v, Ordering::SeqCst);
+            done.count_down();
+        });
     }
 
     // Feed the pool from the main thread while coroutines wait.

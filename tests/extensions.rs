@@ -6,6 +6,7 @@ use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use cqs::exec::block_on;
 use cqs::{CqsChannel, RawRwLock};
 
 #[test]
@@ -150,26 +151,6 @@ fn channel_receive_timeout_leaves_channel_intact() {
 
 #[test]
 fn rwlock_async_integration() {
-    use std::task::{Context, Poll, Wake};
-    struct W(std::thread::Thread);
-    impl Wake for W {
-        fn wake(self: Arc<Self>) {
-            self.0.unpark();
-        }
-    }
-    fn block_on<F: std::future::Future>(mut f: F) -> F::Output {
-        let waker = Arc::new(W(std::thread::current())).into();
-        let mut cx = Context::from_waker(&waker);
-        // SAFETY: stack-pinned, not moved afterwards.
-        let mut f = unsafe { std::pin::Pin::new_unchecked(&mut f) };
-        loop {
-            match f.as_mut().poll(&mut cx) {
-                Poll::Ready(v) => return v,
-                Poll::Pending => std::thread::park(),
-            }
-        }
-    }
-
     let lock = Arc::new(RawRwLock::new());
     lock.write().wait().unwrap();
     let l2 = Arc::clone(&lock);

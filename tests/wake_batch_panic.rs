@@ -1,6 +1,6 @@
 //! Pins the `WakeBatch` panic-isolation contract (no cargo feature
-//! needed): a panicking waker — an `on_ready` callback, in practice also a
-//! settlement hook or task waker — must never prevent the *other* wakes in
+//! needed): a panicking waker — a settlement hook, in practice also a
+//! task waker — must never prevent the *other* wakes in
 //! the batch from firing, on the inline path, on the heap-spill path, and
 //! on the unwind path where the batch is dropped rather than fired.
 //!
@@ -17,7 +17,7 @@ use std::sync::Arc;
 fn counting_wake(fired: &Arc<AtomicUsize>) -> PendingWake {
     let r: Arc<Request<u32>> = Arc::new(Request::new());
     let fired = Arc::clone(fired);
-    CqsFuture::suspended(Arc::clone(&r)).on_ready(move || {
+    CqsFuture::suspended(Arc::clone(&r)).on_settled(move |_| {
         fired.fetch_add(1, Ordering::SeqCst);
     });
     r.complete_deferred(0).unwrap()
@@ -27,7 +27,7 @@ fn counting_wake(fired: &Arc<AtomicUsize>) -> PendingWake {
 fn panicking_wake(fired: &Arc<AtomicUsize>) -> PendingWake {
     let r: Arc<Request<u32>> = Arc::new(Request::new());
     let fired = Arc::clone(fired);
-    CqsFuture::suspended(Arc::clone(&r)).on_ready(move || {
+    CqsFuture::suspended(Arc::clone(&r)).on_settled(move |_| {
         fired.fetch_add(1, Ordering::SeqCst);
         panic!("waker panicked mid-batch");
     });
@@ -87,10 +87,10 @@ fn first_of_several_panics_is_the_one_rethrown() {
     let fired = Arc::new(AtomicUsize::new(0));
     let mut batch = WakeBatch::new();
     let r: Arc<Request<u32>> = Arc::new(Request::new());
-    CqsFuture::suspended(Arc::clone(&r)).on_ready(|| panic!("first"));
+    CqsFuture::suspended(Arc::clone(&r)).on_settled(|_| panic!("first"));
     batch.push(r.complete_deferred(0).unwrap());
     let r: Arc<Request<u32>> = Arc::new(Request::new());
-    CqsFuture::suspended(Arc::clone(&r)).on_ready(|| panic!("second"));
+    CqsFuture::suspended(Arc::clone(&r)).on_settled(|_| panic!("second"));
     batch.push(r.complete_deferred(0).unwrap());
     batch.push(counting_wake(&fired));
     let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| batch.fire()))

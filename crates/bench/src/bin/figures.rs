@@ -4,7 +4,6 @@
 //! ```text
 //! figures [--quick] [--threads a,b,c] [--warmup N] [--repeats N]
 //!         [--json out.json] [--baseline old.json] [--regression-pct X]
-//!         [--wait-spin N] [--wait-yields N]
 //!         (--all | --fig 5|6|7|8|13|14|15 | --ablation cancellation|segment|batch-resume)
 //! ```
 //!
@@ -44,11 +43,9 @@ USAGE:
 
 FIGURE SELECTION:
     --all                 every figure and ablation
-    --fig N               one of 5|6|7|8|13|14|15|ch|a1|a2|a3|a4 (repeatable;
+    --fig N               one of 5|6|7|8|13|14|15|ch|a1|a2|a3 (repeatable;
                           ch = channel producer-consumer extension)
-    --ablation NAME       cancellation (a1), segment (a2), batch-resume (a3)
-                          or reclaim (a4: epoch vs owned-slot backends,
-                          incl. the stalled-guard churn soaks)
+    --ablation NAME       cancellation (a1), segment (a2) or batch-resume (a3)
     --scenario NAME       production-traffic scenario (not part of --all):
                           contended   closed-loop contended acquire,
                                       single-queue vs sharded
@@ -64,10 +61,6 @@ MEASUREMENT:
     --threads a,b,c       thread sweep (default: machine-derived)
     --warmup N            warmup repetitions per point
     --repeats N           timed repetitions per point (median reported)
-
-WAIT-LADDER TUNING (spin→yield→park; see cqs_core::WaitPolicy):
-    --wait-spin N         spin_loop() polls before yielding (default 64)
-    --wait-yields N       yield_now() calls before parking (default 16)
 
 REPORTING:
     --json PATH           write a cqs-bench/v1 JSON report
@@ -120,11 +113,9 @@ fn parse_args() -> Options {
                     .expect("bad percentage");
             }
             "--all" => {
-                figures = [
-                    "5", "6", "7", "8", "13", "14", "15", "ch", "a1", "a2", "a3", "a4",
-                ]
-                .map(String::from)
-                .to_vec();
+                figures = ["5", "6", "7", "8", "13", "14", "15", "ch", "a1", "a2", "a3"]
+                    .map(String::from)
+                    .to_vec();
             }
             "--fig" => figures.push(args.next().expect("--fig needs a number")),
             "--ablation" => {
@@ -133,7 +124,6 @@ fn parse_args() -> Options {
                     "cancellation" => "a1".to_string(),
                     "segment" => "a2".to_string(),
                     "batch-resume" => "a3".to_string(),
-                    "reclaim" => "a4".to_string(),
                     other => panic!("unknown ablation {other}"),
                 });
             }
@@ -147,24 +137,6 @@ fn parse_args() -> Options {
                     "soak" => "s5".to_string(),
                     other => panic!("unknown scenario {other}"),
                 });
-            }
-            "--wait-spin" => {
-                let spin = args
-                    .next()
-                    .expect("--wait-spin needs a count")
-                    .parse()
-                    .expect("bad spin count");
-                let p = cqs_core::default_wait_policy();
-                cqs_core::set_default_wait_policy(cqs_core::WaitPolicy::new(spin, p.yields()));
-            }
-            "--wait-yields" => {
-                let yields = args
-                    .next()
-                    .expect("--wait-yields needs a count")
-                    .parse()
-                    .expect("bad yield count");
-                let p = cqs_core::default_wait_policy();
-                cqs_core::set_default_wait_policy(cqs_core::WaitPolicy::new(p.spin(), yields));
             }
             "--help" | "-h" => {
                 print!("{}", HELP);
@@ -403,35 +375,6 @@ fn main() {
                     "waiters per wake",
                     timed(|| ablations::batch_resume(scale, repeats)),
                 );
-            }
-            "a4" => {
-                emit(
-                    &mut figures,
-                    "a4_reclaim_round_trip".to_string(),
-                    "Ablation A4: suspend+resume round-trip per reclamation backend (ns/op)"
-                        .to_string(),
-                    "threads",
-                    timed(|| ablations::reclaim_round_trip(scale, repeats)),
-                );
-                emit(
-                    &mut figures,
-                    "a4_reclaim_batch_resume".to_string(),
-                    "Ablation A4: batched resume_n per reclamation backend (ns/wake)".to_string(),
-                    "waiters per wake",
-                    timed(|| ablations::reclaim_batch_resume(scale, repeats)),
-                );
-                for kind in cqs_core::ReclaimerKind::ALL {
-                    emit_scenario(
-                        &mut figures,
-                        &format!("a4_stall_{}", kind.name()),
-                        &format!(
-                            "Ablation A4: churn soak with stalled {} guard-holder (ns/op)",
-                            kind.name()
-                        ),
-                        "round-trips",
-                        timed_scenario(|| ablations::reclaim_stalled_soak(scale, kind)),
-                    );
-                }
             }
             "s1" => emit_scenario(
                 &mut figures,

@@ -439,23 +439,15 @@ pub struct CqsChannel<T: Send + 'static> {
 
 impl<T: Send + 'static> CqsChannel<T> {
     fn with_capacity(capacity: Option<i64>) -> Self {
-        Self::build(capacity, None)
-    }
-
-    fn build(capacity: Option<i64>, reclaimer: Option<cqs_core::ReclaimerKind>) -> Self {
         let slots = Arc::new(CachePadded::new(AtomicI64::new(capacity.unwrap_or(0))));
-        let mut recv_config = CqsConfig::new()
+        let recv_config = CqsConfig::new()
             .resume_mode(ResumeMode::Asynchronous)
             .cancellation_mode(CancellationMode::Smart)
             .label("channel.recv");
-        let mut send_config = CqsConfig::new()
+        let send_config = CqsConfig::new()
             .resume_mode(ResumeMode::Asynchronous)
             .cancellation_mode(CancellationMode::Smart)
             .label("channel.send");
-        if let Some(kind) = reclaimer {
-            recv_config = recv_config.reclaimer(kind);
-            send_config = send_config.reclaimer(kind);
-        }
         let shared = Arc::new_cyclic(|weak: &Weak<ChannelShared<T>>| ChannelShared {
             size: CachePadded::new(AtomicI64::new(0)),
             slots: Arc::clone(&slots),
@@ -502,21 +494,6 @@ impl<T: Send + 'static> CqsChannel<T> {
     /// A channel whose sends never suspend.
     pub fn unbounded() -> Self {
         Self::with_capacity(None)
-    }
-
-    /// Like [`bounded`](Self::bounded), but both waiter queues use the
-    /// given memory-reclamation backend instead of
-    /// [`ReclaimerKind::default`](cqs_core::ReclaimerKind).
-    /// `bounded_with_reclaimer(0, ..)` is a rendezvous channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` exceeds `i64::MAX`.
-    pub fn bounded_with_reclaimer(capacity: usize, reclaimer: cqs_core::ReclaimerKind) -> Self {
-        Self::build(
-            Some(i64::try_from(capacity).expect("channel capacity exceeds i64")),
-            Some(reclaimer),
-        )
     }
 
     /// The configured capacity; `None` when unbounded.

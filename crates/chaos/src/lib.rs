@@ -179,7 +179,6 @@ pub const KNOWN_LABELS: &[&str] = &[
     "future.wait.spin-phase",
     "future.wait.yield-phase",
     "future.wake.fault.pre-fire",
-    "reclaim.owned.retire.pre-scan",
     "segment.append.pre-cas",
     "segment.move-forward.pre-cas",
     "segment.on-cancelled-cell.pre-count",

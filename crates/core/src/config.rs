@@ -1,9 +1,6 @@
 //! Configuration of a [`crate::Cqs`] instance: resumption and cancellation
-//! modes, segment size, the synchronous-rendezvous spin budget and the
-//! waiter-side spin→yield→park ladder.
-
-use cqs_future::WaitPolicy;
-use cqs_reclaim::ReclaimerKind;
+//! modes, segment size, the synchronous-rendezvous spin budget, the
+//! segment freelist and the watchdog label.
 
 /// How `resume(..)` transfers a value into a cell that `suspend()` has not
 /// reached yet (paper, Appendix B).
@@ -60,13 +57,6 @@ pub struct CqsConfig {
     spin_limit: usize,
     freelist_slots: usize,
     label: &'static str,
-    /// Per-queue overrides for the waiter-side spin→yield→park ladder;
-    /// `None` defers to the process-wide [`cqs_future::default_wait_policy`].
-    wait_spin: Option<u32>,
-    wait_yields: Option<u32>,
-    /// Which memory-reclamation backend guards this queue's segment and
-    /// waiter traversals; `None` means [`ReclaimerKind::default`].
-    reclaimer: Option<ReclaimerKind>,
 }
 
 impl CqsConfig {
@@ -88,9 +78,6 @@ impl CqsConfig {
             spin_limit: Self::DEFAULT_SPIN_LIMIT,
             freelist_slots: Self::DEFAULT_FREELIST_SLOTS,
             label: "cqs",
-            wait_spin: None,
-            wait_yields: None,
-            reclaimer: None,
         }
     }
 
@@ -147,41 +134,6 @@ impl CqsConfig {
         self
     }
 
-    /// Overrides, for futures minted by this queue, how many
-    /// [`std::hint::spin_loop`] iterations `CqsFuture::wait` polls before
-    /// starting to yield (see [`WaitPolicy`]). Unset fields follow the
-    /// process-wide default at wait time.
-    #[must_use]
-    pub fn wait_spin(mut self, spin: u32) -> Self {
-        self.wait_spin = Some(spin);
-        self
-    }
-
-    /// Overrides, for futures minted by this queue, how many
-    /// [`std::thread::yield_now`] calls `CqsFuture::wait` makes before
-    /// parking (see [`WaitPolicy`]).
-    #[must_use]
-    pub fn wait_yields(mut self, yields: u32) -> Self {
-        self.wait_yields = Some(yields);
-        self
-    }
-
-    /// Selects the memory-reclamation backend for this queue. Every
-    /// operation on the queue acquires its guards from this backend; the
-    /// per-queue stamp means two queues in one process can run different
-    /// backends side by side. Unset, the queue takes
-    /// [`ReclaimerKind::default`].
-    #[must_use]
-    pub fn reclaimer(mut self, kind: ReclaimerKind) -> Self {
-        self.reclaimer = Some(kind);
-        self
-    }
-
-    /// The configured reclamation backend override, if any.
-    pub fn get_reclaimer(&self) -> Option<ReclaimerKind> {
-        self.reclaimer
-    }
-
     /// The configured resumption mode.
     pub fn get_resume_mode(&self) -> ResumeMode {
         self.resume_mode
@@ -210,33 +162,6 @@ impl CqsConfig {
     /// The configured watchdog label.
     pub fn get_label(&self) -> &'static str {
         self.label
-    }
-
-    /// The configured waiter-spin override, if any.
-    pub fn get_wait_spin(&self) -> Option<u32> {
-        self.wait_spin
-    }
-
-    /// The configured waiter-yield override, if any.
-    pub fn get_wait_yields(&self) -> Option<u32> {
-        self.wait_yields
-    }
-
-    /// The [`WaitPolicy`] to stamp onto futures minted by this queue:
-    /// `None` when neither knob was set (futures then resolve the
-    /// process-wide default at wait time); otherwise the overrides, with
-    /// the unset half filled from the current process-wide default.
-    pub fn wait_policy(&self) -> Option<WaitPolicy> {
-        match (self.wait_spin, self.wait_yields) {
-            (None, None) => None,
-            (spin, yields) => {
-                let base = cqs_future::default_wait_policy();
-                Some(WaitPolicy::new(
-                    spin.unwrap_or_else(|| base.spin()),
-                    yields.unwrap_or_else(|| base.yields()),
-                ))
-            }
-        }
     }
 }
 

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use cqs_future::{CqsFuture, Request, WakeBatch};
-use cqs_reclaim::{pin_with, AtomicArc, Guard, Protected, ReclaimerKind};
+use cqs_reclaim::{pin, AtomicArc, Guard, Protected};
 use cqs_stats::CachePadded;
 
 use crate::cell::{self, CancelSwap};
@@ -78,11 +78,6 @@ impl<T> Suspend<T> {
 
 struct CqsInner<T: Send + 'static, C: CqsCallbacks<T>> {
     config: CqsConfig,
-    /// The reclamation backend guarding this queue's traversals, resolved
-    /// once at construction (config override or process default). Every
-    /// guard this queue acquires comes from this backend — mixing backends
-    /// on one queue's cells would void their soundness arguments.
-    reclaim: ReclaimerKind,
     /// Watchdog id of this queue (0 when the `watch` feature is off).
     watch_id: u64,
     /// The suspension/resumption counters and their head pointers are each
@@ -154,7 +149,6 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
             let first = Segment::new(0, config.get_segment_size(), 2, owner.clone());
             CqsInner {
                 watch_id: cqs_watch::next_primitive_id(config.get_label()),
-                reclaim: config.get_reclaimer().unwrap_or_default(),
                 freelist: SegmentFreelist::new(config.get_freelist_slots()),
                 config,
                 suspend_idx: CachePadded::new(AtomicU64::new(0)),
@@ -394,19 +388,12 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
         self.inner.freelist.len()
     }
 
-    /// The reclamation backend this queue resolved at construction
-    /// (explicit [`CqsConfig::reclaimer`] override, else the process-wide
-    /// default at that moment).
-    pub fn reclaimer(&self) -> ReclaimerKind {
-        self.inner.reclaim
-    }
-
     /// The number of segments currently linked into the queue (diagnostics;
     /// a racy snapshot). The paper's memory claim is that this stays
     /// `O(live waiters / SEGM_SIZE)` no matter how many waiters cancelled:
     /// fully-cancelled segments are physically unlinked.
     pub fn live_segments(&self) -> usize {
-        let guard = self.inner.protect();
+        let guard = pin();
         let mut cur = self.inner.first_segment(&guard);
         let mut count = 0;
         while let Some(segment) = cur {
@@ -422,7 +409,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
     /// A weak witness of the segment suspenders currently target: dead once
     /// every reference to that segment is gone (leak tests).
     pub(crate) fn suspend_segment_witness(&self) -> Weak<Segment<T>> {
-        let segment = self.inner.suspend_segm.load(&self.inner.protect());
+        let segment = self.inner.suspend_segm.load(&pin());
         Arc::downgrade(&segment.expect("head pointers are never null"))
     }
 
@@ -431,7 +418,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
     /// with: recycling (`Segment::reset_for_reuse`) must never get hold of
     /// a segment a pinned traverser can still reach.
     pub(crate) fn audit_segment_ids(&self, meanwhile: impl FnOnce()) {
-        let guard = self.inner.protect();
+        let guard = pin();
         let mut seen: Vec<(u64, Protected<'_, Segment<T>>)> = Vec::new();
         let mut cur = self.inner.first_segment(&guard);
         while let Some(segment) = cur {
@@ -454,7 +441,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Drop for Cqs<T, C> {
         // * `next`/`prev` links between neighbouring segments;
         // * `cell.waiter -> Request -> handler (the Arc<Segment>)` of
         //   waiters never completed nor cancelled.
-        let guard = self.inner.protect();
+        let guard = pin();
         let mut cur = self.inner.first_segment(&guard);
         while let Some(segment) = cur {
             for i in 0..segment.len() {
@@ -482,11 +469,6 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
         self.config.get_segment_size() as u64
     }
 
-    /// Acquires a traversal guard from this queue's reclamation backend.
-    fn protect(&self) -> Guard<'static> {
-        pin_with(self.reclaim)
-    }
-
     /// The earlier of the two head segments: every segment still linked
     /// into the queue is reachable from it through `next`.
     fn first_segment<'g>(&'g self, guard: &'g Guard) -> Option<Protected<'g, Segment<T>>> {
@@ -500,7 +482,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
 
     fn suspend(&self) -> Suspend<T> {
         cqs_stats::bump!(suspends);
-        let guard = self.protect();
+        let guard = pin();
         let n = self.segment_size();
         // Read the head *before* incrementing the counter (paper, Listing
         // 14): this guarantees the target segment is reachable from `start`.
@@ -555,11 +537,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
             if self.closed.load(Ordering::SeqCst) {
                 request.cancel();
             }
-            let future = match self.config.wait_policy() {
-                Some(policy) => CqsFuture::suspended(request).with_wait_policy(policy),
-                None => CqsFuture::suspended(request),
-            };
-            return Suspend::Future(future);
+            return Suspend::Future(CqsFuture::suspended(request));
         }
         // A racing resume(..) reached the cell first: eliminate.
         match cell.take_for_elimination() {
@@ -593,7 +571,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
         let simple = self.config.get_cancellation_mode() == CancellationMode::Simple;
         let sync = self.config.get_resume_mode() == ResumeMode::Synchronous;
         'operation: loop {
-            let guard = self.protect();
+            let guard = pin();
             let start = self
                 .resume_segm
                 .load_protected(&guard)
@@ -753,7 +731,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
         let reclaim = self.config.get_cancellation_mode() == CancellationMode::Smart;
         let mut wakes = WakeBatch::new();
         let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let guard = self.protect();
+            let guard = pin();
             self.resume_batch(next_value, n, reclaim, &mut wakes, &guard)
         }));
         let (delivered, failed) = match batch {
@@ -818,7 +796,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
             Some(value.clone())
         };
         let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let guard = self.protect();
+            let guard = pin();
             // Cell-coverage semantics: exactly `n` claims, clones minted on
             // demand, skipped cells simply don't mint one — never re-claim
             // (`reclaim = false`), or a broadcast racing cancellations
@@ -1137,7 +1115,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
         // relies on to settle waiters — it must itself be total.
         let mut sweep_panic: Option<Box<dyn std::any::Any + Send>> = None;
         {
-            let guard = self.protect();
+            let guard = pin();
             // Any waiter installed before the `closed` store above is
             // reachable from the earlier of the two heads (resumers never
             // move their head past a still-pending waiter); one installed
@@ -1229,7 +1207,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> SegmentOwner<T> for CqsInner<T, C> {
     /// as its handler (paper, Listing 5).
     fn on_waiter_cancelled(&self, segment: &Arc<Segment<T>>, index: usize) {
         cqs_chaos::inject!("cqs.on-waiter-cancelled.entry");
-        let guard = self.protect();
+        let guard = pin();
         let cell = segment.cell(index);
         match self.config.get_cancellation_mode() {
             CancellationMode::Simple => {

@@ -61,15 +61,7 @@ pub use config::{CancellationMode, CqsConfig, ResumeMode};
 pub use cqs::{Cqs, CqsCallbacks, SimpleCancellation, Suspend};
 
 // Re-export the future vocabulary so primitives only need one dependency.
-pub use cqs_future::{
-    default_wait_policy, set_default_wait_policy, Cancelled, CqsFuture, FutureState, Request,
-    WaitPolicy,
-};
-
-// Re-export the reclamation vocabulary for the same reason: primitives
-// offering a backend knob ([`CqsConfig::reclaimer`]) name the kind without
-// depending on cqs-reclaim directly.
-pub use cqs_reclaim::{flush_reclaimer, pin_with, retired_approx, ReclaimerKind};
+pub use cqs_future::{Cancelled, CqsFuture, FutureState, Request, WaitPolicy};
 
 #[cfg(test)]
 mod tests;

@@ -13,8 +13,8 @@
 //! for displaced link references).
 //!
 //! Traversals are not in that list: they walk guard-scoped [`Protected`]
-//! references — under the default (epoch) reclaimer the paper's pointer
-//! reads — and mint a count (`to_arc`) only where a reference is
+//! references — the paper's pointer reads, kept alive by the epoch pin —
+//! and mint a count (`to_arc`) only where a reference is
 //! *published or kept*: the head-pointer CAS, the links `remove` and a
 //! fresh tail write, a request's handler, `remove`'s `&Arc<Self>`.
 

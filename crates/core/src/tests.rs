@@ -441,41 +441,38 @@ fn concurrent_sync_mode_churn() {
 /// with every cell and request they referenced — are freed too.
 #[test]
 fn drop_with_pending_waiters() {
-    for kind in crate::ReclaimerKind::ALL {
-        let callbacks = CountingCallbacks::new();
-        let cqs = Cqs::new(
-            CqsConfig::new()
-                .segment_size(2)
-                .cancellation_mode(CancellationMode::Smart)
-                .reclaimer(kind),
-            Arc::clone(&callbacks),
-        );
-        let futures: Vec<_> = (0..8).map(|_| cqs.suspend().expect_future()).collect();
-        let segment = cqs.suspend_segment_witness();
-        drop(cqs);
-        assert_eq!(
-            Arc::strong_count(&callbacks),
-            1,
-            "[{kind}] pending waiters must not keep the queue alive"
-        );
-        for f in &futures {
-            assert!(f.cancel(), "[{kind}] the waiter was still pending");
-        }
-        assert_eq!(
-            callbacks.state.load(Ordering::SeqCst),
-            0,
-            "[{kind}] no handler may run against the dead queue"
-        );
-        drop(futures);
-        // The cell references cleared by `Cqs::drop` were retired; sibling
-        // tests share the backends, so only our own segment is asserted —
-        // not that the whole backlog went.
-        let _ = crate::flush_reclaimer(kind);
-        assert!(
-            segment.upgrade().is_none(),
-            "[{kind}] a segment outlived its queue and every waiter"
-        );
+    let callbacks = CountingCallbacks::new();
+    let cqs = Cqs::new(
+        CqsConfig::new()
+            .segment_size(2)
+            .cancellation_mode(CancellationMode::Smart),
+        Arc::clone(&callbacks),
+    );
+    let futures: Vec<_> = (0..8).map(|_| cqs.suspend().expect_future()).collect();
+    let segment = cqs.suspend_segment_witness();
+    drop(cqs);
+    assert_eq!(
+        Arc::strong_count(&callbacks),
+        1,
+        "pending waiters must not keep the queue alive"
+    );
+    for f in &futures {
+        assert!(f.cancel(), "the waiter was still pending");
     }
+    assert_eq!(
+        callbacks.state.load(Ordering::SeqCst),
+        0,
+        "no handler may run against the dead queue"
+    );
+    drop(futures);
+    // The cell references cleared by `Cqs::drop` were retired; sibling
+    // tests share the collector, so only our own segment is asserted — not
+    // that the whole backlog went.
+    let _ = cqs_reclaim::flush();
+    assert!(
+        segment.upgrade().is_none(),
+        "a segment outlived its queue and every waiter"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -804,7 +801,6 @@ fn freelist_bound_is_configurable() {
 /// being reused under it.
 #[test]
 fn recycling_never_takes_a_segment_from_under_a_pinned_traverser() {
-    use cqs_reclaim::ReclaimerKind;
     const ROUNDS: usize = 1_000;
     /// Bounds every wait, so a failure on one side fails the other too
     /// instead of hanging it.
@@ -847,105 +843,102 @@ fn recycling_never_takes_a_segment_from_under_a_pinned_traverser() {
         }
     }
 
-    for kind in ReclaimerKind::ALL {
-        for segment_size in [1usize, 2] {
-            let before = cqs_stats::CqsStats::snapshot();
-            let callbacks = CountingCallbacks::new();
-            callbacks.state.store(1, Ordering::SeqCst);
-            let sem = Sem {
-                cqs: Cqs::new(
-                    CqsConfig::new()
-                        .segment_size(segment_size)
-                        .freelist_slots(2)
-                        .reclaimer(kind)
-                        .cancellation_mode(CancellationMode::Smart),
-                    Arc::clone(&callbacks),
-                ),
-                callbacks,
-                holders: AtomicUsize::new(0),
-                resumes_issued: AtomicUsize::new(0),
-                granted_by_resume: AtomicUsize::new(0),
-            };
-            let waves = AtomicUsize::new(0);
-            let rounds = AtomicUsize::new(0);
-            let mut parked_peak = 0;
+    for segment_size in [1usize, 2] {
+        let before = cqs_stats::CqsStats::snapshot();
+        let callbacks = CountingCallbacks::new();
+        callbacks.state.store(1, Ordering::SeqCst);
+        let sem = Sem {
+            cqs: Cqs::new(
+                CqsConfig::new()
+                    .segment_size(segment_size)
+                    .freelist_slots(2)
+                    .cancellation_mode(CancellationMode::Smart),
+                Arc::clone(&callbacks),
+            ),
+            callbacks,
+            holders: AtomicUsize::new(0),
+            resumes_issued: AtomicUsize::new(0),
+            granted_by_resume: AtomicUsize::new(0),
+        };
+        let waves = AtomicUsize::new(0);
+        let rounds = AtomicUsize::new(0);
+        let mut parked_peak = 0;
 
-            // The patient side starts out holding the permit.
-            assert!(sem.acquire().is_none());
-            std::thread::scope(|scope| {
-                // Patient: holds the permit — and a pin over every linked
-                // segment — for a whole wave, so the wave queues up behind
-                // it, cancels, removes and tries to recycle under its eyes;
-                // then releases into the next wave and queues up itself.
-                scope.spawn(|| loop {
-                    let wave = waves.load(Ordering::SeqCst);
-                    if rounds.load(Ordering::SeqCst) == ROUNDS {
-                        return sem.release();
-                    }
-                    sem.cqs.audit_segment_ids(|| {
-                        let deadline = std::time::Instant::now() + PATIENCE;
-                        while waves.load(Ordering::SeqCst) == wave {
-                            assert!(std::time::Instant::now() < deadline, "no wave came");
-                            std::thread::yield_now();
-                        }
-                    });
-                    sem.release();
-                    if let Some(waiting) = sem.acquire() {
-                        assert_eq!(waiting.wait_timeout(PATIENCE), Ok(0));
-                        sem.granted();
-                    }
-                    rounds.fetch_add(1, Ordering::SeqCst);
-                });
-                // Impatient: four segments' worth of waiters per wave, all
-                // cancelled in FIFO order; a cancel that loses to a resume
-                // holds the permit and hands it on. One wave past the last
-                // round, so the patient side is never left waiting for one.
-                let mut last = false;
-                while !last {
-                    last = rounds.load(Ordering::SeqCst) == ROUNDS;
-                    let wave: Vec<_> = (0..4 * segment_size).map(|_| sem.acquire()).collect();
-                    for waiter in wave {
-                        match waiter {
-                            None => sem.release(),
-                            Some(waiting) if !waiting.cancel() => {
-                                // (The resumer may still be mid-`complete`.)
-                                assert_eq!(waiting.wait_timeout(PATIENCE), Ok(0));
-                                sem.granted();
-                                sem.release();
-                            }
-                            Some(_cancelled) => {}
-                        }
-                    }
-                    parked_peak = parked_peak.max(sem.cqs.recycling_queue_len());
-                    sem.cqs.audit_segment_ids(|| {});
-                    waves.fetch_add(1, Ordering::SeqCst);
+        // The patient side starts out holding the permit.
+        assert!(sem.acquire().is_none());
+        std::thread::scope(|scope| {
+            // Patient: holds the permit — and a pin over every linked
+            // segment — for a whole wave, so the wave queues up behind
+            // it, cancels, removes and tries to recycle under its eyes;
+            // then releases into the next wave and queues up itself.
+            scope.spawn(|| loop {
+                let wave = waves.load(Ordering::SeqCst);
+                if rounds.load(Ordering::SeqCst) == ROUNDS {
+                    return sem.release();
                 }
+                sem.cqs.audit_segment_ids(|| {
+                    let deadline = std::time::Instant::now() + PATIENCE;
+                    while waves.load(Ordering::SeqCst) == wave {
+                        assert!(std::time::Instant::now() < deadline, "no wave came");
+                        std::thread::yield_now();
+                    }
+                });
+                sem.release();
+                if let Some(waiting) = sem.acquire() {
+                    assert_eq!(waiting.wait_timeout(PATIENCE), Ok(0));
+                    sem.granted();
+                }
+                rounds.fetch_add(1, Ordering::SeqCst);
             });
-            let tag = format!("{kind}, segment_size {segment_size}");
-            assert_eq!(
-                sem.callbacks.state.load(Ordering::SeqCst),
-                1,
-                "permit lost: {tag}"
-            );
-            assert_eq!(sem.holders.load(Ordering::SeqCst), 0, "{tag}");
-            assert_eq!(
-                sem.resumes_issued.load(Ordering::SeqCst),
-                sem.granted_by_resume.load(Ordering::SeqCst)
-                    + sem.callbacks.refused.load(Ordering::SeqCst),
-                "a resume was lost or delivered twice: {tag}"
-            );
-            assert!(
-                parked_peak >= 1,
-                "no segment was ever offered for reuse: {tag}"
-            );
-            let segments = sem.cqs.live_segments();
-            assert!(segments <= 3, "{segments} segments linked at rest: {tag}");
-            // See `recycled_segments_are_reused_and_preserve_fifo` for the
-            // two feature conditions.
-            let delta = cqs_stats::CqsStats::snapshot().delta(&before);
-            if cfg!(feature = "stats") && !cfg!(feature = "watch") {
-                assert!(delta.segments_recycled > 0, "nothing was reused: {tag}");
+            // Impatient: four segments' worth of waiters per wave, all
+            // cancelled in FIFO order; a cancel that loses to a resume
+            // holds the permit and hands it on. One wave past the last
+            // round, so the patient side is never left waiting for one.
+            let mut last = false;
+            while !last {
+                last = rounds.load(Ordering::SeqCst) == ROUNDS;
+                let wave: Vec<_> = (0..4 * segment_size).map(|_| sem.acquire()).collect();
+                for waiter in wave {
+                    match waiter {
+                        None => sem.release(),
+                        Some(waiting) if !waiting.cancel() => {
+                            // (The resumer may still be mid-`complete`.)
+                            assert_eq!(waiting.wait_timeout(PATIENCE), Ok(0));
+                            sem.granted();
+                            sem.release();
+                        }
+                        Some(_cancelled) => {}
+                    }
+                }
+                parked_peak = parked_peak.max(sem.cqs.recycling_queue_len());
+                sem.cqs.audit_segment_ids(|| {});
+                waves.fetch_add(1, Ordering::SeqCst);
             }
+        });
+        let tag = format!("segment_size {segment_size}");
+        assert_eq!(
+            sem.callbacks.state.load(Ordering::SeqCst),
+            1,
+            "permit lost: {tag}"
+        );
+        assert_eq!(sem.holders.load(Ordering::SeqCst), 0, "{tag}");
+        assert_eq!(
+            sem.resumes_issued.load(Ordering::SeqCst),
+            sem.granted_by_resume.load(Ordering::SeqCst)
+                + sem.callbacks.refused.load(Ordering::SeqCst),
+            "a resume was lost or delivered twice: {tag}"
+        );
+        assert!(
+            parked_peak >= 1,
+            "no segment was ever offered for reuse: {tag}"
+        );
+        let segments = sem.cqs.live_segments();
+        assert!(segments <= 3, "{segments} segments linked at rest: {tag}");
+        // See `recycled_segments_are_reused_and_preserve_fifo` for the
+        // two feature conditions.
+        let delta = cqs_stats::CqsStats::snapshot().delta(&before);
+        if cfg!(feature = "stats") && !cfg!(feature = "watch") {
+            assert!(delta.segments_recycled > 0, "nothing was reused: {tag}");
         }
     }
 }
@@ -1242,26 +1235,4 @@ fn concurrent_competing_batch_resumers() {
         n * (n - 1) / 2,
         "values lost or duplicated across competing batches"
     );
-}
-
-/// `CqsConfig::wait_spin`/`wait_yields` are stamped onto minted futures;
-/// untouched configs defer to the process-wide default.
-#[test]
-fn wait_policy_knobs_plumb_into_minted_futures() {
-    let cqs: Cqs<u64> = Cqs::new(
-        CqsConfig::new().wait_spin(5).wait_yields(2),
-        SimpleCancellation,
-    );
-    let f = cqs.suspend().expect_future();
-    assert_eq!(f.wait_policy(), crate::WaitPolicy::new(5, 2));
-    f.cancel();
-
-    let plain: Cqs<u64> = Cqs::new(CqsConfig::new(), SimpleCancellation);
-    let f = plain.suspend().expect_future();
-    assert_eq!(
-        f.wait_policy(),
-        crate::default_wait_policy(),
-        "no knob set: the future follows the process-wide default"
-    );
-    f.cancel();
 }

@@ -92,38 +92,12 @@ impl WaitPolicy {
     pub const fn yields(&self) -> u32 {
         self.yields
     }
-
-    fn pack(self) -> u64 {
-        (u64::from(self.spin) << 32) | u64::from(self.yields)
-    }
-
-    fn unpack(packed: u64) -> Self {
-        WaitPolicy::new((packed >> 32) as u32, packed as u32)
-    }
 }
 
 impl Default for WaitPolicy {
     fn default() -> Self {
         WaitPolicy::new(Self::DEFAULT_SPIN, Self::DEFAULT_YIELDS)
     }
-}
-
-/// Packed process-wide default `WaitPolicy` (spin in the high 32 bits,
-/// yields in the low 32). A single word so readers pay one relaxed load.
-static DEFAULT_WAIT_POLICY: AtomicU64 =
-    AtomicU64::new((WaitPolicy::DEFAULT_SPIN as u64) << 32 | WaitPolicy::DEFAULT_YIELDS as u64);
-
-/// Sets the process-wide default [`WaitPolicy`], used by every
-/// [`CqsFuture::wait`] whose future carries no explicit override (see
-/// [`CqsFuture::with_wait_policy`]). Benchmarks expose this as
-/// `--wait-spin` / `--wait-yields`.
-pub fn set_default_wait_policy(policy: WaitPolicy) {
-    DEFAULT_WAIT_POLICY.store(policy.pack(), Ordering::Relaxed);
-}
-
-/// The current process-wide default [`WaitPolicy`].
-pub fn default_wait_policy() -> WaitPolicy {
-    WaitPolicy::unpack(DEFAULT_WAIT_POLICY.load(Ordering::Relaxed))
 }
 
 /// The operation was aborted by [`CqsFuture::cancel`] before completion.
@@ -643,8 +617,8 @@ impl<T> Request<T> {
     /// Blocks until the request is completed or cancelled and takes the
     /// value: the waiter's half of the protocol, behind [`CqsFuture::wait`]
     /// and open to holders that embed the request in a larger allocation.
-    /// Single-consumer, like the future. A `policy` of `None` resolves
-    /// [`default_wait_policy`] once the first check fails.
+    /// Single-consumer, like the future. A `policy` of `None` means
+    /// [`WaitPolicy::default`].
     pub fn wait(&self, policy: Option<WaitPolicy>) -> Result<T, Cancelled> {
         if let Some(settled) = self.try_settled() {
             return settled;
@@ -652,7 +626,7 @@ impl<T> Request<T> {
         // Spin → yield → park ladder. The polling phases touch only the
         // request's state word, so a completion landing mid-ladder is
         // observed without ever registering a thread or parking.
-        let policy = policy.unwrap_or_else(default_wait_policy);
+        let policy = policy.unwrap_or_default();
         if policy.spin() > 0 {
             cqs_chaos::inject!("future.wait.spin-phase");
             for _ in 0..policy.spin() {
@@ -789,7 +763,7 @@ enum Inner<T> {
 /// ([`wait`](Self::wait)) or awaited as a [`std::future::Future`].
 pub struct CqsFuture<T> {
     inner: Inner<T>,
-    /// `None` = resolve the process-wide default at wait time.
+    /// `None` = [`WaitPolicy::default`].
     policy: Option<WaitPolicy>,
 }
 
@@ -811,17 +785,17 @@ impl<T> CqsFuture<T> {
     }
 
     /// Overrides the [`WaitPolicy`] for this future's [`wait`](Self::wait),
-    /// instead of resolving [`default_wait_policy`] at wait time.
+    /// instead of [`WaitPolicy::default`].
     #[must_use]
     pub fn with_wait_policy(mut self, policy: WaitPolicy) -> Self {
         self.policy = Some(policy);
         self
     }
 
-    /// The wait policy this future's [`wait`](Self::wait) will use right
-    /// now: its override if set, the process-wide default otherwise.
+    /// The wait policy this future's [`wait`](Self::wait) will use: its
+    /// override if set, [`WaitPolicy::default`] otherwise.
     pub fn wait_policy(&self) -> WaitPolicy {
-        self.policy.unwrap_or_else(default_wait_policy)
+        self.policy.unwrap_or_default()
     }
 
     /// An already-cancelled future: every observation reports

@@ -8,7 +8,7 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use cqs_future::{default_wait_policy, set_default_wait_policy, CqsFuture, Request, WaitPolicy};
+use cqs_future::{CqsFuture, Request, WaitPolicy};
 use cqs_stats::CqsStats;
 
 static STATS_LOCK: Mutex<()> = Mutex::new(());
@@ -86,29 +86,6 @@ fn park_only_policy_still_parks_and_completes() {
         assert!(delta.parks >= 1, "park-only waiter must actually park");
         assert!(delta.unparks >= 1, "the completer must unpark it");
     }
-}
-
-/// The process-wide default is consulted at wait time and per-future
-/// overrides shadow it.
-#[test]
-fn default_policy_override_and_restore() {
-    let _guard = stats_guard();
-    let original = default_wait_policy();
-
-    let custom = WaitPolicy::new(3, 5);
-    set_default_wait_policy(custom);
-    assert_eq!(default_wait_policy(), custom);
-    assert_eq!(custom.spin(), 3);
-    assert_eq!(custom.yields(), 5);
-
-    let plain: CqsFuture<u32> = CqsFuture::immediate(0);
-    assert_eq!(plain.wait_policy(), custom, "no override: global applies");
-    let overridden: CqsFuture<u32> =
-        CqsFuture::immediate(0).with_wait_policy(WaitPolicy::park_only());
-    assert_eq!(overridden.wait_policy(), WaitPolicy::park_only());
-
-    set_default_wait_policy(original);
-    assert_eq!(default_wait_policy(), original);
 }
 
 /// Seed storm over the ladder's chaos labels (`future.wait.spin-phase`,

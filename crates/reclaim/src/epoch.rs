@@ -13,11 +13,11 @@
 //! drains, so a steady-state retire never reaches the allocator.
 
 use crate::guard::{Guard, Retired, SettleGauge};
-use crate::reclaimer::flush_until;
 use cqs_stats::CachePadded;
 use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Number of logical epoch bins.
 const EPOCH_BINS: usize = 3;
@@ -67,7 +67,7 @@ struct Global {
     participants: Mutex<Vec<Arc<Participant>>>,
     bags: Mutex<Bags>,
     /// Gauge: deferred destructors not yet executed, mirrored outside the
-    /// bags lock for `cqs_reclaim::retired_approx`.
+    /// bags lock for [`retired_approx`].
     retired_count: AtomicUsize,
 }
 
@@ -274,11 +274,6 @@ impl LocalHandle {
     /// more than one step past the epoch observed here. Reentrant: nested
     /// pins share the outermost epoch.
     pub fn pin(&self) -> Guard<'_> {
-        Guard::from_epoch(self.pin_epoch())
-    }
-
-    /// The backend-internal pin, returning the raw epoch guard.
-    pub(crate) fn pin_epoch(&self) -> EpochGuard<'_> {
         let count = self.pin_count.get();
         self.pin_count.set(count + 1);
         if count == 0 {
@@ -316,7 +311,7 @@ impl LocalHandle {
                 self.global.collect();
             }
         }
-        EpochGuard { local: self }
+        Guard::from_epoch(EpochGuard { local: self })
     }
 }
 
@@ -345,10 +340,9 @@ impl std::fmt::Debug for LocalHandle {
     }
 }
 
-/// Witness that the current thread is pinned in the epoch backend. While
-/// any epoch guard is alive, memory retired by threads in the same epoch
-/// is guaranteed not to be freed. The public face of this type is the
-/// unified [`Guard`], which wraps it.
+/// Witness that the current thread is pinned. While any epoch guard is
+/// alive, memory retired by threads in the same epoch is guaranteed not to
+/// be freed. The public face of this type is [`Guard`], which wraps it.
 pub(crate) struct EpochGuard<'a> {
     local: &'a LocalHandle,
 }
@@ -405,9 +399,32 @@ pub fn flush() -> bool {
     default_collector().flush()
 }
 
-/// Gauge for [`crate::retired_approx`]: deferred-but-unexecuted
-/// destructors in the default collector.
-pub(crate) fn default_retired_approx() -> usize {
+/// How long a flush keeps retrying before it reports the backlog as stuck.
+const FLUSH_DEADLINE: Duration = Duration::from_secs(2);
+
+/// The quiescence barrier behind [`Collector::flush`]: runs `round` (one
+/// reclamation attempt, reporting whether the backlog is gone), yielding
+/// between rounds, until it succeeds or [`FLUSH_DEADLINE`] passes. One
+/// round is rarely enough on shared state — any thread pinned at that
+/// instant vetoes the advance — so a flush that must be observable (a test
+/// asserting drop counts) has to retry.
+fn flush_until(mut round: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + FLUSH_DEADLINE;
+    loop {
+        if round() {
+            return true;
+        }
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// Approximate number of retired-but-unreclaimed objects in the default
+/// collector's bags. This is the gauge `cqs-watch` publishes so garbage
+/// growth under a stalled pin is observable.
+pub fn retired_approx() -> usize {
     default_collector()
         .global
         .retired_count

@@ -1,113 +1,74 @@
-//! The backend-polymorphic [`Guard`] and [`Retired`], the type-erased
-//! retired-object representation both backends queue.
+//! The [`Guard`] every [`crate::AtomicArc`] operation demands, and
+//! [`Retired`], the type-erased form in which the collector queues what a
+//! write displaced.
 //!
-//! A `Guard` is the witness every [`crate::AtomicArc`] operation demands.
-//! What the witness actually *means* differs per backend:
-//!
-//! * **Epoch** — the classic meaning: the thread is pinned, and no memory
-//!   retired by a same-epoch thread is freed while the guard lives.
-//!   Protection spans the guard's whole lifetime.
-//! * **Owned** — the guard is a pure token (its acquisition performs no
-//!   atomic operation at all; see `guard_elisions` in `cqs-stats`).
-//!   Protection is *per pointer load*, through a striped borrow counter that
-//!   is held only for the few instructions between reading the raw pointer
-//!   and incrementing the strong count.
+//! A `Guard` witnesses that the thread is pinned in the epoch collector:
+//! no memory retired by a same-epoch thread is freed while the guard
+//! lives. Protection spans the guard's whole lifetime, and a stalled guard
+//! defers every later reclamation with it.
 //!
 //! # What a load returns, and how long it lasts
 //!
 //! An owned `Arc` (`load`, `swap`, `take`), or a
 //! [`Protected`](crate::Protected) borrowing the guard it was read under:
 //! it may outlive the cell being overwritten or emptied *through a guard*,
-//! not the guard's borrow. Until then its pointee is kept alive by:
-//!
-//! * **Epoch** — the pin: writes retire what they displace, and no
-//!   deferred drop runs while the guard pins the thread. The immediate
-//!   releases — dropping the cell, `take_mut`, `clear_mut` — are **not**
-//!   covered; the borrow checker keeps them away: `load_protected` borrows
-//!   the cell, and `follow`, reading a cell *inside* a pinned pointee,
-//!   need not — `&mut` on that cell takes sole ownership of the pointee,
-//!   and the reference the pin keeps unreleased (in its cell, or retired)
-//!   is a second owner. Segment recycling (`Arc::get_mut` in `cqs-core`)
-//!   is vetoed by that same reference.
-//! * **Owned** — a strong reference of its own, taken inside the load's
-//!   protected window; a stalled guard pins nothing.
+//! not the guard's borrow. Until then its pointee is kept alive by the
+//! pin: writes retire what they displace, and no deferred drop runs while
+//! the guard pins the thread. The immediate releases — dropping the cell,
+//! `take_mut`, `clear_mut` — are **not** covered; the borrow checker keeps
+//! them away: `load_protected` borrows the cell, and `follow`, reading a
+//! cell *inside* a pinned pointee, need not — `&mut` on that cell takes
+//! sole ownership of the pointee, and the reference the pin keeps
+//! unreleased (in its cell, or retired) is a second owner. Segment
+//! recycling (`Arc::get_mut` in `cqs-core`) is vetoed by that same
+//! reference.
 //!
 //! Code must not cache a raw pointer from `load_ptr` and dereference it
-//! later under any backend; `load_ptr` is for identity comparisons only.
+//! later; `load_ptr` is for identity comparisons only.
 
 use crate::epoch::EpochGuard;
-use crate::owned::OwnedGuard;
-use crate::reclaimer::ReclaimerKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Witness that the current thread may operate on [`crate::AtomicArc`]
-/// cells, with backend-specific protection semantics (see the module
-/// documentation). Obtain one from [`crate::pin`] (epoch),
-/// [`crate::pin_with`] (any backend) or a [`crate::LocalHandle`].
+/// Witness that the current thread is pinned in an epoch [`crate::Collector`]
+/// and may operate on [`crate::AtomicArc`] cells (see the module
+/// documentation). Obtain one from [`crate::pin`] (the default collector)
+/// or a [`crate::LocalHandle`].
 ///
-/// All threads collaborating on one cell must use guards of the **same**
-/// backend (and, for epoch, the same collector): the load protocol of one
-/// backend only synchronizes with the retire protocol of the same backend.
+/// All threads collaborating on one cell must pin the **same** collector:
+/// a pin in one collector does not hold back the grace periods of another.
 pub struct Guard<'a> {
-    pub(crate) inner: GuardInner<'a>,
-}
-
-pub(crate) enum GuardInner<'a> {
-    Epoch(EpochGuard<'a>),
-    #[allow(dead_code)] // the token is carried for uniformity; never read
-    Owned(OwnedGuard),
+    inner: EpochGuard<'a>,
 }
 
 impl<'a> Guard<'a> {
     pub(crate) fn from_epoch(inner: EpochGuard<'a>) -> Self {
-        Guard {
-            inner: GuardInner::Epoch(inner),
-        }
+        Guard { inner }
     }
 
-    /// Which reclamation backend issued this guard.
-    pub fn kind(&self) -> ReclaimerKind {
-        match &self.inner {
-            GuardInner::Epoch(_) => ReclaimerKind::Epoch,
-            GuardInner::Owned(_) => ReclaimerKind::Owned,
-        }
-    }
-
-    /// Defers `f` until the backend can prove no concurrent reader is
-    /// still inside a protected window that predates this call.
-    ///
-    /// * **Epoch**: runs after a full grace period — once every thread
-    ///   pinned at the time of this call has unpinned (the historical
-    ///   `Guard::defer` contract).
-    /// * **Owned**: runs once the striped borrow counters have all been
-    ///   observed at zero, i.e. no load is mid-window. Owned guards
-    ///   themselves do not delay it — their lifetime carries no
-    ///   protection.
+    /// Defers `f` until after a full grace period: it runs once every
+    /// thread pinned at the time of this call has unpinned.
     pub fn defer<F: FnOnce() + Send + 'static>(&self, f: F) {
         self.retire(Retired::from_closure(f));
     }
 
-    /// Hands a retired object to the backend that issued this guard.
+    /// Hands a retired object to the collector this guard pins.
     pub(crate) fn retire(&self, entry: Retired) {
-        match &self.inner {
-            GuardInner::Epoch(g) => g.retire(entry),
-            GuardInner::Owned(_) => crate::owned::retire(entry),
-        }
+        self.inner.retire(entry);
     }
 }
 
 impl std::fmt::Debug for Guard<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Guard").field("kind", &self.kind()).finish()
+        f.debug_struct("Guard").finish_non_exhaustive()
     }
 }
 
 /// A type-erased retired object: a thin pointer plus the monomorphized
-/// function that releases it. Two machine words, no allocation — every
-/// backend queues displaced `Arc` references in this form (epoch bins,
-/// the owned-slot limbo), so retiring a reference costs the structure
-/// nothing beyond the push. Only a [`Guard::defer`] closure allocates: one
-/// box to give its captures a thin pointer.
+/// function that releases it. Two machine words, no allocation — the
+/// collector's epoch bins queue displaced `Arc` references in this form,
+/// so retiring a reference costs the structure nothing beyond the push.
+/// Only a [`Guard::defer`] closure allocates: one box to give its captures
+/// a thin pointer.
 pub(crate) struct Retired {
     ptr: *mut (),
     drop_fn: unsafe fn(*mut ()),
@@ -150,7 +111,7 @@ impl Retired {
     ///
     /// # Safety
     ///
-    /// The backend must have established that no protected reader from
+    /// The collector must have established that no protected reader from
     /// before the object was retired can still dereference `ptr`.
     pub(crate) unsafe fn reclaim(self) {
         // SAFETY: forwarded contract; `new`/`from_closure` guarantee the
@@ -159,7 +120,7 @@ impl Retired {
     }
 }
 
-/// Subtracts a drain's entry count from a backend's retired gauge when
+/// Subtracts a drain's entry count from the collector's retired gauge when
 /// dropped: after the drain released them, or while a panicking destructor
 /// unwinds through the drain. The entries behind such a panic are leaked,
 /// not re-queued, so they leave the gauge too — otherwise every later

@@ -1,68 +1,52 @@
 #![warn(missing_docs)]
 
-//! Pluggable memory reclamation and atomically swappable [`std::sync::Arc`] cells.
+//! Epoch-based memory reclamation and atomically swappable
+//! [`std::sync::Arc`] cells.
 //!
 //! The CQS paper assumes a garbage-collected runtime (the JVM): segments of
 //! the waiter queue are unlinked with plain pointer manipulation and the
 //! collector frees them once unreachable. A Rust reproduction must supply the
-//! reclamation story itself. This crate provides it behind one seam — a
-//! [`ReclaimerKind`] stamped per queue, dispatched by [`pin_with`],
-//! [`flush_reclaimer`], [`retired_approx`] and the [`Guard`] it hands out —
-//! with two interchangeable backends:
+//! reclamation story itself. This crate provides it with one
+//! **epoch-based reclamation engine** ([`Collector`], [`pin`]) in the style
+//! of classic epoch schemes: three logical epochs, per-thread participants,
+//! and deferred destruction that runs only after every thread pinned in an
+//! older epoch has moved on. [`flush`] drains the default collector and
+//! [`retired_approx`] reads its backlog.
 //!
-//! * an **epoch-based reclamation engine** ([`Collector`], [`pin`]) in the
-//!   style of classic epoch schemes: three logical epochs, per-thread
-//!   participants, and deferred destruction that runs only after every
-//!   thread pinned in an older epoch has moved on — the default;
-//! * a GC-free **owned-slot backend** ([`ReclaimerKind::Owned`]) exploiting
-//!   CQS structure: guards are free tokens, loads take a transient striped
-//!   borrow, and displaced references are usually dropped on the spot — so
-//!   a stalled guard defers nothing.
+//! One engine, because the two alternatives measured against it never
+//! dominated it end to end, and nothing a queue can observe says which one
+//! it would need (EXPERIMENTS.md, "Why there is one backend" and "Why there
+//! is no hazard backend"). The structure is argued against one guard
+//! contract, documented on [`Guard`].
 //!
-//! Two because each wins something the other cannot: epoch's loads touch no
-//! strong count, owned's garbage stays bounded behind a stalled guard. A
-//! third backend was measured and deleted because owned dominated it end to
-//! end (EXPERIMENTS.md, "Why there is no hazard backend"). The seam stays
-//! so the structure is argued against the guard *contract*, not one
-//! implementation of it.
-//!
-//! On top of whichever backend a [`Guard`] came from sits [`AtomicArc`], a
-//! lock-free cell holding an `Option<Arc<T>>` that can be loaded, stored,
-//! swapped and compare-exchanged concurrently; displaced references are
-//! retired through the guard's backend, so a concurrent [`AtomicArc::load`]
-//! can always safely increment the reference count it observed, and a
-//! traversal can skip the count: [`AtomicArc::load_protected`] returns a
-//! guard-scoped [`Protected`], under an epoch guard a plain borrow.
+//! On top of the [`Guard`] sits [`AtomicArc`], a lock-free cell holding an
+//! `Option<Arc<T>>` that can be loaded, stored, swapped and
+//! compare-exchanged concurrently; displaced references are retired through
+//! the collector, so a concurrent [`AtomicArc::load`] can always safely
+//! increment the reference count it observed, and a traversal can skip the
+//! count: [`AtomicArc::load_protected`] returns a guard-scoped
+//! [`Protected`], a plain borrow.
 //!
 //! # Example
 //!
 //! ```
 //! use std::sync::Arc;
-//! use cqs_reclaim::{pin, pin_with, AtomicArc, ReclaimerKind};
+//! use cqs_reclaim::{pin, AtomicArc};
 //!
 //! let cell = AtomicArc::new(Some(Arc::new(1)));
-//! let guard = pin(); // epoch, the default backend
+//! let guard = pin();
 //! let old = cell.swap(Some(Arc::new(2)), &guard);
 //! assert_eq!(*old.unwrap(), 1);
 //! assert_eq!(*cell.load(&guard).unwrap(), 2);
-//!
-//! // A different cell can use a different backend — all threads touching
-//! // one cell must agree on it.
-//! let owned_cell = AtomicArc::new(Some(Arc::new(3)));
-//! let guard = pin_with(ReclaimerKind::Owned);
-//! assert_eq!(*owned_cell.load(&guard).unwrap(), 3);
 //! ```
 
 mod atomic_arc;
 mod epoch;
 mod guard;
-mod owned;
-mod reclaimer;
 
 pub use atomic_arc::{AtomicArc, Protected};
-pub use epoch::{flush, pin, Collector, LocalHandle};
+pub use epoch::{flush, pin, retired_approx, Collector, LocalHandle};
 pub use guard::Guard;
-pub use reclaimer::{flush_reclaimer, pin_with, retired_approx, ReclaimerKind};
 
 #[cfg(test)]
 mod tests {

@@ -203,17 +203,8 @@ define_counters! {
     epoch_defers,
     /// Deferred destructors actually executed by the epoch engine.
     epoch_collects,
-    /// Owned-slot guard acquisitions that took no atomic action at all —
-    /// the GC-free backend's fast path, where protection is deferred to
-    /// the individual pointer loads instead of a guard-lifetime pin.
-    guard_elisions,
-    /// Retired objects physically reclaimed by the owned-slot backend
-    /// (immediate frees plus limbo drains); the epoch engine's equivalent
-    /// is `epoch_collects`.
-    retired_reclaimed,
     /// Strong-count increments minted by reading an `AtomicArc`: one per
-    /// `load`, per owned `load_protected` (a counted clone) and per
-    /// `Protected::to_arc`; an epoch `load_protected` counts nothing.
+    /// `load` and per `Protected::to_arc`; `load_protected` counts nothing.
     arc_increments,
     /// Batched resumption traversals (`Cqs::resume_n` / `resume_all` /
     /// the batched `close()` sweep) — one per traversal, however many

@@ -9,8 +9,7 @@ use std::sync::Arc;
 
 use cqs_core::shard::{RefusalHook, Shard};
 use cqs_core::{
-    CancellationMode, Cancelled, Cqs, CqsCallbacks, CqsConfig, CqsFuture, ReclaimerKind,
-    ResumeMode, Suspend,
+    CancellationMode, Cancelled, Cqs, CqsCallbacks, CqsConfig, CqsFuture, ResumeMode, Suspend,
 };
 use cqs_stats::CachePadded;
 
@@ -96,19 +95,7 @@ impl Semaphore {
     ///
     /// Panics if `permits` is zero.
     pub fn new(permits: usize) -> Self {
-        Self::with_mode(permits, ResumeMode::Asynchronous, None, None)
-    }
-
-    /// Creates an asynchronous-resumption semaphore whose waiter queue uses
-    /// the given memory-reclamation backend instead of
-    /// [`ReclaimerKind::default`]. See the `cqs_reclaim` crate docs for the
-    /// trade-offs between the backends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `permits` is zero.
-    pub fn with_reclaimer(permits: usize, reclaimer: ReclaimerKind) -> Self {
-        Self::with_mode(permits, ResumeMode::Asynchronous, None, Some(reclaimer))
+        Self::with_mode(permits, ResumeMode::Asynchronous, None)
     }
 
     /// Creates a semaphore using synchronous resumption, which additionally
@@ -118,7 +105,7 @@ impl Semaphore {
     ///
     /// Panics if `permits` is zero.
     pub fn new_sync(permits: usize) -> Self {
-        Self::with_mode(permits, ResumeMode::Synchronous, None, None)
+        Self::with_mode(permits, ResumeMode::Synchronous, None)
     }
 
     /// Like [`new_sync`](Semaphore::new_sync), but with an explicit
@@ -131,7 +118,7 @@ impl Semaphore {
     ///
     /// Panics if `permits` is zero.
     pub fn new_sync_with_spin(permits: usize, spin_limit: usize) -> Self {
-        Self::with_mode(permits, ResumeMode::Synchronous, Some(spin_limit), None)
+        Self::with_mode(permits, ResumeMode::Synchronous, Some(spin_limit))
     }
 
     /// Builds a shard of a sharded semaphore: asynchronous resumption with
@@ -170,12 +157,7 @@ impl Semaphore {
         }
     }
 
-    fn with_mode(
-        permits: usize,
-        mode: ResumeMode,
-        spin_limit: Option<usize>,
-        reclaimer: Option<ReclaimerKind>,
-    ) -> Self {
+    fn with_mode(permits: usize, mode: ResumeMode, spin_limit: Option<usize>) -> Self {
         assert!(permits > 0, "a semaphore needs at least one permit");
         let state = Arc::new(CachePadded::new(AtomicI64::new(permits as i64)));
         let mut config = CqsConfig::new()
@@ -184,9 +166,6 @@ impl Semaphore {
             .label("semaphore.acquire");
         if let Some(limit) = spin_limit {
             config = config.spin_limit(limit);
-        }
-        if let Some(kind) = reclaimer {
-            config = config.reclaimer(kind);
         }
         let cqs = Cqs::new(
             config,
@@ -206,12 +185,6 @@ impl Semaphore {
     /// The number of permits this semaphore was created with.
     pub fn permits(&self) -> usize {
         self.permits
-    }
-
-    /// The memory-reclamation backend guarding this semaphore's waiter
-    /// queue (resolved once at construction).
-    pub fn reclaimer(&self) -> ReclaimerKind {
-        self.cqs.reclaimer()
     }
 
     /// A snapshot of the number of currently available permits (zero if

@@ -449,27 +449,6 @@ mod runtime {
         pub value: i64,
     }
 
-    /// The retired-but-unreclaimed backlog of one memory-reclamation
-    /// backend, as observed by a scan (`cqs_reclaim::retired_approx`).
-    #[derive(Debug, Clone)]
-    pub struct ReclaimGauge {
-        /// Backend name (`"epoch"`, `"owned"`).
-        pub backend: &'static str,
-        /// Objects retired through this backend and still awaiting
-        /// physical reclamation.
-        pub retired: u64,
-    }
-
-    fn reclaim_snapshot() -> Vec<ReclaimGauge> {
-        cqs_reclaim::ReclaimerKind::ALL
-            .iter()
-            .map(|kind| ReclaimGauge {
-                backend: kind.name(),
-                retired: cqs_reclaim::retired_approx(*kind) as u64,
-            })
-            .collect()
-    }
-
     fn gauges_snapshot() -> Vec<GaugeInfo> {
         let dir = directory().lock().unwrap();
         let map = gauges().lock().unwrap();
@@ -736,12 +715,11 @@ mod runtime {
         /// zero. A stalled-waiter pile-up that also inflates this is a
         /// leak, not just a liveness problem.
         pub rss_bytes: Option<u64>,
-        /// Per-backend count of objects retired through each
-        /// memory-reclamation backend but not yet physically reclaimed
-        /// (see `cqs_reclaim::retired_approx`). A growing epoch figure
+        /// Objects retired to the epoch collector but not yet physically
+        /// reclaimed (see `cqs_reclaim::retired_approx`). A growing figure
         /// alongside stalled waiters usually means a guard is pinned
         /// somewhere in the stall.
-        pub reclaim: Vec<ReclaimGauge>,
+        pub retired: u64,
         /// Sum of every `live_segments` gauge at scan time — the queue
         /// segments currently allocated across primitives that publish
         /// the gauge (sharded structures do per shard).
@@ -853,12 +831,7 @@ mod runtime {
                 out.field_u64("rss_bytes", rss);
             }
             out.field_u64("live_segments", self.live_segments);
-            out.key("reclaim");
-            out.begin_object();
-            for g in &self.reclaim {
-                out.field_u64(g.backend, g.retired);
-            }
-            out.end_object();
+            out.field_u64("retired", self.retired);
             out.key("counters");
             out.begin_object();
             for (name, value) in self.counters.fields() {
@@ -942,7 +915,7 @@ mod runtime {
                 .filter(|g| g.name == "poisoned" && g.value != 0)
                 .count() as u64;
             let rss_bytes = cqs_harness::rss_bytes();
-            let reclaim = reclaim_snapshot();
+            let retired = cqs_reclaim::retired_approx() as u64;
             let live_segments = gauges
                 .iter()
                 .filter(|g| g.name == "live_segments")
@@ -995,7 +968,7 @@ mod runtime {
                     gauges: gauges.clone(),
                     poisoned_primitives,
                     rss_bytes,
-                    reclaim: reclaim.clone(),
+                    retired,
                     live_segments,
                     counters,
                 });
@@ -1042,7 +1015,7 @@ mod runtime {
                     gauges,
                     poisoned_primitives,
                     rss_bytes,
-                    reclaim,
+                    retired,
                     live_segments,
                     counters,
                 });
@@ -1175,8 +1148,8 @@ mod runtime {
 pub use runtime::{
     detect_cycles, dropped_registrations, enabled, live_waiters, next_primitive_id,
     runtime_acquired, runtime_gauge, runtime_register_waiter, runtime_released, spawn_from_env,
-    CycleEdge, GaugeInfo, HolderInfo, QueueDepth, ReclaimGauge, ReportKind, Scanner, WaiterInfo,
-    WatchConfig, WatchPolicy, WatchReport, Watchdog,
+    CycleEdge, GaugeInfo, HolderInfo, QueueDepth, ReportKind, Scanner, WaiterInfo, WatchConfig,
+    WatchPolicy, WatchReport, Watchdog,
 };
 
 // Inert stand-ins so callers can manage the watchdog unconditionally; with
@@ -1576,18 +1549,12 @@ mod tests {
                 .is_some(),
             report.rss_bytes.is_some()
         );
-        // The per-backend reclamation gauge serializes as an object with
-        // one key per backend.
-        assert_eq!(report.reclaim.len(), 2);
-        for backend in ["epoch", "owned"] {
-            assert!(
-                doc.get("reclaim")
-                    .and_then(|r| r.get(backend))
-                    .and_then(cqs_harness::report::Json::as_f64)
-                    .is_some(),
-                "reclaim gauge missing backend {backend}"
-            );
-        }
+        assert!(
+            doc.get("retired")
+                .and_then(cqs_harness::report::Json::as_f64)
+                .is_some(),
+            "retired gauge missing from serialized report"
+        );
         w.complete();
     }
 }

@@ -45,14 +45,14 @@
 //! `cqs-core` (the framework), `cqs-sync` (primitives), `cqs-pool`
 //! (blocking pools), `cqs-channel` (MPMC channels, see [`channels`]),
 //! `cqs-future` (the future model), `cqs-exec`
-//! (a coroutine executor), `cqs-reclaim` (pluggable epoch / owned-slot
-//! reclamation + `AtomicArc`)
+//! (a coroutine executor), `cqs-reclaim` (epoch-based reclamation +
+//! `AtomicArc`)
 //! and `cqs-baseline` (AQS, CLH, MCS, blocking queues — the paper's
 //! comparison targets, exposed under [`baseline`]).
 
 pub use cqs_core::{
-    CancellationMode, Cancelled, Cqs, CqsCallbacks, CqsConfig, CqsFuture, FutureState,
-    ReclaimerKind, Request, ResumeMode, SimpleCancellation, Suspend,
+    CancellationMode, Cancelled, Cqs, CqsCallbacks, CqsConfig, CqsFuture, FutureState, Request,
+    ResumeMode, SimpleCancellation, Suspend,
 };
 pub use cqs_pool::{
     BlockingPool, PoolBackend, QueueBackend, QueuePool, ShardedPool, ShardedQueuePool,
@@ -80,13 +80,10 @@ pub mod exec {
     pub use cqs_exec::{block_on, yield_now, Executor};
 }
 
-/// Pluggable memory reclamation (epoch and owned-slot backends) and
-/// atomic `Arc` cells (the GC substitute).
+/// Epoch-based memory reclamation and atomic `Arc` cells (the GC
+/// substitute).
 pub mod reclaim {
-    pub use cqs_reclaim::{
-        flush, flush_reclaimer, pin, pin_with, retired_approx, AtomicArc, Collector, Guard,
-        LocalHandle, ReclaimerKind,
-    };
+    pub use cqs_reclaim::{flush, pin, retired_approx, AtomicArc, Collector, Guard, LocalHandle};
 }
 
 /// Runtime-health watchdog: stall detection, wait-graph deadlock

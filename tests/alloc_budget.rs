@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cqs::{CqsChannel, QueuePool, ReclaimerKind, Semaphore};
+use cqs::{CqsChannel, QueuePool, Semaphore};
 
 struct Counting;
 
@@ -69,23 +69,16 @@ fn assert_budget(case: &str, budget: f64, mut wait: impl FnMut()) {
     );
 }
 
-fn semaphore_handoff(case: &str, semaphore: Semaphore) {
+#[test]
+fn suspended_waits_stay_within_their_allocation_budget() {
+    let semaphore = Semaphore::new(1);
     semaphore.acquire().wait().unwrap(); // every later acquire suspends
-    assert_budget(case, 1.5, || {
+    assert_budget("semaphore acquire+release", 1.5, || {
         let waiter = semaphore.acquire();
         assert!(!waiter.is_immediate());
         semaphore.release(); // hands the permit to `waiter`
         waiter.wait().unwrap();
     });
-}
-
-#[test]
-fn suspended_waits_stay_within_their_allocation_budget() {
-    semaphore_handoff("semaphore acquire+release", Semaphore::new(1));
-    semaphore_handoff(
-        "semaphore acquire+release (owned)",
-        Semaphore::with_reclaimer(1, ReclaimerKind::Owned),
-    );
 
     let pool: QueuePool<u64> = QueuePool::new(); // empty: every take suspends
     assert_budget("pool take+put", 1.5, || {

@@ -10,8 +10,8 @@
 //! the canceller leaves a note, and the installer runs the handler itself.
 //!
 //! The program below races exactly those two sides, under the
-//! `cqs_check::Explorer` at the CI preemption bound, on every reclamation
-//! backend: in each interleaving the cell-side handler — observed through
+//! `cqs_check::Explorer` at the CI preemption bound: in each interleaving
+//! the cell-side handler — observed through
 //! the smart-cancellation `on_cancellation` callback it invokes — runs
 //! exactly once: never zero times (a cancelled cell left in `REQUEST`
 //! forever), never twice (a double deregistration).
@@ -21,7 +21,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
 
-use cqs::{CancellationMode, Cqs, CqsCallbacks, CqsConfig, CqsFuture, FutureState, ReclaimerKind};
+use cqs::{CancellationMode, Cqs, CqsCallbacks, CqsConfig, CqsFuture, FutureState};
 use cqs_check::{Explorer, Program};
 
 /// Counts handler runs: `on_cancellation` is called once per handler run.
@@ -40,58 +40,55 @@ impl CqsCallbacks<u64> for CountsCancellations {
 
 #[test]
 fn cancel_racing_the_handler_install_runs_the_handler_exactly_once() {
-    for kind in ReclaimerKind::ALL {
-        let exploration = Explorer {
-            preemption_bound: 2,
-            ..Explorer::default()
-        }
-        .check_exhaustive(move || {
-            let handler_runs = Arc::new(AtomicUsize::new(0));
-            let cqs = Arc::new(Cqs::new(
-                CqsConfig::new()
-                    .segment_size(2)
-                    .cancellation_mode(CancellationMode::Smart)
-                    .reclaimer(kind),
-                CountsCancellations(Arc::clone(&handler_runs)),
-            ));
-            let slot: Arc<StdMutex<Option<CqsFuture<u64>>>> = Arc::default();
-            Program::new()
-                .thread({
-                    let (cqs, slot) = (Arc::clone(&cqs), Arc::clone(&slot));
-                    move || {
-                        // Publishes the waiter, then installs the handler.
-                        let f = cqs.suspend().expect_future();
-                        *slot.lock().unwrap() = Some(f);
-                    }
-                })
-                .thread({
-                    let cqs = Arc::clone(&cqs);
-                    // Cancels the waiter wherever the sweep finds it —
-                    // including inside the install window.
-                    move || cqs.close()
-                })
-                .check(move || {
-                    let mut f = slot
-                        .lock()
-                        .unwrap()
-                        .take()
-                        .ok_or("suspender never stored its future")?;
-                    // Swept by close, or self-cancelled by the suspender's
-                    // post-install closed check: terminal either way.
-                    match f.try_get() {
-                        FutureState::Cancelled => {}
-                        other => return Err(format!("[{kind}] waiter is {other:?}")),
-                    }
-                    match handler_runs.load(Ordering::SeqCst) {
-                        1 => Ok(()),
-                        n => Err(format!("[{kind}] handler ran {n} times, expected once")),
-                    }
-                })
-        });
-        assert!(
-            exploration.runs >= 2,
-            "[{kind}] a 2-thread race must need more than one schedule, ran {}",
-            exploration.runs
-        );
+    let exploration = Explorer {
+        preemption_bound: 2,
+        ..Explorer::default()
     }
+    .check_exhaustive(move || {
+        let handler_runs = Arc::new(AtomicUsize::new(0));
+        let cqs = Arc::new(Cqs::new(
+            CqsConfig::new()
+                .segment_size(2)
+                .cancellation_mode(CancellationMode::Smart),
+            CountsCancellations(Arc::clone(&handler_runs)),
+        ));
+        let slot: Arc<StdMutex<Option<CqsFuture<u64>>>> = Arc::default();
+        Program::new()
+            .thread({
+                let (cqs, slot) = (Arc::clone(&cqs), Arc::clone(&slot));
+                move || {
+                    // Publishes the waiter, then installs the handler.
+                    let f = cqs.suspend().expect_future();
+                    *slot.lock().unwrap() = Some(f);
+                }
+            })
+            .thread({
+                let cqs = Arc::clone(&cqs);
+                // Cancels the waiter wherever the sweep finds it —
+                // including inside the install window.
+                move || cqs.close()
+            })
+            .check(move || {
+                let mut f = slot
+                    .lock()
+                    .unwrap()
+                    .take()
+                    .ok_or("suspender never stored its future")?;
+                // Swept by close, or self-cancelled by the suspender's
+                // post-install closed check: terminal either way.
+                match f.try_get() {
+                    FutureState::Cancelled => {}
+                    other => return Err(format!("waiter is {other:?}")),
+                }
+                match handler_runs.load(Ordering::SeqCst) {
+                    1 => Ok(()),
+                    n => Err(format!("handler ran {n} times, expected once")),
+                }
+            })
+    });
+    assert!(
+        exploration.runs >= 2,
+        "a 2-thread race must need more than one schedule, ran {}",
+        exploration.runs
+    );
 }

@@ -33,9 +33,9 @@
 //! * **synchronous resume vs. cancellation** — with `spin_limit(0)` the
 //!   rendezvous race resolves exactly-once: the waiter takes the value or
 //!   the resume fails and keeps it, never both, never neither;
-//! * **segment retire vs. concurrent traversal** — for each reclamation
-//!   backend, a cancellation unlinking (and retiring) a whole segment
-//!   while a resume traverses past it never loses the resume's value.
+//! * **segment retire vs. concurrent traversal** — a cancellation
+//!   unlinking (and retiring) a whole segment while a resume traverses
+//!   past it never loses the resume's value.
 //!
 //! With `--features "chaos planted-bug"` the permit-conservation program
 //! and the two sharded same-shard programs are required to *fail*
@@ -50,8 +50,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, OnceLock};
 
 use cqs::{
-    Cqs, CqsChannel, CqsConfig, CqsFuture, FutureState, ReclaimerKind, ResumeMode, Semaphore,
-    ShardedQueuePool, ShardedSemaphore, SimpleCancellation,
+    Cqs, CqsChannel, CqsConfig, CqsFuture, FutureState, ResumeMode, Semaphore, ShardedQueuePool,
+    ShardedSemaphore, SimpleCancellation,
 };
 use cqs_check::{Explorer, Program};
 
@@ -867,79 +867,70 @@ fn sync_mode_resume_vs_cancel_is_exactly_once() {
     );
 }
 
-/// Segment retirement racing a resume traversal, once per reclamation
-/// backend. With `segment_size(1)` each waiter owns a segment and
-/// `freelist_slots(0)` forces an unlinked segment through the backend's
-/// retire path (`epoch.defer.pre-bin` / `reclaim.owned.retire.pre-scan`
-/// — each a schedule point under the explorer). T1 cancels waiter 0, unlinking its segment mid-race, while
-/// T2 resumes 9 and must traverse past that segment: in every
-/// interleaving the value lands exactly once — on waiter 0 if the resume
-/// beat the cancel, on waiter 1 if the retire won — and the traversal
-/// never touches freed memory (the explorer runs every schedule, so a
-/// use-after-free on the unlink window would crash the exploration).
+/// Segment retirement racing a resume traversal. With `segment_size(1)`
+/// each waiter owns a segment and `freelist_slots(0)` forces an unlinked
+/// segment through the collector's retire path (`epoch.defer.pre-bin`, a
+/// schedule point under the explorer). T1 cancels waiter 0, unlinking its
+/// segment mid-race, while T2 resumes 9 and must traverse past that
+/// segment: in every interleaving the value lands exactly once — on
+/// waiter 0 if the resume beat the cancel, on waiter 1 if the retire won —
+/// and the traversal never touches freed memory (the explorer runs every
+/// schedule, so a use-after-free on the unlink window would crash the
+/// exploration).
 #[test]
 fn segment_retire_vs_resume_traversal_loses_no_value() {
-    for kind in ReclaimerKind::ALL {
-        let _serial = serial();
-        explorer().check_exhaustive(move || {
-            let cqs: Arc<Cqs<u64, SimpleCancellation>> = Arc::new(Cqs::new(
-                CqsConfig::new()
-                    .segment_size(1)
-                    .freelist_slots(0)
-                    .reclaimer(kind),
-                SimpleCancellation,
-            ));
-            let f0 = cqs.suspend().expect_future();
-            let mut f1 = cqs.suspend().expect_future();
-            assert!(
-                !f0.is_immediate() && !f1.is_immediate(),
-                "setup: both waiters must park"
-            );
-            let f0 = Arc::new(StdMutex::new(Some(f0)));
-            let cancelled = Arc::new(AtomicBool::new(false));
-            Program::new()
-                .thread({
-                    let (f0, cancelled) = (Arc::clone(&f0), Arc::clone(&cancelled));
-                    move || {
-                        let f = f0.lock().unwrap();
-                        cancelled.store(
-                            f.as_ref().expect("setup stored it").cancel(),
-                            Ordering::SeqCst,
-                        );
+    let _serial = serial();
+    explorer().check_exhaustive(move || {
+        let cqs: Arc<Cqs<u64, SimpleCancellation>> = Arc::new(Cqs::new(
+            CqsConfig::new().segment_size(1).freelist_slots(0),
+            SimpleCancellation,
+        ));
+        let f0 = cqs.suspend().expect_future();
+        let mut f1 = cqs.suspend().expect_future();
+        assert!(
+            !f0.is_immediate() && !f1.is_immediate(),
+            "setup: both waiters must park"
+        );
+        let f0 = Arc::new(StdMutex::new(Some(f0)));
+        let cancelled = Arc::new(AtomicBool::new(false));
+        Program::new()
+            .thread({
+                let (f0, cancelled) = (Arc::clone(&f0), Arc::clone(&cancelled));
+                move || {
+                    let f = f0.lock().unwrap();
+                    cancelled.store(
+                        f.as_ref().expect("setup stored it").cancel(),
+                        Ordering::SeqCst,
+                    );
+                }
+            })
+            .thread({
+                let cqs = Arc::clone(&cqs);
+                move || {
+                    // Simple mode: a resume hitting the cancelled cell
+                    // bounces the value; retry walks to the next cell.
+                    let mut v = 9;
+                    while let Err(bounced) = cqs.resume(v) {
+                        v = bounced;
                     }
-                })
-                .thread({
-                    let cqs = Arc::clone(&cqs);
-                    move || {
-                        // Simple mode: a resume hitting the cancelled cell
-                        // bounces the value; retry walks to the next cell.
-                        let mut v = 9;
-                        while let Err(bounced) = cqs.resume(v) {
-                            v = bounced;
-                        }
+                }
+            })
+            .check(move || {
+                let mut f0 = take(&f0, "waiter 0")?;
+                match (cancelled.load(Ordering::SeqCst), f0.try_get()) {
+                    (true, FutureState::Cancelled) => {
+                        // The retire won; the traversal must have carried
+                        // the value past the unlinked segment.
+                        expect_ready(&mut f1, 9, "waiter 1")
                     }
-                })
-                .check(move || {
-                    let mut f0 = take(&f0, "waiter 0")?;
-                    match (cancelled.load(Ordering::SeqCst), f0.try_get()) {
-                        (true, FutureState::Cancelled) => {
-                            // The retire won; the traversal must have
-                            // carried the value past the unlinked segment.
-                            expect_ready(&mut f1, 9, &format!("[{kind}] waiter 1"))
+                    (false, FutureState::Ready(9)) => {
+                        if !f1.cancel() {
+                            return Err("waiter 1: cancel of a pending waiter lost".into());
                         }
-                        (false, FutureState::Ready(9)) => {
-                            if !f1.cancel() {
-                                return Err(format!(
-                                    "[{kind}] waiter 1: cancel of a pending waiter lost"
-                                ));
-                            }
-                            Ok(())
-                        }
-                        (c, other) => Err(format!(
-                            "[{kind}] waiter 0: cancel()=={c} but future is {other:?}"
-                        )),
+                        Ok(())
                     }
-                })
-        });
-    }
+                    (c, other) => Err(format!("waiter 0: cancel()=={c} but future is {other:?}")),
+                }
+            })
+    });
 }

@@ -1,10 +1,9 @@
 //! Regenerates the paper's figures as textual tables and, optionally, as a
-//! machine-readable `BENCH_*.json` report.
+//! machine-readable report (the committed one is `BENCH_figures.json`).
 //!
 //! ```text
-//! figures [--quick] [--threads a,b,c] [--warmup N] [--repeats N]
-//!         [--json out.json] [--baseline old.json] [--regression-pct X]
-//!         (--all | --fig 5|6|7|8|13|14|15 | --ablation cancellation|segment|batch-resume)
+//! figures [--quick] [--threads a,b,c] [--warmup N] [--repeats N] [--json out.json]
+//!         (--all | --fig 5|6|7|8|13|14|15|ch|sh|a1|a2|a3 | --ablation cancellation|segment|batch-resume)
 //! ```
 //!
 //! All numbers are nanoseconds per operation (lower is better) except the
@@ -12,17 +11,26 @@
 //! every series point is written out with full statistics (median, min,
 //! max, p95, relative IQR, raw samples) plus the CQS operation counters
 //! (all zeros unless built with `--features stats`) and run metadata.
-//! With `--baseline` the freshly measured medians are compared against a
-//! previous report and the process exits non-zero if any non-noisy point
-//! slowed down by more than `--regression-pct` percent (default 25).
+//! An unknown figure id or ablation name is a usage error: the process
+//! exits with status 2 before anything is measured.
 
-use cqs_bench::report::{
-    compare_to_baseline, BenchReport, FigureReport, Json, ResourceSample, RunMeta,
-};
+use cqs_bench::report::{BenchReport, FigureReport, RunMeta};
 use cqs_bench::{
     ablations, fig13_coroutine_mutex, fig5_barrier, fig6_latch, fig7_semaphore, fig8_pools,
-    fig_channel, print_figure, scenarios, thread_sweep, Repeats, Scale, Series,
+    fig_channel, fig_sharded, print_figure, thread_sweep, Repeats, Scale, Series,
 };
+
+/// Every figure id, in `--all` order; `--fig` accepts exactly these.
+const FIGURES: [&str; 12] = [
+    "5", "6", "7", "8", "13", "14", "15", "ch", "sh", "a1", "a2", "a3",
+];
+
+/// `--ablation` names and the figure ids they select.
+const ABLATIONS: [(&str, &str); 3] = [
+    ("cancellation", "a1"),
+    ("segment", "a2"),
+    ("batch-resume", "a3"),
+];
 
 #[derive(Debug)]
 struct Options {
@@ -31,30 +39,20 @@ struct Options {
     figures: Vec<String>,
     repeats: Repeats,
     json: Option<String>,
-    baseline: Option<String>,
-    regression_pct: f64,
 }
 
 const HELP: &str = "\
 figures — regenerate the paper's benchmark figures
 
 USAGE:
-    figures [OPTIONS] (--all | --fig N ... | --ablation NAME ... | --scenario NAME ...)
+    figures [OPTIONS] (--all | --fig N ... | --ablation NAME ...)
 
 FIGURE SELECTION:
     --all                 every figure and ablation
-    --fig N               one of 5|6|7|8|13|14|15|ch|a1|a2|a3 (repeatable;
-                          ch = channel producer-consumer extension)
+    --fig N               one of 5|6|7|8|13|14|15|ch|sh|a1|a2|a3 (repeatable;
+                          ch = channel producer-consumer extension,
+                          sh = contended acquire, single-queue vs sharded)
     --ablation NAME       cancellation (a1), segment (a2) or batch-resume (a3)
-    --scenario NAME       production-traffic scenario (not part of --all):
-                          contended   closed-loop contended acquire,
-                                      single-queue vs sharded
-                          open-loop   timed arrivals with load shedding
-                          burst       bursty fan-out suspend+wake cycles
-                          ramp        live-waiter ramp with RSS/segment
-                                      snapshots, then mass cancellation
-                          soak        steady-state soak with periodic
-                                      resource snapshots
 
 MEASUREMENT:
     --quick               reduced operation counts for smoke runs
@@ -64,10 +62,13 @@ MEASUREMENT:
 
 REPORTING:
     --json PATH           write a cqs-bench/v1 JSON report
-    --baseline PATH       compare medians against a previous report;
-                          exit non-zero on regression
-    --regression-pct X    slowdown tolerance for --baseline (default 25)
 ";
+
+/// Reports a command-line mistake and exits with status 2.
+fn usage_error(message: String) -> ! {
+    eprintln!("figures: {message} (try --help)");
+    std::process::exit(2);
+}
 
 fn parse_args() -> Options {
     let mut scale = Scale::Full;
@@ -75,8 +76,6 @@ fn parse_args() -> Options {
     let mut figures = Vec::new();
     let mut repeats = Repeats::default();
     let mut json = None;
-    let mut baseline = None;
-    let mut regression_pct = 25.0;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -104,45 +103,26 @@ fn parse_args() -> Options {
                     .max(1);
             }
             "--json" => json = Some(args.next().expect("--json needs a path")),
-            "--baseline" => baseline = Some(args.next().expect("--baseline needs a path")),
-            "--regression-pct" => {
-                regression_pct = args
-                    .next()
-                    .expect("--regression-pct needs a value")
-                    .parse()
-                    .expect("bad percentage");
+            "--all" => figures = FIGURES.map(String::from).to_vec(),
+            "--fig" => {
+                let id = args.next().expect("--fig needs a number");
+                if !FIGURES.contains(&id.as_str()) {
+                    usage_error(format!("unknown figure {id}"));
+                }
+                figures.push(id);
             }
-            "--all" => {
-                figures = ["5", "6", "7", "8", "13", "14", "15", "ch", "a1", "a2", "a3"]
-                    .map(String::from)
-                    .to_vec();
-            }
-            "--fig" => figures.push(args.next().expect("--fig needs a number")),
             "--ablation" => {
                 let which = args.next().expect("--ablation needs a name");
-                figures.push(match which.as_str() {
-                    "cancellation" => "a1".to_string(),
-                    "segment" => "a2".to_string(),
-                    "batch-resume" => "a3".to_string(),
-                    other => panic!("unknown ablation {other}"),
-                });
-            }
-            "--scenario" => {
-                let which = args.next().expect("--scenario needs a name");
-                figures.push(match which.as_str() {
-                    "contended" => "s1".to_string(),
-                    "open-loop" => "s2".to_string(),
-                    "burst" => "s3".to_string(),
-                    "ramp" => "s4".to_string(),
-                    "soak" => "s5".to_string(),
-                    other => panic!("unknown scenario {other}"),
-                });
+                match ABLATIONS.iter().find(|(name, _)| *name == which) {
+                    Some((_, id)) => figures.push(id.to_string()),
+                    None => usage_error(format!("unknown ablation {which}")),
+                }
             }
             "--help" | "-h" => {
                 print!("{}", HELP);
                 std::process::exit(0);
             }
-            other => panic!("unknown argument {other} (try --help)"),
+            other => usage_error(format!("unknown argument {other}")),
         }
     }
     if figures.is_empty() {
@@ -154,8 +134,6 @@ fn parse_args() -> Options {
         figures,
         repeats,
         json,
-        baseline,
-        regression_pct,
     }
 }
 
@@ -169,8 +147,8 @@ fn timed(run: impl FnOnce() -> Vec<Series>) -> (Vec<Series>, f64) {
 }
 
 /// Prints a figure's table and records it for the JSON report under a
-/// stable name (the baseline-comparison key, so parameterized variants get
-/// distinct names: `fig5_work100`, `fig7_permits4`, ...).
+/// stable name (parameterized variants get distinct names: `fig5_work100`,
+/// `fig7_permits4`, ...).
 fn emit(
     report: &mut Vec<FigureReport>,
     name: String,
@@ -185,47 +163,6 @@ fn emit(
         x_label: x_label.to_string(),
         wall_clock_ms,
         series,
-        samples: Vec::new(),
-    });
-}
-
-/// [`timed`] for scenario benches, which return resource snapshots
-/// alongside their series.
-fn timed_scenario(
-    run: impl FnOnce() -> scenarios::ScenarioResult,
-) -> (Vec<Series>, Vec<ResourceSample>, f64) {
-    let begin = std::time::Instant::now();
-    let (series, samples) = run();
-    (series, samples, begin.elapsed().as_secs_f64() * 1e3)
-}
-
-/// [`emit`] for scenario benches: also prints the resource snapshots and
-/// records them on the figure.
-fn emit_scenario(
-    report: &mut Vec<FigureReport>,
-    name: &str,
-    title: &str,
-    x_label: &str,
-    (series, samples, wall_clock_ms): (Vec<Series>, Vec<ResourceSample>, f64),
-) {
-    print_figure(title, x_label, &series);
-    if !samples.is_empty() {
-        println!("{:>12} | {:>14} | {:>13}", x_label, "rss", "live segments");
-        for s in &samples {
-            let rss = match s.rss_bytes {
-                Some(b) => format!("{} kB", b / 1024),
-                None => "-".to_string(),
-            };
-            println!("{:>12} | {:>14} | {:>13}", s.x, rss, s.live_segments);
-        }
-    }
-    report.push(FigureReport {
-        name: name.to_string(),
-        title: title.to_string(),
-        x_label: x_label.to_string(),
-        wall_clock_ms,
-        series,
-        samples,
     });
 }
 
@@ -347,6 +284,16 @@ fn main() {
                     );
                 }
             }
+            "sh" => {
+                emit(
+                    &mut figures,
+                    "sh_contended".to_string(),
+                    "Sharded: contended acquire, single-queue vs sharded (P = ceil(T/2))"
+                        .to_string(),
+                    "threads",
+                    timed(|| fig_sharded::run(scale, threads, repeats)),
+                );
+            }
             "a1" => {
                 emit(
                     &mut figures,
@@ -376,42 +323,7 @@ fn main() {
                     timed(|| ablations::batch_resume(scale, repeats)),
                 );
             }
-            "s1" => emit_scenario(
-                &mut figures,
-                "scn_contended",
-                "Scenario: contended acquire, single-queue vs sharded (P = ceil(T/2))",
-                "threads",
-                timed_scenario(|| scenarios::contended(scale, threads, repeats)),
-            ),
-            "s2" => emit_scenario(
-                &mut figures,
-                "scn_open_loop",
-                "Scenario: open-loop arrivals with load shedding (ns/arrival incl. idle)",
-                "threads",
-                timed_scenario(|| scenarios::open_loop(scale, threads, repeats)),
-            ),
-            "s3" => emit_scenario(
-                &mut figures,
-                "scn_burst",
-                "Scenario: bursty fan-out, suspend+wake cycle (ns/waiter)",
-                "burst size",
-                timed_scenario(|| scenarios::burst(scale, repeats)),
-            ),
-            "s4" => emit_scenario(
-                &mut figures,
-                "scn_ramp",
-                "Scenario: live-waiter ramp with RSS/segment snapshots (x=0: after cancel)",
-                "live waiters",
-                timed_scenario(|| scenarios::ramp(scale)),
-            ),
-            "s5" => emit_scenario(
-                &mut figures,
-                "scn_soak",
-                "Scenario: steady-state soak with periodic resource snapshots",
-                "ms elapsed",
-                timed_scenario(|| scenarios::soak(scale, threads)),
-            ),
-            other => eprintln!("unknown figure {other}"),
+            other => unreachable!("parse_args admits only known figure ids, got {other}"),
         }
     }
 
@@ -431,33 +343,5 @@ fn main() {
             report.figures.len(),
             json.len()
         );
-    }
-
-    if let Some(path) = &options.baseline {
-        let text =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        let baseline =
-            Json::parse(&text).unwrap_or_else(|e| panic!("{path} is not valid JSON: {e}"));
-        let current = Json::parse(&report.to_json()).expect("self-emitted JSON must parse");
-        let regressions = compare_to_baseline(&current, &baseline, options.regression_pct);
-        if regressions.is_empty() {
-            println!(
-                "no median regressions above {:.1}% against {path}",
-                options.regression_pct
-            );
-        } else {
-            eprintln!(
-                "\n{} median regression(s) above {:.1}% against {path}:",
-                regressions.len(),
-                options.regression_pct
-            );
-            for r in &regressions {
-                eprintln!(
-                    "  {} / {} @ x={}: {:.0} ns -> {:.0} ns (+{:.1}%)",
-                    r.figure, r.series, r.x, r.baseline_ns, r.current_ns, r.pct
-                );
-            }
-            std::process::exit(1);
-        }
     }
 }

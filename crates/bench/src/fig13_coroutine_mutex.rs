@@ -125,53 +125,6 @@ fn bench_repeated<L: CoroLock>(
     PointStats::from_samples(samples, counters)
 }
 
-/// Which mutex implementation a single run should exercise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockImpl {
-    /// CQS semaphore with one permit, asynchronous resumption.
-    CqsAsync,
-    /// CQS semaphore with one permit, synchronous resumption.
-    CqsSync,
-    /// The pre-CQS Kotlin-style mutex.
-    Legacy,
-}
-
-/// Runs one configuration to completion and returns the wall time; used by
-/// the Criterion bench, where `total_ops` scales with the iteration budget.
-pub fn run_once(
-    which: LockImpl,
-    coroutines: usize,
-    threads: usize,
-    total_ops: u64,
-) -> std::time::Duration {
-    let work = Workload::new(100);
-    let iterations = (total_ops / coroutines as u64).max(1);
-    let ns_per_op = match which {
-        LockImpl::CqsAsync => bench(
-            Arc::new(Semaphore::new(1)),
-            coroutines,
-            threads,
-            iterations,
-            work,
-        ),
-        LockImpl::CqsSync => bench(
-            Arc::new(Semaphore::new_sync(1)),
-            coroutines,
-            threads,
-            iterations,
-            work,
-        ),
-        LockImpl::Legacy => bench(
-            Arc::new(LegacyMutex::new()),
-            coroutines,
-            threads,
-            iterations,
-            work,
-        ),
-    };
-    std::time::Duration::from_nanos((ns_per_op * (coroutines as u64 * iterations) as f64) as u64)
-}
-
 /// Runs the Fig. 13 sweep for one coroutine count. Series order:
 /// `[CQS async, CQS sync, legacy]`, all in ns/op; speedups are derived by
 /// the caller as `legacy / cqs`.

@@ -5,9 +5,9 @@
 //! Each `figures::figN_*` module regenerates one figure of the evaluation
 //! (§6 and Appendix F): it sweeps the same parameters, runs the same
 //! workload shape, and prints the same series the paper plots. The
-//! `figures` binary drives full sweeps; the Criterion benches under
-//! `benches/` exercise representative single points for regression
-//! tracking.
+//! `figures` binary drives the sweeps and writes the committed
+//! `BENCH_figures.json`; gating changes is the repository benchmark's job
+//! (`benchmark/`), not this crate's.
 //!
 //! Absolute numbers will differ from the paper's 144-thread Xeon testbed;
 //! the comparisons (which algorithm wins, by roughly what factor, where the
@@ -20,7 +20,7 @@ pub mod fig6_latch;
 pub mod fig7_semaphore;
 pub mod fig8_pools;
 pub mod fig_channel;
-pub mod scenarios;
+pub mod fig_sharded;
 
 pub use cqs_harness::{
     measure, measure_per_op, measure_per_op_repeated, print_figure, report, thread_sweep, CqsStats,

@@ -2,7 +2,9 @@
 //! measurements — the same pipeline `figures --json` drives — must
 //! round-trip through the hand-rolled JSON writer/parser and satisfy
 //! `validate_report`: required fields present, thread counts strictly
-//! increasing, every statistic a non-negative number of nanoseconds.
+//! increasing, every statistic a non-negative number of nanoseconds. The
+//! committed `BENCH_figures.json` must satisfy the same validator and hold
+//! every figure `figures --all` emits.
 
 use cqs_bench::report::{validate_report, BenchReport, FigureReport, Json, RunMeta};
 use cqs_bench::{measure_per_op_repeated, Repeats, Series};
@@ -35,7 +37,6 @@ fn fresh_report() -> BenchReport {
             x_label: "threads".to_string(),
             wall_clock_ms: 0.0,
             series: vec![series],
-            samples: Vec::new(),
         }],
     }
 }
@@ -114,4 +115,58 @@ fn fresh_report_has_required_fields_and_sane_numbers() {
             "per-point CqsStats block missing"
         );
     }
+}
+
+/// Every figure name `figures --all` writes, in order.
+const ALL_FIGURES: [&str; 28] = [
+    "fig5_work100",
+    "fig5_work1000",
+    "fig6_work50",
+    "fig6_work200",
+    "fig7_permits1",
+    "fig7_permits4",
+    "fig7_permits16",
+    "fig8_elements1",
+    "fig8_elements4",
+    "fig8_elements16",
+    "fig13_coroutines1000",
+    "fig13_speedup_coroutines1000",
+    "fig13_coroutines10000",
+    "fig13_speedup_coroutines10000",
+    "fig14_permits2",
+    "fig14_permits8",
+    "fig14_permits32",
+    "fig14_permits64",
+    "fig15_elements2",
+    "fig15_elements8",
+    "fig15_elements32",
+    "fig15_elements64",
+    "fig_channel_cap4",
+    "fig_channel_cap16",
+    "sh_contended",
+    "a1_cancellation",
+    "a2_segment_size",
+    "a3_batch_resume",
+];
+
+#[test]
+fn committed_report_validates_and_holds_every_figure() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_figures.json");
+    let text = std::fs::read_to_string(path).expect("BENCH_figures.json is committed");
+    let doc = Json::parse(&text).expect("BENCH_figures.json is valid JSON");
+    let problems = validate_report(&doc);
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+
+    let meta = doc.get("meta").expect("meta object");
+    assert_eq!(meta.get("scale").and_then(Json::as_str), Some("full"));
+    assert_eq!(meta.get("stats").and_then(Json::as_bool), Some(false));
+    assert_eq!(meta.get("chaos").and_then(Json::as_bool), Some(false));
+    let names: Vec<&str> = doc
+        .get("figures")
+        .and_then(Json::as_arr)
+        .expect("figures")
+        .iter()
+        .map(|f| f.get("name").and_then(Json::as_str).expect("figure name"))
+        .collect();
+    assert_eq!(names, ALL_FIGURES);
 }

@@ -16,8 +16,8 @@
 //! * [`Series`] and [`print_figure`] — collects per-algorithm measurements
 //!   and prints the paper-style table for a figure;
 //! * [`thread_sweep`] — the thread counts to plot against;
-//! * [`report`] — machine-readable `BENCH_*.json` output and baseline
-//!   regression comparison (hand-rolled JSON; the container has no serde).
+//! * [`report`] — the machine-readable `BENCH_figures.json` report and
+//!   its schema validator (hand-rolled JSON; the container has no serde).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

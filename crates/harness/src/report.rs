@@ -3,8 +3,7 @@
 //! The container building this repo has no registry access, so there is no
 //! serde; this module hand-rolls the narrow slice of JSON the pipeline
 //! needs: a writer for [`BenchReport`] and a small recursive-descent
-//! parser ([`Json`]) used by `--baseline` regression checks and by the
-//! schema-validation tests.
+//! parser ([`Json`]) used by the schema validator and its tests.
 //!
 //! Schema (`"schema": "cqs-bench/v1"`):
 //!
@@ -16,8 +15,6 @@
 //!             "warmup": 1, "timed": 5, "wake_batch_spills": 0 },
 //!   "figures": [ { "name": "fig5", "title": "...", "x_label": "threads",
 //!     "wall_clock_ms": 1234.5,
-//!     "samples": [ { "x": 100000, "rss_bytes": 73400320,
-//!                    "live_segments": 3125 } ],
 //!     "series": [ { "name": "cqs-barrier", "points": [
 //!       { "x": 1, "median_ns": 103.0, "min_ns": 99.0, "max_ns": 120.0,
 //!         "p95_ns": 120.0, "rel_iqr": 0.04, "noisy": false,
@@ -57,8 +54,7 @@ pub struct RunMeta {
     /// and spilled to the heap during the run (`cqs-future` keeps the
     /// process-wide count). The harness crate does not depend on
     /// `cqs-future`, so [`RunMeta::current`] initializes this to zero and
-    /// the bench binary fills it in after the figures have run. Old
-    /// reports without the field still validate.
+    /// the bench binary fills it in after the figures have run.
     pub wake_batch_spills: u64,
 }
 
@@ -92,28 +88,10 @@ impl RunMeta {
     }
 }
 
-/// One resource snapshot taken mid-figure by a scenario bench: process
-/// RSS and live CQS segment count at sweep value `x`. Scenario figures
-/// (waiter ramps, soak runs) use these to bound memory growth; ordinary
-/// throughput figures leave the list empty and the field is then omitted
-/// from the JSON entirely, so pre-PR-9 consumers see no change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResourceSample {
-    /// Sweep value the snapshot was taken at (live waiters, soak second).
-    pub x: u64,
-    /// Resident set size in bytes ([`crate::rss_bytes`]); `None` where the
-    /// probe is unavailable, in which case the JSON omits the key rather
-    /// than writing a misleading zero.
-    pub rss_bytes: Option<u64>,
-    /// Live queue segments across the primitives under test.
-    pub live_segments: u64,
-}
-
 /// One figure's worth of series, named for cross-run matching.
 #[derive(Debug, Clone)]
 pub struct FigureReport {
-    /// Stable identifier (`"fig5"`, `"a1"`, ...), the key used by
-    /// baseline comparison.
+    /// Stable identifier (`"fig5_work100"`, `"a1_cancellation"`, ...).
     pub name: String,
     /// Human-readable title as printed above the table.
     pub title: String,
@@ -125,9 +103,6 @@ pub struct FigureReport {
     pub wall_clock_ms: f64,
     /// The measured series.
     pub series: Vec<Series>,
-    /// Resource snapshots (scenario figures only; empty elsewhere and then
-    /// omitted from the serialized report).
-    pub samples: Vec<ResourceSample>,
 }
 
 /// A full benchmark run: metadata plus every figure produced.
@@ -245,20 +220,6 @@ impl BenchReport {
             escape_json(&fig.x_label, &mut out);
             out.push_str(",\"wall_clock_ms\":");
             number(fig.wall_clock_ms, &mut out);
-            if !fig.samples.is_empty() {
-                out.push_str(",\"samples\":[");
-                for (j, s) in fig.samples.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{{\"x\":{}", s.x);
-                    if let Some(rss) = s.rss_bytes {
-                        let _ = write!(out, ",\"rss_bytes\":{rss}");
-                    }
-                    let _ = write!(out, ",\"live_segments\":{}}}", s.live_segments);
-                }
-                out.push(']');
-            }
             out.push_str(",\"series\":[");
             for (j, s) in fig.series.iter().enumerate() {
                 if j > 0 {
@@ -670,28 +631,6 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Baseline comparison
-// ---------------------------------------------------------------------------
-
-/// One point whose median slowed down past the allowed threshold relative
-/// to a baseline run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Figure name (`"fig5"`).
-    pub figure: String,
-    /// Series name within the figure.
-    pub series: String,
-    /// Sweep value.
-    pub x: u64,
-    /// Baseline median (ns/op).
-    pub baseline_ns: f64,
-    /// Current median (ns/op).
-    pub current_ns: f64,
-    /// Slowdown in percent (positive means slower).
-    pub pct: f64,
-}
-
 /// Validates that `doc` is a well-formed `cqs-bench/v1` report: schema tag,
 /// complete metadata, strictly increasing thread sweep, and per-point
 /// statistics that are present, finite, and non-negative. Returns the list
@@ -718,18 +657,11 @@ pub fn validate_report(doc: &Json) -> Vec<String> {
                     err(format!("meta.{key} must be a boolean"));
                 }
             }
-            for key in ["vcpus", "warmup", "timed"] {
-                if meta.get(key).and_then(Json::as_f64).is_none() {
-                    err(format!("meta.{key} must be a number"));
-                }
-            }
-            // Added in v1 reports from PR 5; absent in older files, so only
-            // type-checked when present.
-            if let Some(v) = meta.get("wake_batch_spills") {
-                match v.as_f64() {
+            for key in ["vcpus", "warmup", "timed", "wake_batch_spills"] {
+                match meta.get(key).and_then(Json::as_f64) {
                     Some(n) if n.is_finite() && n >= 0.0 => {}
                     other => err(format!(
-                        "meta.wake_batch_spills must be a non-negative number, got {other:?}"
+                        "meta.{key} must be a non-negative number, got {other:?}"
                     )),
                 }
             }
@@ -775,48 +707,11 @@ pub fn validate_report(doc: &Json) -> Vec<String> {
                 err(format!("figure {fig_name}: {key} must be a string"));
             }
         }
-        // Also a PR 5 addition — tolerated missing for older reports.
-        if let Some(v) = fig.get("wall_clock_ms") {
-            match v.as_f64() {
-                Some(n) if n.is_finite() && n >= 0.0 => {}
-                other => err(format!(
-                    "figure {fig_name}: wall_clock_ms must be a non-negative number, \
-                     got {other:?}"
-                )),
-            }
-        }
-        // Resource snapshots arrived with the PR 9 scenario benches; the
-        // writer omits the key for figures without any, so it is only
-        // type-checked when present (same policy as wake_batch_spills).
-        if let Some(samples) = fig.get("samples") {
-            match samples.as_arr() {
-                None => err(format!("figure {fig_name}: samples must be an array")),
-                Some(samples) => {
-                    for sample in samples {
-                        for key in ["x", "live_segments"] {
-                            match sample.get(key).and_then(Json::as_f64) {
-                                Some(v) if v.is_finite() && v >= 0.0 => {}
-                                other => err(format!(
-                                    "figure {fig_name}: sample {key} must be a \
-                                     non-negative number, got {other:?}"
-                                )),
-                            }
-                        }
-                        // `rss_bytes` is optional (the writer omits it where
-                        // the probe is unavailable) but must be a valid
-                        // number when present.
-                        if let Some(v) = sample.get("rss_bytes") {
-                            match v.as_f64() {
-                                Some(v) if v.is_finite() && v >= 0.0 => {}
-                                other => err(format!(
-                                    "figure {fig_name}: sample rss_bytes must be a \
-                                     non-negative number when present, got {other:?}"
-                                )),
-                            }
-                        }
-                    }
-                }
-            }
+        match fig.get("wall_clock_ms").and_then(Json::as_f64) {
+            Some(n) if n.is_finite() && n >= 0.0 => {}
+            other => err(format!(
+                "figure {fig_name}: wall_clock_ms must be a non-negative number, got {other:?}"
+            )),
         }
         let series = match fig.get("series").and_then(Json::as_arr) {
             None => {
@@ -897,75 +792,6 @@ pub fn validate_report(doc: &Json) -> Vec<String> {
     errors
 }
 
-/// Extracts `(figure, series, x) -> (median, noisy)` from a parsed report.
-fn medians(doc: &Json) -> BTreeMap<(String, String, u64), (f64, bool)> {
-    let mut out = BTreeMap::new();
-    let Some(figures) = doc.get("figures").and_then(Json::as_arr) else {
-        return out;
-    };
-    for fig in figures {
-        let Some(fig_name) = fig.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(series) = fig.get("series").and_then(Json::as_arr) else {
-            continue;
-        };
-        for s in series {
-            let Some(s_name) = s.get("name").and_then(Json::as_str) else {
-                continue;
-            };
-            let Some(points) = s.get("points").and_then(Json::as_arr) else {
-                continue;
-            };
-            for p in points {
-                let (Some(x), Some(median)) = (
-                    p.get("x").and_then(Json::as_f64),
-                    p.get("median_ns").and_then(Json::as_f64),
-                ) else {
-                    continue;
-                };
-                let noisy = p.get("noisy").and_then(Json::as_bool).unwrap_or(false);
-                out.insert(
-                    (fig_name.to_string(), s_name.to_string(), x as u64),
-                    (median, noisy),
-                );
-            }
-        }
-    }
-    out
-}
-
-/// Compares a current report against a baseline, returning every point
-/// whose median slowed down by more than `max_pct` percent. Points flagged
-/// noisy in either run are skipped — a wide interquartile range means the
-/// median moved inside its own noise band. Points present in only one of
-/// the two reports are ignored (the sweep legitimately varies by machine).
-pub fn compare_to_baseline(current: &Json, baseline: &Json, max_pct: f64) -> Vec<Regression> {
-    let base = medians(baseline);
-    let cur = medians(current);
-    let mut regressions = Vec::new();
-    for (key, (cur_median, cur_noisy)) in &cur {
-        let Some((base_median, base_noisy)) = base.get(key) else {
-            continue;
-        };
-        if *cur_noisy || *base_noisy || *base_median <= 0.0 {
-            continue;
-        }
-        let pct = (cur_median / base_median - 1.0) * 100.0;
-        if pct > max_pct {
-            regressions.push(Regression {
-                figure: key.0.clone(),
-                series: key.1.clone(),
-                x: key.2,
-                baseline_ns: *base_median,
-                current_ns: *cur_median,
-                pct,
-            });
-        }
-    }
-    regressions
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1034,7 +860,6 @@ mod tests {
                 x_label: "threads".to_string(),
                 wall_clock_ms: 42.5,
                 series: vec![s],
-                samples: Vec::new(),
             }],
         }
     }
@@ -1083,70 +908,6 @@ mod tests {
     }
 
     #[test]
-    fn resource_samples_round_trip_and_are_omitted_when_empty() {
-        let mut report = sample_report();
-        // Empty: the key must not appear at all.
-        assert!(!report.to_json().contains("\"samples\":["));
-        report.figures[0].samples = vec![
-            ResourceSample {
-                x: 1_000,
-                rss_bytes: Some(4096),
-                live_segments: 2,
-            },
-            ResourceSample {
-                x: 100_000,
-                rss_bytes: Some(8192),
-                live_segments: 30,
-            },
-        ];
-        let doc = Json::parse(&report.to_json()).unwrap();
-        assert!(validate_report(&doc).is_empty());
-        let samples = doc.get("figures").and_then(Json::as_arr).unwrap()[0]
-            .get("samples")
-            .and_then(Json::as_arr)
-            .unwrap();
-        assert_eq!(samples.len(), 2);
-        assert_eq!(
-            samples[1].get("live_segments").and_then(Json::as_f64),
-            Some(30.0)
-        );
-        // An unavailable probe omits the key entirely and still validates.
-        report.figures[0].samples[1].rss_bytes = None;
-        let json = report.to_json();
-        assert_eq!(json.matches("\"rss_bytes\":").count(), 1);
-        let doc = Json::parse(&json).unwrap();
-        assert!(validate_report(&doc).is_empty());
-        // A malformed snapshot is rejected.
-        let bad = report
-            .to_json()
-            .replace("\"rss_bytes\":4096", "\"rss_bytes\":-1");
-        let doc = Json::parse(&bad).unwrap();
-        assert!(validate_report(&doc)
-            .iter()
-            .any(|e| e.contains("rss_bytes")));
-    }
-
-    #[test]
-    fn reports_without_new_metadata_fields_still_validate() {
-        // A pre-PR-5 report: no wake_batch_spills, no wall_clock_ms.
-        let json = r#"{"schema":"cqs-bench/v1",
-            "meta":{"scale":"quick","threads":[1],"vcpus":1,"git_rev":"x",
-                    "chaos":false,"stats":false,"warmup":0,"timed":1},
-            "figures":[{"name":"f","title":"t","x_label":"x",
-              "series":[{"name":"s","points":[
-                {"x":1,"median_ns":1.0,"min_ns":1.0,"max_ns":1.0,"p95_ns":1.0,
-                 "rel_iqr":0.0,"noisy":false,"samples_ns":[1.0],"counters":{}}]}]}]}"#;
-        let doc = Json::parse(json).unwrap();
-        assert!(validate_report(&doc).is_empty());
-        // But a present-and-malformed field is rejected.
-        let bad = json.replace("\"timed\":1", "\"timed\":1,\"wake_batch_spills\":-1");
-        let doc = Json::parse(&bad).unwrap();
-        assert!(validate_report(&doc)
-            .iter()
-            .any(|e| e.contains("wake_batch_spills")));
-    }
-
-    #[test]
     fn parser_rejects_garbage() {
         assert!(Json::parse("{\"a\": }").is_err());
         assert!(Json::parse("[1, 2,]").is_err());
@@ -1168,7 +929,19 @@ mod tests {
         let doc = Json::parse(r#"{"schema": "cqs-bench/v1", "figures": []}"#).unwrap();
         let errors = validate_report(&doc);
         assert!(errors.iter().any(|e| e.contains("meta")));
-        assert!(errors.iter().any(|e| e.contains("figures")));
+        assert!(errors.iter().any(|e| e == "\"figures\" is empty"));
+    }
+
+    #[test]
+    fn validation_requires_spills_and_wall_clock() {
+        let json = sample_report()
+            .to_json()
+            .replace(",\"wake_batch_spills\":0", "")
+            .replace(",\"wall_clock_ms\":42.5", "");
+        let errors = validate_report(&Json::parse(&json).unwrap());
+        assert_eq!(errors.len(), 2, "got {errors:?}");
+        assert!(errors.iter().any(|e| e.contains("meta.wake_batch_spills")));
+        assert!(errors.iter().any(|e| e.contains("wall_clock_ms")));
     }
 
     #[test]
@@ -1181,38 +954,6 @@ mod tests {
             errors.iter().any(|e| e.contains("strictly increasing")),
             "got {errors:?}"
         );
-    }
-
-    #[test]
-    fn baseline_comparison_finds_regressions() {
-        let base = sample_report();
-        let mut cur = sample_report();
-        // Slow the x=2 point down by 50%.
-        cur.figures[0].series[0].points[1].1 =
-            PointStats::from_samples(vec![310.0, 290.0, 300.0], CqsStats::default());
-        let base_doc = Json::parse(&base.to_json()).unwrap();
-        let cur_doc = Json::parse(&cur.to_json()).unwrap();
-        let regs = compare_to_baseline(&cur_doc, &base_doc, 20.0);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].x, 2);
-        assert!(regs[0].pct > 45.0 && regs[0].pct < 55.0, "{:?}", regs[0]);
-        // Generous threshold: no regression.
-        assert!(compare_to_baseline(&cur_doc, &base_doc, 60.0).is_empty());
-        // Identical reports never regress.
-        assert!(compare_to_baseline(&base_doc, &base_doc, 0.5).is_empty());
-    }
-
-    #[test]
-    fn noisy_points_are_exempt_from_regression_checks() {
-        let base = sample_report();
-        let mut cur = sample_report();
-        // Massive slowdown, but with a spread wide enough to be flagged.
-        cur.figures[0].series[0].points[1].1 =
-            PointStats::from_samples(vec![900.0, 100.0, 600.0, 50.0, 1200.0], CqsStats::default());
-        assert!(cur.figures[0].series[0].points[1].1.noisy);
-        let base_doc = Json::parse(&base.to_json()).unwrap();
-        let cur_doc = Json::parse(&cur.to_json()).unwrap();
-        assert!(compare_to_baseline(&cur_doc, &base_doc, 20.0).is_empty());
     }
 
     #[test]

@@ -982,7 +982,7 @@ impl<T: Send + 'static> ChannelSend<T> {
                 false,
             )),
             SendState::Queued { queued, grant } => match timeout {
-                None => match queued.public.wait(None) {
+                None => match queued.public.wait() {
                     Ok(()) => Ok(()),
                     Err(Cancelled) => Self::failure(&queued.staged, &channel, false),
                 },

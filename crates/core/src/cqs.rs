@@ -215,11 +215,12 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
     /// [`resume`](Cqs::resume) calls would.
     ///
     /// **Deferred-wake guarantee:** completed waiters are *not* woken
-    /// inline. Their wake-ups (thread unparks, executor callbacks, task
-    /// wakers) are collected into an on-stack [`cqs_future::WakeBatch`] and
-    /// fired only after the traversal ends and the resumer has released its
-    /// segment pin — a woken thread can never contend with the resumer's
-    /// own traversal, and no user callback runs inside it.
+    /// inline. Their wake-ups (settlement hooks, then wakers — a task's or
+    /// a blocked thread's) are collected into an on-stack
+    /// [`cqs_future::WakeBatch`] and fired only after the traversal ends and
+    /// the resumer has released its segment pin — a woken thread can never
+    /// contend with the resumer's own traversal, and no user callback runs
+    /// inside it.
     ///
     /// Value accounting follows the cancellation mode:
     ///

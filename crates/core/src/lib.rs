@@ -61,7 +61,7 @@ pub use config::{CancellationMode, CqsConfig, ResumeMode};
 pub use cqs::{Cqs, CqsCallbacks, SimpleCancellation, Suspend};
 
 // Re-export the future vocabulary so primitives only need one dependency.
-pub use cqs_future::{Cancelled, CqsFuture, FutureState, Request, WaitPolicy};
+pub use cqs_future::{Cancelled, CqsFuture, FutureState, Request};
 
 #[cfg(test)]
 mod tests;

@@ -40,7 +40,7 @@ use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
-use std::thread::{JoinHandle, Thread};
+use std::thread::JoinHandle;
 
 /// Suspended: not in the run queue; the next wake enqueues it.
 const IDLE: u8 = 0;
@@ -105,29 +105,7 @@ pub fn yield_now() -> impl Future<Output = ()> {
     })
 }
 
-/// Drives `future` to completion on the calling thread, parking it between
-/// polls. For code outside an [`Executor`] that needs one result.
-pub fn block_on<F: Future>(future: F) -> F::Output {
-    struct ThreadWaker(Thread);
-
-    impl Wake for ThreadWaker {
-        fn wake(self: Arc<Self>) {
-            self.0.unpark();
-        }
-    }
-
-    let mut future = std::pin::pin!(future);
-    let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
-    let mut cx = Context::from_waker(&waker);
-    loop {
-        match future.as_mut().poll(&mut cx) {
-            Poll::Ready(output) => return output,
-            // An unpark that precedes the park makes it return at once, and
-            // a spurious return only costs one more poll.
-            Poll::Pending => std::thread::park(),
-        }
-    }
-}
+pub use cqs_future::block_on;
 
 /// One or more coroutines panicked since the last check.
 ///

@@ -15,6 +15,12 @@
 //! * [`CqsFuture`] implements [`std::future::Future`], which is how
 //!   `cqs-exec` tasks await it.
 //!
+//! A request wakes two kinds of thing when it settles, each from one slot:
+//! its settlement hook ([`CqsFuture::on_settled`]) first, then its
+//! [`std::task::Waker`]. A blocked thread is a waker too: `wait` registers
+//! the thread's cached park waker through the same path a poll takes, and
+//! [`block_on`] drives any future with it.
+//!
 //! # Example
 //!
 //! ```
@@ -35,69 +41,77 @@
 use std::cell::UnsafeCell;
 use std::error::Error;
 use std::fmt;
+use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::task::{Context, Poll};
+use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-/// How [`CqsFuture::wait`] burns time before parking the thread.
-///
-/// Parking is a syscall on both sides (a futex wait for the waiter, a futex
-/// wake for the resumer). When completions arrive within the latency of a
-/// handoff — a semaphore permit bouncing between threads, a mutex with a
-/// short critical section — it is cheaper to poll briefly first:
-///
-/// 1. **spin**: up to `spin` iterations of [`std::hint::spin_loop`],
-///    re-checking the request between iterations. Catches completions that
-///    are a few cache misses away.
-/// 2. **yield**: up to `yields` calls to [`std::thread::yield_now`].
-///    On an oversubscribed machine this donates the timeslice to the
-///    resumer instead of paying a park/unpark round trip.
-/// 3. **park**: the classic register-recheck-park loop, unbounded.
-///
-/// A `WaitPolicy` of `(0, 0)` degenerates to pure parking (the pre-ladder
-/// behaviour). Policies only change *how* a waiter waits, never *what* it
-/// observes: results and cancellation semantics are identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WaitPolicy {
-    spin: u32,
-    yields: u32,
-}
+/// How many times [`Request::wait`] spins on the state word before it
+/// starts yielding: catches completions a few cache misses away.
+const SPIN: u32 = 64;
+/// How many times [`Request::wait`] yields before it parks: on an
+/// oversubscribed machine this donates the timeslice to the resumer instead
+/// of paying a park/unpark round trip.
+const YIELDS: u32 = 16;
 
-impl WaitPolicy {
-    /// Default spin bound before the ladder starts yielding.
-    pub const DEFAULT_SPIN: u32 = 64;
-    /// Default yield bound before the ladder parks.
-    pub const DEFAULT_YIELDS: u32 = 16;
+/// Wakes a thread blocked in [`park_loop`].
+struct ThreadWaker(Thread);
 
-    /// A policy spinning `spin` times, then yielding `yields` times, then
-    /// parking.
-    pub const fn new(spin: u32, yields: u32) -> Self {
-        WaitPolicy { spin, yields }
-    }
-
-    /// The pre-ladder behaviour: park immediately, no polling.
-    pub const fn park_only() -> Self {
-        WaitPolicy::new(0, 0)
-    }
-
-    /// The spin bound.
-    pub const fn spin(&self) -> u32 {
-        self.spin
-    }
-
-    /// The yield bound.
-    pub const fn yields(&self) -> u32 {
-        self.yields
+impl Wake for ThreadWaker {
+    fn wake(self: Arc<Self>) {
+        cqs_stats::bump!(unparks);
+        self.0.unpark();
     }
 }
 
-impl Default for WaitPolicy {
-    fn default() -> Self {
-        WaitPolicy::new(Self::DEFAULT_SPIN, Self::DEFAULT_YIELDS)
-    }
+fn park_waker() -> Waker {
+    Waker::from(Arc::new(ThreadWaker(std::thread::current())))
+}
+
+thread_local! {
+    /// The thread's park waker, made once so that a wait allocates nothing.
+    static PARK_WAKER: Waker = park_waker();
+}
+
+/// The one thread-park loop: polls with the calling thread's park waker and
+/// parks between polls until `poll` is ready, or returns `None` once
+/// `deadline` has passed. A wake that lands before the park makes it return
+/// at once, and a spurious return only costs one more poll.
+fn park_loop<R>(
+    deadline: Option<Instant>,
+    mut poll: impl FnMut(&mut Context<'_>) -> Poll<R>,
+) -> Option<R> {
+    let mut run = |waker: &Waker| {
+        let mut cx = Context::from_waker(waker);
+        loop {
+            if let Poll::Ready(output) = poll(&mut cx) {
+                return Some(output);
+            }
+            let left = deadline.map(|deadline| deadline.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) {
+                return None;
+            }
+            cqs_stats::bump!(parks);
+            match left {
+                None => std::thread::park(),
+                Some(left) => std::thread::park_timeout(left),
+            }
+        }
+    };
+    // A wait from a thread-local destructor may find the cached waker gone.
+    PARK_WAKER
+        .try_with(|waker| run(waker))
+        .unwrap_or_else(|_| run(&park_waker()))
+}
+
+/// Drives `future` to completion on the calling thread, parking it between
+/// polls. For code outside an executor that needs one result.
+pub fn block_on<F: Future>(future: F) -> F::Output {
+    let mut future = std::pin::pin!(future);
+    park_loop(None, |cx| future.as_mut().poll(cx)).expect("only a deadline ends the park loop")
 }
 
 /// The operation was aborted by [`CqsFuture::cancel`] before completion.
@@ -151,54 +165,18 @@ const COMPLETED: u8 = 2;
 const CANCELLED: u8 = 3;
 const TAKEN: u8 = 4;
 
-/// A FIFO of settlement hooks whose first entry lives inline: primitives
-/// register at most one hook per wait, so the common case never allocates
-/// a buffer; later registrations chain into `rest`.
-#[derive(Default)]
-struct SettledHooks {
-    first: Option<Box<dyn FnOnce(bool) + Send>>,
-    rest: Vec<Box<dyn FnOnce(bool) + Send>>,
-}
-
-impl SettledHooks {
-    fn push(&mut self, hook: Box<dyn FnOnce(bool) + Send>) {
-        if self.is_empty() {
-            self.first = Some(hook);
-        } else {
-            self.rest.push(hook);
-        }
-    }
-
-    /// Removes the oldest hook.
-    fn pop(&mut self) -> Option<Box<dyn FnOnce(bool) + Send>> {
-        if self.first.is_some() {
-            return self.first.take();
-        }
-        (!self.rest.is_empty()).then(|| self.rest.remove(0))
-    }
-
-    fn len(&self) -> usize {
-        usize::from(self.first.is_some()) + self.rest.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Everything that may need waking when the request reaches a terminal
-/// state.
+/// What a request wakes when it reaches a terminal state: two kinds, one
+/// slot each.
 #[derive(Default)]
 struct WakerSlot {
-    thread: Option<Thread>,
-    /// Settlement hooks ([`CqsFuture::on_settled`]): unlike `task_waker`
-    /// (single slot, latest registration wins), these chain and every one
-    /// runs at the terminal state, with the outcome. Primitives use them
-    /// for resource accounting that must happen exactly once per operation
-    /// — e.g. a channel releasing a capacity slot when a receiver is
-    /// actually delivered a value.
-    settled: SettledHooks,
-    task_waker: Option<std::task::Waker>,
+    /// The settlement hook ([`CqsFuture::on_settled`]), run first, with the
+    /// outcome. Primitives use it for resource accounting that must happen
+    /// exactly once per operation — e.g. a channel releasing a capacity
+    /// slot when a receiver is actually delivered a value.
+    settled: Option<Box<dyn FnOnce(bool) + Send>>,
+    /// A task's waker or a blocked thread's park waker; the latest
+    /// registration wins.
+    waker: Option<Waker>,
 }
 
 /// A wake-up extracted from a completed (or cancelled) [`Request`] but not
@@ -206,7 +184,7 @@ struct WakerSlot {
 ///
 /// The batched resumption path in `cqs-core` completes many requests in one
 /// segment traversal; running wakers inline there would execute arbitrary
-/// user callbacks (and `unpark` syscalls) while the resumer still holds an
+/// user code (and `unpark` syscalls) while the resumer still holds an
 /// epoch pin. Instead, [`Request::complete_deferred`] /
 /// [`Request::cancel_deferred`] return the extracted handles as a
 /// `PendingWake`, collected into a [`WakeBatch`] and fired after the
@@ -219,25 +197,23 @@ struct WakerSlot {
 /// pending one.
 #[derive(Default)]
 pub struct PendingWake {
-    thread: Option<Thread>,
-    settled: SettledHooks,
-    /// Outcome passed to the settlement hooks: `true` when the request
+    slot: WakerSlot,
+    /// Outcome passed to the settlement hook: `true` when the request
     /// completed with a value, `false` when it was cancelled. Captured at
     /// extraction time, when the state is already terminal.
     settled_ok: bool,
-    task_waker: Option<std::task::Waker>,
 }
 
 impl PendingWake {
-    /// Whether there is nothing to wake (no thread parked, no settlement
-    /// hook or task waker registered at extraction time).
+    /// Whether there is nothing to wake (no settlement hook or waker
+    /// registered at extraction time).
     pub fn is_empty(&self) -> bool {
-        self.thread.is_none() && self.settled.is_empty() && self.task_waker.is_none()
+        self.slot.settled.is_none() && self.slot.waker.is_none()
     }
 
-    /// Fires the extracted wake-ups: runs the settlement hooks (accounting
-    /// first, so a woken waiter finds the books balanced), unparks the
-    /// thread, wakes the task — whichever were registered.
+    /// Fires the extracted wake-ups: runs the settlement hook (accounting
+    /// first, so a woken waiter finds the books balanced), then wakes the
+    /// waiter — whichever were registered.
     pub fn fire(mut self) {
         self.fire_remaining();
     }
@@ -246,15 +222,11 @@ impl PendingWake {
     /// it so that an unwound (panicking) delivery leaves only the truly
     /// undelivered remainder for [`Drop`] to finish.
     fn fire_remaining(&mut self) {
-        while let Some(hook) = self.settled.pop() {
+        if let Some(hook) = self.slot.settled.take() {
             hook(self.settled_ok);
         }
-        if let Some(t) = self.thread.take() {
-            cqs_stats::bump!(unparks);
-            t.unpark();
-        }
-        if let Some(w) = self.task_waker.take() {
-            w.wake();
+        if let Some(waker) = self.slot.waker.take() {
+            waker.wake();
         }
     }
 }
@@ -276,9 +248,8 @@ impl Drop for PendingWake {
 impl fmt::Debug for PendingWake {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PendingWake")
-            .field("thread", &self.thread.is_some())
-            .field("settled", &self.settled.len())
-            .field("task_waker", &self.task_waker.is_some())
+            .field("settled", &self.slot.settled.is_some())
+            .field("waker", &self.slot.waker.is_some())
             .finish()
     }
 }
@@ -477,19 +448,7 @@ impl<T> Request<T> {
     /// Returns the value back if the request was already cancelled (or, in
     /// violation of the single-completer contract, already completed).
     pub fn complete(&self, value: T) -> Result<(), T> {
-        cqs_chaos::inject!("future.complete.pre-cas");
-        if self
-            .state
-            .compare_exchange(PENDING, COMPLETING, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return Err(value);
-        }
-        cqs_chaos::inject!("future.complete.completing-window");
-        // SAFETY: the CAS above made us the unique completer; no one reads
-        // the slot until they observe COMPLETED.
-        unsafe { *self.value.get() = Some(value) };
-        self.state.store(COMPLETED, Ordering::Release);
+        self.publish(value)?;
         self.wake();
         Ok(())
     }
@@ -508,6 +467,14 @@ impl<T> Request<T> {
     /// Returns the value back if the request was already cancelled or
     /// completed.
     pub fn complete_deferred(&self, value: T) -> Result<PendingWake, T> {
+        self.publish(value)?;
+        cqs_chaos::inject!("future.complete.pre-extract-wake");
+        Ok(self.extract_wake())
+    }
+
+    /// The body `complete` and `complete_deferred` share: wins the state
+    /// CAS and publishes `value`, or hands it back.
+    fn publish(&self, value: T) -> Result<(), T> {
         cqs_chaos::inject!("future.complete.pre-cas");
         if self
             .state
@@ -521,8 +488,7 @@ impl<T> Request<T> {
         // the slot until they observe COMPLETED.
         unsafe { *self.value.get() = Some(value) };
         self.state.store(COMPLETED, Ordering::Release);
-        cqs_chaos::inject!("future.complete.pre-extract-wake");
-        Ok(self.extract_wake())
+        Ok(())
     }
 
     /// Atomically aborts the request if it is still pending. On success the
@@ -531,18 +497,11 @@ impl<T> Request<T> {
     /// Returns `true` if this call cancelled the request, `false` if it was
     /// already completed (or cancelled).
     pub fn cancel(&self) -> bool {
-        cqs_chaos::inject!("future.cancel.pre-cas");
-        if self
-            .state
-            .compare_exchange(PENDING, CANCELLED, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return false;
+        let won = self.abort();
+        if won {
+            self.wake();
         }
-        cqs_chaos::inject!("future.cancel.pre-handler");
-        self.run_handler_once();
-        self.wake();
-        true
+        won
     }
 
     /// Like [`cancel`](Request::cancel), but defers the waiter wake-up: on
@@ -553,17 +512,23 @@ impl<T> Request<T> {
     /// Used by the batched `Cqs::close()` sweep, which cancels every queued
     /// waiter in one traversal and fires the wakes afterwards.
     pub fn cancel_deferred(&self) -> Option<PendingWake> {
+        self.abort().then(|| self.extract_wake())
+    }
+
+    /// The body `cancel` and `cancel_deferred` share: wins the state CAS
+    /// and runs the cancellation handler.
+    fn abort(&self) -> bool {
         cqs_chaos::inject!("future.cancel.pre-cas");
         if self
             .state
             .compare_exchange(PENDING, CANCELLED, Ordering::AcqRel, Ordering::Acquire)
             .is_err()
         {
-            return None;
+            return false;
         }
         cqs_chaos::inject!("future.cancel.pre-handler");
         self.run_handler_once();
-        Some(self.extract_wake())
+        true
     }
 
     /// Whether the request reached a terminal state.
@@ -617,67 +582,48 @@ impl<T> Request<T> {
     /// Blocks until the request is completed or cancelled and takes the
     /// value: the waiter's half of the protocol, behind [`CqsFuture::wait`]
     /// and open to holders that embed the request in a larger allocation.
-    /// Single-consumer, like the future. A `policy` of `None` means
-    /// [`WaitPolicy::default`].
-    pub fn wait(&self, policy: Option<WaitPolicy>) -> Result<T, Cancelled> {
+    /// Single-consumer, like the future.
+    ///
+    /// Parking is a syscall on both sides (a futex wait here, a futex wake
+    /// for the resumer), so when completions arrive within the latency of a
+    /// hand-off it is cheaper to poll the state word first: 64 spins, then
+    /// 16 yields. A completion landing in that window is taken without ever
+    /// registering a waker. Only then does the thread register its park
+    /// waker through [`poll`](Self::poll) and park until woken.
+    pub fn wait(&self) -> Result<T, Cancelled> {
         if let Some(settled) = self.try_settled() {
             return settled;
         }
-        // Spin → yield → park ladder. The polling phases touch only the
-        // request's state word, so a completion landing mid-ladder is
-        // observed without ever registering a thread or parking.
-        let policy = policy.unwrap_or_default();
-        if policy.spin() > 0 {
-            cqs_chaos::inject!("future.wait.spin-phase");
-            for _ in 0..policy.spin() {
-                std::hint::spin_loop();
-                if let Some(settled) = self.try_settled() {
-                    return settled;
-                }
+        cqs_chaos::inject!("future.wait.spin-phase");
+        for _ in 0..SPIN {
+            std::hint::spin_loop();
+            if let Some(settled) = self.try_settled() {
+                return settled;
             }
         }
-        if policy.yields() > 0 {
-            cqs_chaos::inject!("future.wait.yield-phase");
-            for _ in 0..policy.yields() {
-                std::thread::yield_now();
-                if let Some(settled) = self.try_settled() {
-                    return settled;
-                }
+        cqs_chaos::inject!("future.wait.yield-phase");
+        for _ in 0..YIELDS {
+            std::thread::yield_now();
+            if let Some(settled) = self.try_settled() {
+                return settled;
             }
         }
         cqs_chaos::inject!("future.wait.park-phase");
-        loop {
-            self.waker.lock().unwrap().thread = Some(std::thread::current());
-            // Re-check after registering to avoid a missed wakeup.
-            if let Some(settled) = self.try_settled() {
-                return settled;
-            }
-            cqs_stats::bump!(parks);
-            std::thread::park();
-        }
+        park_loop(None, |cx| self.poll(cx)).expect("only a deadline ends the park loop")
     }
 
-    /// Like [`wait`](Self::wait) but cancels the request after `timeout`.
+    /// Like [`wait`](Self::wait) but cancels the request after `timeout`,
+    /// and parks at once instead of spinning first.
     pub fn wait_timeout(&self, timeout: Duration) -> Result<T, Cancelled> {
         let deadline = Instant::now() + timeout;
         loop {
-            if let Some(settled) = self.try_settled() {
+            if let Some(settled) = park_loop(Some(deadline), |cx| self.poll(cx)) {
                 return settled;
             }
-            self.waker.lock().unwrap().thread = Some(std::thread::current());
-            if let Some(settled) = self.try_settled() {
-                return settled;
+            if self.cancel() {
+                return Err(Cancelled);
             }
-            let now = Instant::now();
-            if now >= deadline {
-                if self.cancel() {
-                    return Err(Cancelled);
-                }
-                // A completion raced the timeout; take it.
-                continue;
-            }
-            cqs_stats::bump!(parks);
-            std::thread::park_timeout(deadline - now);
+            // A completion raced the timeout; take it.
         }
     }
 
@@ -687,7 +633,7 @@ impl<T> Request<T> {
         if let Some(settled) = self.try_settled() {
             return Poll::Ready(settled);
         }
-        self.waker.lock().unwrap().task_waker = Some(cx.waker().clone());
+        self.waker.lock().unwrap().waker = Some(cx.waker().clone());
         match self.try_settled() {
             Some(settled) => Poll::Ready(settled),
             None => Poll::Pending,
@@ -702,12 +648,9 @@ impl<T> Request<T> {
     /// *after* this extraction re-checks the (already terminal) state before
     /// parking, so an empty extraction can never strand it.
     fn extract_wake(&self) -> PendingWake {
-        let mut slot = self.waker.lock().unwrap();
         PendingWake {
-            thread: slot.thread.take(),
-            settled: std::mem::take(&mut slot.settled),
+            slot: std::mem::take(&mut *self.waker.lock().unwrap()),
             settled_ok: !self.is_cancelled(),
-            task_waker: slot.task_waker.take(),
         }
     }
 }
@@ -763,8 +706,6 @@ enum Inner<T> {
 /// ([`wait`](Self::wait)) or awaited as a [`std::future::Future`].
 pub struct CqsFuture<T> {
     inner: Inner<T>,
-    /// `None` = [`WaitPolicy::default`].
-    policy: Option<WaitPolicy>,
 }
 
 impl<T> CqsFuture<T> {
@@ -772,7 +713,6 @@ impl<T> CqsFuture<T> {
     pub fn immediate(value: T) -> Self {
         CqsFuture {
             inner: Inner::Immediate(Some(value)),
-            policy: None,
         }
     }
 
@@ -780,22 +720,7 @@ impl<T> CqsFuture<T> {
     pub fn suspended(request: Arc<Request<T>>) -> Self {
         CqsFuture {
             inner: Inner::Suspended(request),
-            policy: None,
         }
-    }
-
-    /// Overrides the [`WaitPolicy`] for this future's [`wait`](Self::wait),
-    /// instead of [`WaitPolicy::default`].
-    #[must_use]
-    pub fn with_wait_policy(mut self, policy: WaitPolicy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// The wait policy this future's [`wait`](Self::wait) will use: its
-    /// override if set, [`WaitPolicy::default`] otherwise.
-    pub fn wait_policy(&self) -> WaitPolicy {
-        self.policy.unwrap_or_default()
     }
 
     /// An already-cancelled future: every observation reports
@@ -805,7 +730,6 @@ impl<T> CqsFuture<T> {
     pub fn cancelled() -> Self {
         CqsFuture {
             inner: Inner::Cancelled,
-            policy: None,
         }
     }
 
@@ -850,7 +774,7 @@ impl<T> CqsFuture<T> {
     pub fn wait(self) -> Result<T, Cancelled> {
         match self.inner {
             Inner::Immediate(v) => Ok(v.expect("completion value taken twice")),
-            Inner::Suspended(r) => r.wait(self.policy),
+            Inner::Suspended(r) => r.wait(),
             Inner::Cancelled => Err(Cancelled),
         }
     }
@@ -864,33 +788,39 @@ impl<T> CqsFuture<T> {
         }
     }
 
-    /// Registers a settlement hook: runs exactly once when the future
+    /// Registers the settlement hook: runs exactly once when the future
     /// reaches a terminal state, receiving `true` if it completed with a
     /// value and `false` if it was cancelled. If the future is already
     /// terminal, the hook runs immediately on this thread.
     ///
-    /// Unlike the task waker a poll registers — a single slot, the latest
-    /// poll's waker wins — settlement hooks *chain*: every registered hook
-    /// fires, in registration order, on the
-    /// thread that completes or cancels the request (or, for batched
-    /// resumption, the thread firing the [`WakeBatch`]). They run before
-    /// any thread unpark or task wake, so primitives can use them for
-    /// accounting that must be settled by the time a waiter resumes —
+    /// Otherwise it runs on the thread that completes or cancels the
+    /// request (or, for batched resumption, the thread firing the
+    /// [`WakeBatch`]), before the waiter is woken, so primitives can use it
+    /// for accounting that must be settled by the time a waiter resumes —
     /// e.g. releasing a channel capacity slot when (and only when) a
     /// receiver was actually delivered a value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pending future already has a settlement hook; the first
+    /// hook stays registered.
     pub fn on_settled<F: FnOnce(bool) + Send + 'static>(&self, hook: F) {
         match &self.inner {
             Inner::Immediate(_) => hook(true),
             Inner::Cancelled => hook(false),
             Inner::Suspended(r) => {
-                {
-                    let mut slot = r.waker.lock().unwrap();
-                    if !r.is_terminated() {
-                        slot.settled.push(Box::new(hook));
-                        return;
-                    }
+                let mut slot = r.waker.lock().unwrap();
+                if r.is_terminated() {
+                    drop(slot);
+                    return hook(!r.is_cancelled());
                 }
-                hook(!r.is_cancelled());
+                let first = slot.settled.is_none();
+                if first {
+                    slot.settled = Some(Box::new(hook));
+                }
+                // Not while locked: the panic would poison the slot.
+                drop(slot);
+                assert!(first, "settlement hook registered twice");
             }
         }
     }
@@ -900,7 +830,7 @@ impl<T> CqsFuture<T> {
 // whole, so pinning imposes no obligations.
 impl<T> Unpin for CqsFuture<T> {}
 
-impl<T> std::future::Future for CqsFuture<T> {
+impl<T> Future for CqsFuture<T> {
     type Output = Result<T, Cancelled>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
@@ -926,7 +856,6 @@ impl<T> fmt::Debug for CqsFuture<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::task::{Wake, Waker};
 
     /// Registers a task waker on the pending `request` the way an executor
     /// does, through a poll, and returns that waker's wake count.
@@ -1083,27 +1012,65 @@ mod tests {
         assert_eq!(wakes.load(Ordering::SeqCst), 1);
     }
 
+    /// A request first polled by a task and then waited on by a thread
+    /// wakes the thread; the task waker it replaced is not woken.
     #[test]
-    fn async_poll_integration() {
-        // A minimal hand-rolled block_on: `cqs-exec` depends on this crate.
-        struct ThreadWaker(Thread);
-        impl Wake for ThreadWaker {
-            fn wake(self: Arc<Self>) {
-                self.0.unpark();
-            }
+    fn wait_after_poll_wakes_the_thread_not_the_replaced_task() {
+        let r = Arc::new(Request::new());
+        let task_wakes = register_waker(&r);
+        let f = CqsFuture::suspended(Arc::clone(&r));
+        let waiter = std::thread::spawn(move || f.wait());
+        // The slot's waker owns the only other count of `task_wakes`, so
+        // the count drops when the thread's park waker replaces it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Arc::strong_count(&task_wakes) > 1 {
+            assert!(Instant::now() < deadline, "the thread never registered");
+            std::thread::yield_now();
         }
-        fn block_on<F: std::future::Future>(fut: F) -> F::Output {
-            let waker = Arc::new(ThreadWaker(std::thread::current())).into();
-            let mut cx = Context::from_waker(&waker);
-            let mut fut = std::pin::pin!(fut);
-            loop {
-                match fut.as_mut().poll(&mut cx) {
-                    Poll::Ready(v) => return v,
-                    Poll::Pending => std::thread::park(),
+        r.complete(5u32).unwrap();
+        assert_eq!(waiter.join().unwrap(), Ok(5));
+        assert_eq!(task_wakes.load(Ordering::SeqCst), 0);
+    }
+
+    /// A wait from a thread-local destructor completes, though the thread's
+    /// cached park waker may already be destroyed.
+    #[test]
+    fn wait_in_a_thread_local_destructor_completes() {
+        type Report = std::sync::mpsc::Sender<Option<Result<u32, Cancelled>>>;
+        struct WaitOnDrop(Option<(CqsFuture<u32>, Report)>);
+        impl Drop for WaitOnDrop {
+            fn drop(&mut self) {
+                if let Some((future, report)) = self.0.take() {
+                    report.send(None).unwrap();
+                    report.send(Some(future.wait())).unwrap();
                 }
             }
         }
+        thread_local! {
+            static WAITER: std::cell::RefCell<WaitOnDrop> =
+                const { std::cell::RefCell::new(WaitOnDrop(None)) };
+        }
 
+        let r = Arc::new(Request::new());
+        let f = CqsFuture::suspended(Arc::clone(&r));
+        let (report, reports) = std::sync::mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            WAITER.with(|waiter| waiter.borrow_mut().0 = Some((f, report)));
+            // Made after `WAITER`, so (destructors running in reverse) the
+            // park waker is gone by the time `WAITER` waits.
+            block_on(async {});
+        });
+        assert_eq!(reports.recv(), Ok(None), "the destructor waits");
+        // Lets the wait reach its park loop; an earlier completion is just
+        // as correct, only less of a test.
+        std::thread::sleep(Duration::from_millis(20));
+        r.complete(8).unwrap();
+        assert_eq!(reports.recv(), Ok(Some(Ok(8))));
+        thread.join().unwrap();
+    }
+
+    #[test]
+    fn async_poll_integration() {
         let r = Arc::new(Request::new());
         let f = CqsFuture::suspended(Arc::clone(&r));
         let completer = std::thread::spawn(move || {
@@ -1314,20 +1281,21 @@ mod settled_tests {
     use std::sync::atomic::{AtomicI32, Ordering};
     use std::sync::Arc;
 
-    /// Hooks chain: every registered hook fires once, with the outcome.
+    /// A request holds one settlement hook: a second registration panics,
+    /// and the first still fires, with the outcome.
     #[test]
-    fn settled_hooks_chain_and_see_completion() {
+    fn second_settlement_hook_panics_and_the_first_still_fires() {
         let r: Arc<Request<u32>> = Arc::new(Request::new());
         let f = CqsFuture::suspended(Arc::clone(&r));
-        let score = Arc::new(AtomicI32::new(0));
-        for weight in [1, 10] {
-            let score = Arc::clone(&score);
-            f.on_settled(move |ok| {
-                score.fetch_add(if ok { weight } else { -weight }, Ordering::SeqCst);
-            });
-        }
+        let seen = Arc::new(AtomicI32::new(0));
+        let s = Arc::clone(&seen);
+        f.on_settled(move |ok| s.store(if ok { 1 } else { -1 }, Ordering::SeqCst));
+        let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            f.on_settled(|_| panic!("the second hook must never run"));
+        }));
+        assert!(second.is_err(), "a second hook must be refused");
         r.complete(7).unwrap();
-        assert_eq!(score.load(Ordering::SeqCst), 11, "both hooks saw success");
+        assert_eq!(seen.load(Ordering::SeqCst), 1, "the first hook saw success");
         assert_eq!(f.wait(), Ok(7));
     }
 

@@ -238,9 +238,6 @@ define_counters! {
     /// Releases that moved banked credit (or an element) to a sibling shard
     /// with suspended waiters — one per credit migrated.
     shard_rebalances,
-    /// Open-loop scenario arrivals dropped because the generator fell
-    /// behind its schedule beyond the configured lateness budget.
-    scenario_arrivals_dropped,
 }
 
 /// Increments a named counter from the block above.
@@ -358,7 +355,6 @@ mod tests {
             crate::bump!(shard_local_hits);
             crate::bump!(shard_steals, 3);
             crate::bump!(shard_rebalances);
-            crate::bump!(scenario_arrivals_dropped, 2);
         };
         nothing
     }

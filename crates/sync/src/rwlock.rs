@@ -812,26 +812,7 @@ mod tests {
         // Trivial async usage via a poll-once-ready future.
         let fut = lock.read();
         assert!(fut.is_immediate());
-        futures_block_on(fut).unwrap();
+        cqs_future::block_on(fut).unwrap();
         lock.read_unlock();
-    }
-
-    fn futures_block_on<F: std::future::Future>(f: F) -> F::Output {
-        use std::task::{Context, Poll, Wake};
-        struct W(std::thread::Thread);
-        impl Wake for W {
-            fn wake(self: Arc<Self>) {
-                self.0.unpark();
-            }
-        }
-        let waker = Arc::new(W(std::thread::current())).into();
-        let mut cx = Context::from_waker(&waker);
-        let mut f = std::pin::pin!(f);
-        loop {
-            match f.as_mut().poll(&mut cx) {
-                Poll::Ready(v) => return v,
-                Poll::Pending => std::thread::park(),
-            }
-        }
     }
 }

@@ -1,6 +1,7 @@
 //! Pins the `WakeBatch` panic-isolation contract (no cargo feature
-//! needed): a panicking waker — a settlement hook, in practice also a
-//! task waker — must never prevent the *other* wakes in
+//! needed): a request wakes two kinds of thing, its settlement hook and
+//! its waker, and a panicking one — a hook here, in practice also a task
+//! waker — must never prevent the *other* wakes in
 //! the batch from firing, on the inline path, on the heap-spill path, and
 //! on the unwind path where the batch is dropped rather than fired.
 //!

@@ -180,9 +180,9 @@ pub const KNOWN_LABELS: &[&str] = &[
     "future.wait.yield-phase",
     "future.wake.fault.pre-fire",
     "segment.append.pre-cas",
+    "segment.bypass.pre-store",
     "segment.move-forward.pre-cas",
     "segment.on-cancelled-cell.pre-count",
-    "segment.recycle.pre-push",
     "segment.remove.pre-link",
     "sharded.rebalance.window",
     "sharded.steal.window",

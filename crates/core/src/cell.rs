@@ -296,17 +296,6 @@ impl<T: Send + 'static> CqsCell<T> {
     pub(crate) fn clear_waiter(&self, guard: &Guard) {
         self.waiter.store(None, guard);
     }
-
-    /// Returns the cell to its pristine `EMPTY` state through exclusive
-    /// access, releasing any leftover payload or waiter reference
-    /// immediately. Segment recycling calls this on every cell of a
-    /// recycled segment; `&mut self` proves no concurrent party can still
-    /// be touching the cell, so no atomics or epoch deferral are needed.
-    pub(crate) fn reset(&mut self) {
-        *self.state.get_mut() = EMPTY;
-        *self.payload.get_mut() = None;
-        self.waiter.clear_mut();
-    }
 }
 
 impl<T> std::fmt::Debug for CqsCell<T> {

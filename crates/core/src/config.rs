@@ -1,6 +1,6 @@
 //! Configuration of a [`crate::Cqs`] instance: resumption and cancellation
-//! modes, segment size, the synchronous-rendezvous spin budget, the
-//! segment freelist and the watchdog label.
+//! modes, segment size, the synchronous-rendezvous spin budget and the
+//! watchdog label.
 
 /// How `resume(..)` transfers a value into a cell that `suspend()` has not
 /// reached yet (paper, Appendix B).
@@ -55,7 +55,6 @@ pub struct CqsConfig {
     cancellation_mode: CancellationMode,
     segment_size: usize,
     spin_limit: usize,
-    freelist_slots: usize,
     label: &'static str,
 }
 
@@ -65,8 +64,6 @@ impl CqsConfig {
     /// The default bound on the synchronous-rendezvous spin loop
     /// (`MAX_SPIN_CYCLES` in the paper).
     pub const DEFAULT_SPIN_LIMIT: usize = 300;
-    /// The default capacity of the per-queue segment recycling freelist.
-    pub const DEFAULT_FREELIST_SLOTS: usize = 4;
 
     /// Creates the default configuration: asynchronous resumption, simple
     /// cancellation, 16-cell segments.
@@ -76,7 +73,6 @@ impl CqsConfig {
             cancellation_mode: CancellationMode::Simple,
             segment_size: Self::DEFAULT_SEGMENT_SIZE,
             spin_limit: Self::DEFAULT_SPIN_LIMIT,
-            freelist_slots: Self::DEFAULT_FREELIST_SLOTS,
             label: "cqs",
         }
     }
@@ -123,17 +119,6 @@ impl CqsConfig {
         self
     }
 
-    /// Sets the capacity of this queue's segment recycling freelist (the
-    /// number of fully-cancelled segments parked for reuse instead of being
-    /// deallocated). Zero disables recycling. Primitives that fan one
-    /// logical queue out into N shards should divide the default by N so
-    /// the *total* idle memory pinned per primitive stays constant.
-    #[must_use]
-    pub fn freelist_slots(mut self, slots: usize) -> Self {
-        self.freelist_slots = slots;
-        self
-    }
-
     /// The configured resumption mode.
     pub fn get_resume_mode(&self) -> ResumeMode {
         self.resume_mode
@@ -152,11 +137,6 @@ impl CqsConfig {
     /// The configured spin budget.
     pub fn get_spin_limit(&self) -> usize {
         self.spin_limit
-    }
-
-    /// The configured freelist capacity.
-    pub fn get_freelist_slots(&self) -> usize {
-        self.freelist_slots
     }
 
     /// The configured watchdog label.

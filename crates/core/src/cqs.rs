@@ -10,9 +10,7 @@ use cqs_reclaim::{pin, AtomicArc, Guard, Protected};
 use cqs_stats::CachePadded;
 
 use crate::cell::{self, CancelSwap};
-use crate::segment::{
-    find_and_move_forward, find_segment, move_forward, Segment, SegmentFreelist, SegmentOwner,
-};
+use crate::segment::{find_and_move_forward, find_segment, move_forward, Segment, SegmentOwner};
 use crate::{CancellationMode, CqsConfig, ResumeMode};
 
 /// User hooks for the *smart* cancellation mode (paper, Listing 3).
@@ -89,9 +87,6 @@ struct CqsInner<T: Send + 'static, C: CqsCallbacks<T>> {
     resume_idx: CachePadded<AtomicU64>,
     suspend_segm: CachePadded<AtomicArc<Segment<T>>>,
     resume_segm: CachePadded<AtomicArc<Segment<T>>>,
-    /// Bounded recycling pool for fully-cancelled segments; segments reach
-    /// it through their weak [`SegmentOwner`] link (see [`SegmentFreelist`]).
-    freelist: SegmentFreelist<T>,
     callbacks: C,
     /// Set by [`CqsInner::close`]; suspenders double-check it after
     /// installing their waiter and self-cancel, so no waiter can be parked
@@ -143,13 +138,12 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
     /// callbacks (use [`SimpleCancellation`] when the simple mode is
     /// configured).
     pub fn new(config: CqsConfig, callbacks: C) -> Self {
-        // Segments point back at the queue (weakly) for their freelist and
-        // for cancellation, so the first one is built inside the cycle.
+        // Segments point back at the queue (weakly) for cancellation, so
+        // the first one is built inside the cycle.
         let inner = Arc::new_cyclic(|owner: &Weak<CqsInner<T, C>>| {
             let first = Segment::new(0, config.get_segment_size(), 2, owner.clone());
             CqsInner {
                 watch_id: cqs_watch::next_primitive_id(config.get_label()),
-                freelist: SegmentFreelist::new(config.get_freelist_slots()),
                 config,
                 suspend_idx: CachePadded::new(AtomicU64::new(0)),
                 resume_idx: CachePadded::new(AtomicU64::new(0)),
@@ -382,17 +376,11 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
         attempts.saturating_sub(missed)
     }
 
-    /// The number of removed segments currently parked in this queue's
-    /// recycling freelist, waiting to be reused by the next tail append
-    /// (diagnostics; a racy snapshot).
-    pub fn recycling_queue_len(&self) -> usize {
-        self.inner.freelist.len()
-    }
-
     /// The number of segments currently linked into the queue (diagnostics;
     /// a racy snapshot). The paper's memory claim is that this stays
     /// `O(live waiters / SEGM_SIZE)` no matter how many waiters cancelled:
-    /// fully-cancelled segments are physically unlinked.
+    /// fully-cancelled segments are physically unlinked, and an unlinked
+    /// segment is freed once no traversal can reach it.
     pub fn live_segments(&self) -> usize {
         let guard = pin();
         let mut cur = self.inner.first_segment(&guard);
@@ -416,8 +404,8 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
 
     /// Walks every linked segment under one pin, lets `meanwhile` run, and
     /// checks that each segment still carries the id it was first seen
-    /// with: recycling (`Segment::reset_for_reuse`) must never get hold of
-    /// a segment a pinned traverser can still reach.
+    /// with: removal must never free a segment a pinned traverser can
+    /// still reach.
     pub(crate) fn audit_segment_ids(&self, meanwhile: impl FnOnce()) {
         let guard = pin();
         let mut seen: Vec<(u64, Protected<'_, Segment<T>>)> = Vec::new();
@@ -431,7 +419,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
         }
         meanwhile();
         for (id, segment) in &seen {
-            assert_eq!(segment.id(), *id, "segment recycled under a pin");
+            assert_eq!(segment.id(), *id, "segment freed under a pin");
         }
     }
 }
@@ -1200,10 +1188,6 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
 }
 
 impl<T: Send + 'static, C: CqsCallbacks<T>> SegmentOwner<T> for CqsInner<T, C> {
-    fn freelist(&self) -> &SegmentFreelist<T> {
-        &self.freelist
-    }
-
     /// Invoked by `Request::cancel` through the segment the request holds
     /// as its handler (paper, Listing 5).
     fn on_waiter_cancelled(&self, segment: &Arc<Segment<T>>, index: usize) {

@@ -10,7 +10,9 @@
 //! links are [`AtomicArc`]s, so a segment is deallocated when the last
 //! `Arc` reference — a link, a head pointer, or a request that holds the
 //! segment as its cancellation handler — goes away (plus a grace period
-//! for displaced link references).
+//! for displaced link references). A removed segment therefore lives only
+//! as long as something still reaches it, which keeps memory at
+//! O(live waiters / segment size) however many waiters cancelled.
 //!
 //! Traversals are not in that list: they walk guard-scoped [`Protected`]
 //! references — the paper's pointer reads, kept alive by the epoch pin —
@@ -18,7 +20,7 @@
 //! *published or kept*: the head-pointer CAS, the links `remove` and a
 //! fresh tail write, a request's handler, `remove`'s `&Arc<Self>`.
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use cqs_future::CancellationHandler;
@@ -32,131 +34,10 @@ use crate::cell::CqsCell;
 const POINTER_UNIT: u64 = 1 << 32;
 const CANCELLED_MASK: u64 = POINTER_UNIT - 1;
 
-/// A small, bounded, lock-free freelist of fully-cancelled segments.
-///
-/// `Segment::remove` offers each physically removed segment here (at most
-/// once, gated by `Segment::recycle_queued`) instead of letting it fall
-/// straight back to the allocator; `find_segment`'s tail-append path pops
-/// one and reuses its cell block when it can prove exclusive ownership.
-///
-/// # Epoch safety
-///
-/// A popped segment is reused only if `Arc::get_mut` succeeds, i.e. its
-/// strong count is exactly the freelist's own reference. An epoch
-/// traversal holds *no* count on the segments it walks, so the veto rests
-/// on the links: a pinned traverser reaches the segment only through a
-/// link (or head pointer) it read under its pin, and that cell's reference
-/// is still in place, or displaced, retired and not released while the
-/// traverser stays pinned — counted either way. (Owned traversals hold
-/// counted clones; so does a request's handler.)
-/// Exclusivity therefore cannot race with readers, and the reset needs no
-/// atomics at all.
-///
-/// The list lives inside the owning CQS; segments reach it through their
-/// `Weak` [`SegmentOwner`] back-reference, so it never forms a reference
-/// cycle with the segment chain it feeds.
-pub(crate) struct SegmentFreelist<T: Send + 'static> {
-    /// Raw `Arc::into_raw` pointers; null means the slot is empty. The
-    /// capacity is fixed at construction from
-    /// [`CqsConfig::freelist_slots`](crate::CqsConfig::freelist_slots):
-    /// cancellation storms retire segments in bursts, but the append path
-    /// consumes at most one recycled segment per new tail, so a handful of
-    /// slots captures most of the reuse without pinning much memory.
-    /// Sharded primitives, which multiply the number of queues per
-    /// primitive, shrink the per-queue bound so the *total* idle memory
-    /// stays where a single-queue primitive would put it. Zero slots
-    /// disables recycling entirely.
-    slots: Box<[AtomicPtr<Segment<T>>]>,
-}
-
-impl<T: Send + 'static> SegmentFreelist<T> {
-    pub(crate) fn new(slot_count: usize) -> Self {
-        SegmentFreelist {
-            slots: (0..slot_count).map(|_| AtomicPtr::default()).collect(),
-        }
-    }
-
-    /// Offers a segment to the freelist. If every slot is taken the
-    /// reference is simply dropped and the segment reclaims normally.
-    fn push(&self, segment: Arc<Segment<T>>) {
-        let ptr = Arc::into_raw(segment) as *mut Segment<T>;
-        for slot in self.slots.iter() {
-            // Release on success publishes the pushed reference to the
-            // popper's Acquire exchange below.
-            if slot
-                .compare_exchange(
-                    std::ptr::null_mut(),
-                    ptr,
-                    Ordering::Release,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-            {
-                return;
-            }
-        }
-        // Full: fall back to ordinary reclamation.
-        // SAFETY: `ptr` came from `Arc::into_raw` above and was never
-        // published into a slot.
-        drop(unsafe { Arc::from_raw(ptr) });
-    }
-
-    /// Number of segments currently parked in the list (racy; diagnostics).
-    pub(crate) fn len(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|slot| !slot.load(Ordering::Relaxed).is_null())
-            .count()
-    }
-
-    /// Pops any stored segment, or `None` if the list is empty.
-    fn try_pop(&self) -> Option<Arc<Segment<T>>> {
-        for slot in self.slots.iter() {
-            let ptr = slot.load(Ordering::Relaxed);
-            if ptr.is_null() {
-                continue;
-            }
-            // Acquire pairs with the push's Release; success transfers the
-            // slot's reference to us.
-            if slot
-                .compare_exchange(
-                    ptr,
-                    std::ptr::null_mut(),
-                    Ordering::Acquire,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-            {
-                // SAFETY: the slot held a reference produced by
-                // `Arc::into_raw` in `push`, and the exchange made us its
-                // unique consumer.
-                return Some(unsafe { Arc::from_raw(ptr) });
-            }
-        }
-        None
-    }
-}
-
-impl<T: Send + 'static> Drop for SegmentFreelist<T> {
-    fn drop(&mut self) {
-        for slot in self.slots.iter_mut() {
-            let ptr = *slot.get_mut();
-            if !ptr.is_null() {
-                // SAFETY: the slot owns this `Arc::into_raw` reference and
-                // `&mut self` excludes concurrent pops.
-                drop_chain(Some(unsafe { Arc::from_raw(ptr) }));
-            }
-        }
-    }
-}
-
 /// What a segment needs from the queue that owns it. Segments hold it
 /// `Weak`ly: once the queue is dropped nothing traverses its cells any
-/// more, so both services degrade to no-ops.
+/// more, so the service degrades to a no-op.
 pub(crate) trait SegmentOwner<T: Send + 'static>: Send + Sync {
-    /// Where fully-cancelled segments are parked for reuse.
-    fn freelist(&self) -> &SegmentFreelist<T>;
-
     /// The cell-side part of cancelling the waiter in `segment[index]`.
     fn on_waiter_cancelled(&self, segment: &Arc<Segment<T>>, index: usize);
 }
@@ -171,9 +52,6 @@ pub(crate) struct Segment<T: Send + 'static> {
     /// Back-reference to the owning CQS (`Weak` to avoid a cycle; dangling
     /// for detached segments, e.g. in unit tests).
     owner: Weak<dyn SegmentOwner<T>>,
-    /// Whether this segment has already been offered to the freelist;
-    /// `remove` can run several times per segment but must push only once.
-    recycle_queued: AtomicBool,
 }
 
 impl<T: Send + 'static> Segment<T> {
@@ -192,7 +70,6 @@ impl<T: Send + 'static> Segment<T> {
             ctr: AtomicU64::new(initial_pointers * POINTER_UNIT),
             cells,
             owner,
-            recycle_queued: AtomicBool::new(false),
         })
     }
 
@@ -229,14 +106,15 @@ impl<T: Send + 'static> Segment<T> {
     /// Whether the segment is logically removed: every cell cancelled and no
     /// head pointer referencing it.
     ///
-    /// Ordering note: the whole removal protocol lives on the single `ctr`
-    /// word, whose RMWs form one total modification order — every decision
-    /// ("did *my* update make it removed?") is taken from an RMW's return
-    /// value, never from a plain load, so no SeqCst is needed anywhere on
-    /// `ctr`. Acquire here (and AcqRel on the RMWs) orders the link surgery
-    /// that follows a removal verdict against the updates that produced it.
+    /// Ordering: SeqCst, here and on every `ctr` update. One segment's
+    /// removal verdict ("did *my* update make it removed?") would need only
+    /// AcqRel: it is read off an RMW's return value, and the RMWs on one
+    /// word form one modification order. But [`remove`](Self::remove)'s
+    /// cycle argument compares the removals of *different* segments, and
+    /// only SeqCst puts every segment's `ctr` accesses into one order. On
+    /// x86-64 both orderings compile to the same instructions.
     pub(crate) fn removed(&self) -> bool {
-        let ctr = self.ctr.load(Ordering::Acquire);
+        let ctr = self.ctr.load(Ordering::SeqCst);
         (ctr & CANCELLED_MASK) as usize == self.cells.len() && ctr >> 32 == 0
     }
 
@@ -244,10 +122,10 @@ impl<T: Send + 'static> Segment<T> {
     /// it became logically removed (paper, `onCancelledCell`).
     pub(crate) fn on_cancelled_cell(self: &Arc<Self>, guard: &Guard) {
         cqs_chaos::inject!("segment.on-cancelled-cell.pre-count");
-        // AcqRel: see `removed` — the return value decides removal, and the
+        // SeqCst: see `removed` — the return value decides removal, and the
         // release half publishes the cancelled cell's terminal state to
         // whoever later observes the count.
-        let ctr = self.ctr.fetch_add(1, Ordering::AcqRel) + 1;
+        let ctr = self.ctr.fetch_add(1, Ordering::SeqCst) + 1;
         debug_assert!(
             (ctr & CANCELLED_MASK) as usize <= self.cells.len(),
             "more cancellations than cells"
@@ -260,19 +138,19 @@ impl<T: Send + 'static> Segment<T> {
     /// Increments the head-pointer count unless the segment is already
     /// logically removed.
     fn try_inc_pointers(&self) -> bool {
-        let mut ctr = self.ctr.load(Ordering::Acquire);
+        let mut ctr = self.ctr.load(Ordering::SeqCst);
         loop {
             if (ctr & CANCELLED_MASK) as usize == self.cells.len() && ctr >> 32 == 0 {
                 return false; // logically removed
             }
-            // AcqRel/Acquire: the successful increment is what blocks a
-            // racing remover (its own RMW then sees pointers != 0); failure
-            // merely retries with the freshly observed value.
+            // SeqCst (see `removed`): the successful increment is what
+            // blocks a racing remover (its own RMW then sees pointers != 0);
+            // failure merely retries with the freshly observed value.
             match self.ctr.compare_exchange(
                 ctr,
                 ctr + POINTER_UNIT,
-                Ordering::AcqRel,
-                Ordering::Acquire,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
             ) {
                 Ok(_) => return true,
                 Err(actual) => ctr = actual,
@@ -283,8 +161,8 @@ impl<T: Send + 'static> Segment<T> {
     /// Decrements the head-pointer count; returns `true` if the segment
     /// became logically removed.
     fn dec_pointers(&self) -> bool {
-        // AcqRel: the return value is the removal verdict (see `removed`).
-        let ctr = self.ctr.fetch_sub(POINTER_UNIT, Ordering::AcqRel) - POINTER_UNIT;
+        // SeqCst: the return value is the removal verdict (see `removed`).
+        let ctr = self.ctr.fetch_sub(POINTER_UNIT, Ordering::SeqCst) - POINTER_UNIT;
         debug_assert!(ctr >> 32 < u32::MAX as u64, "pointer count underflow");
         (ctr & CANCELLED_MASK) as usize == self.cells.len() && ctr >> 32 == 0
     }
@@ -293,6 +171,25 @@ impl<T: Send + 'static> Segment<T> {
     /// neighbours to each other (paper, Listing 15 `remove`). The tail
     /// segment is never removed; its removal is re-attempted when the tail
     /// moves.
+    ///
+    /// The JVM collects reference cycles; `Arc` links do not. Two
+    /// neighbours removed concurrently each skip the other and would keep
+    /// their mutual `next`/`prev` links — a cycle that also holds every
+    /// later segment through its `next`. So the last store into a removed
+    /// segment's links is made by its own [`bypass`](Self::bypass), which
+    /// points them at segments it saw alive after the removal:
+    ///
+    /// * `remove` stores into both neighbours. Either may be removed, and
+    ///   bypassed, before the store lands; so after the stores, each
+    ///   neighbour found removed is bypassed again (the tail excepted: it
+    ///   is bypassed once a new tail makes it removable), then the links
+    ///   are recomputed.
+    /// * A fresh tail's `prev` is stored before the tail is published.
+    ///
+    /// Every link between two removed segments therefore leads from the
+    /// one removed first to one removed later — or to the tail, which the
+    /// queue still reaches — and no cycle among unreachable segments can
+    /// close.
     pub(crate) fn remove(self: &Arc<Self>, guard: &Guard) {
         loop {
             // The tail segment cannot be removed.
@@ -310,57 +207,34 @@ impl<T: Send + 'static> Segment<T> {
             }
 
             // Restart if a neighbour was removed in the meantime (unless it
-            // became the tail, which cannot be removed anyway).
+            // became the tail, which cannot be removed anyway), after
+            // bypassing every such neighbour past the stores above.
+            let mut restart = false;
             if next.removed() && !next.next.load_ptr(guard).is_null() {
-                continue;
+                next.bypass(guard);
+                restart = true;
             }
-            if let Some(prev) = &prev {
-                if prev.removed() {
-                    continue;
-                }
+            if let Some(prev) = prev.filter(|prev| prev.removed()) {
+                prev.bypass(guard);
+                restart = true;
             }
-            self.offer_for_recycling();
-            return;
+            if !restart {
+                self.bypass(guard);
+                return;
+            }
         }
     }
 
-    /// Offers this (physically removed) segment to the owning CQS's
-    /// freelist, at most once per segment lifetime.
-    ///
-    /// Stale links may still lead traversals through us afterwards; that is
-    /// fine — reuse is vetoed at pop time unless the freelist holds the
-    /// *only* reference (see [`SegmentFreelist`]).
-    fn offer_for_recycling(self: &Arc<Self>) {
-        // AcqRel gate: exactly one caller of `remove` wins the right to
-        // push; everyone else sees `true` and leaves the list alone.
-        if self
-            .recycle_queued
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return;
-        }
-        if let Some(owner) = self.owner.upgrade() {
-            cqs_chaos::inject!("segment.recycle.pre-push");
-            owner.freelist().push(Arc::clone(self));
-        }
-    }
-
-    /// Rebuilds a popped freelist segment into a pristine tail segment with
-    /// identity `id`. Requires exclusive ownership (`Arc::get_mut`), which
-    /// the epoch argument on [`SegmentFreelist`] turns into freedom from
-    /// racing readers — so every reset below is a plain write.
-    fn reset_for_reuse(&mut self, id: u64) {
-        self.id = id;
-        *self.ctr.get_mut() = 0;
-        for cell in self.cells.iter_mut() {
-            cell.reset();
-        }
-        // Dropping the stale links releases our references to the old
-        // neighbours immediately (no deferral needed under `&mut`).
-        self.next.clear_mut();
-        self.prev.clear_mut();
-        *self.recycle_queued.get_mut() = false;
+    /// Points a removed, non-tail segment's own links at its nearest alive
+    /// neighbours, past any removed run around it (see [`remove`](Self::remove)).
+    /// Traversals standing on the segment skip removed segments anyway, so
+    /// they see the same alive neighbours either way.
+    fn bypass(&self, guard: &Guard) {
+        let prev = self.alive_segment_left(guard);
+        cqs_chaos::inject!("segment.bypass.pre-store");
+        self.prev.store(prev.as_ref().map(Protected::to_arc), guard);
+        self.next
+            .store(Some(self.alive_segment_right(guard).to_arc()), guard);
     }
 
     /// First non-removed segment to the left, or `None` if all are removed
@@ -459,14 +333,14 @@ pub(crate) fn find_segment<'g, T: Send + 'static>(
         let next = match Segment::next(&cur, guard) {
             Some(next) => next,
             None => {
-                // Create (or recycle) and append a new tail segment.
-                let fresh = recycled_tail(&cur, segment_size).unwrap_or_else(|| {
-                    Segment::new(cur.id + 1, segment_size, 0, cur.owner.clone())
-                });
+                // Create and append a new tail segment. Its `prev` is set
+                // before it is published, so no late store can undo a
+                // `bypass` of it (see `Segment::remove`).
+                let fresh = Segment::new(cur.id + 1, segment_size, 0, cur.owner.clone());
+                fresh.prev.store(Some(cur.to_arc()), guard);
                 cqs_chaos::inject!("segment.append.pre-cas");
                 match cur.next.compare_exchange_null(Arc::clone(&fresh), guard) {
                     Ok(()) => {
-                        fresh.prev.store(Some(cur.to_arc()), guard);
                         // The old tail might have become logically removed
                         // while it was still protected by its tail status.
                         if cur.removed() {
@@ -483,38 +357,6 @@ pub(crate) fn find_segment<'g, T: Send + 'static>(
         cur = next;
     }
     cur
-}
-
-/// Pops a segment off the owning CQS's freelist and rebuilds it as the
-/// tail successor of `cur`, or returns `None` (freelist empty, segment
-/// still referenced elsewhere, or detached segment with no freelist) so
-/// the caller allocates fresh.
-fn recycled_tail<T: Send + 'static>(
-    cur: &Segment<T>,
-    segment_size: usize,
-) -> Option<Arc<Segment<T>>> {
-    let owner = cur.owner.upgrade()?;
-    let freelist = owner.freelist();
-    let mut segment = freelist.try_pop()?;
-    match Arc::get_mut(&mut segment) {
-        Some(exclusive) => {
-            debug_assert_eq!(
-                exclusive.cells.len(),
-                segment_size,
-                "freelist is per-CQS, so cell counts always match"
-            );
-            exclusive.reset_for_reuse(cur.id + 1);
-            cqs_stats::bump!(segments_recycled);
-            Some(segment)
-        }
-        None => {
-            // An in-flight traversal or a not-yet-collected displaced link
-            // still references the segment: put it back for later and
-            // allocate fresh this time.
-            freelist.push(segment);
-            None
-        }
-    }
 }
 
 /// Moves the head pointer `pointer` forward to `to` unless it is already at
@@ -583,12 +425,9 @@ mod tests {
     use cqs_reclaim::pin;
 
     /// The dangling back-reference of a detached chain: never upgrades,
-    /// so neither service is ever called.
+    /// so its service is never called.
     struct NoQueue;
     impl SegmentOwner<u32> for NoQueue {
-        fn freelist(&self) -> &SegmentFreelist<u32> {
-            unreachable!("a dangling owner cannot be upgraded")
-        }
         fn on_waiter_cancelled(&self, _: &Arc<Segment<u32>>, _: usize) {
             unreachable!("a dangling owner cannot be upgraded")
         }
@@ -741,13 +580,76 @@ mod tests {
         // ...and that holder's drop takes down the rest.
         on_small_stack(move || drop(middle));
         assert!(after_middle.upgrade().is_none());
+    }
 
-        // A chain parked in a freelist goes the same way.
-        let (head, middle) = forward_chain(LEN);
-        let freelist = SegmentFreelist::new(1);
-        freelist.push(head);
-        drop(middle);
-        on_small_stack(move || drop(freelist));
+    /// Two neighbours removed at once each skip the other — modelled here by
+    /// marking both removed before either runs `remove`. Their stale
+    /// `next`/`prev` pair must not keep them alive once unlinked.
+    #[test]
+    fn neighbours_removed_together_do_not_keep_each_other_alive() {
+        let mut segments = chain(4, 1);
+        let guard = pin();
+        for segment in &segments[1..3] {
+            segment.ctr.fetch_add(1, Ordering::AcqRel); // its one cell cancelled
+        }
+        segments[1].remove(&guard);
+        segments[2].remove(&guard);
+        assert_eq!(segments[0].next.load(&guard).unwrap().id(), 3);
+        drop(guard);
+        let removed: Vec<_> = segments.drain(1..3).map(|s| Arc::downgrade(&s)).collect();
+        // The unlinked references were retired; sibling tests share the
+        // collector, so only these two segments are asserted.
+        let _ = cqs_reclaim::flush();
+        assert!(
+            removed.iter().all(|segment| segment.upgrade().is_none()),
+            "removed neighbours keep each other alive"
+        );
+    }
+
+    /// Three neighbours between two live segments, removed by three threads
+    /// at once, in every interleaving of the removal windows up to two
+    /// preemptions. A store into a neighbour can land after that neighbour
+    /// was bypassed; it must not leave removed segments linked in a cycle,
+    /// which nothing would ever free.
+    #[cfg(feature = "chaos")]
+    #[test]
+    fn three_neighbours_removed_at_once_never_close_a_cycle() {
+        use cqs_check::{Explorer, Program};
+
+        let exploration = Explorer::default().check_exhaustive(|| {
+            let segments = chain(5, 1);
+            let program = (1..4).fold(Program::new(), |program, i| {
+                let segment = Arc::clone(&segments[i]);
+                program.thread(move || segment.on_cancelled_cell(&pin()))
+            });
+            program.check(move || {
+                let guard = pin();
+                let first = segments[0].next.load(&guard).unwrap();
+                if first.id() != 4 {
+                    return Err(format!("segment 0 links to {first:?}, not segment 4"));
+                }
+                // Peel off removed segments that link into no other one
+                // still left; whatever remains links in a cycle.
+                let mut left: Vec<_> = segments[1..4].iter().collect();
+                let links_into = |segment: &Segment<u32>, left: &[&Arc<Segment<u32>>]| {
+                    [&segment.prev, &segment.next].into_iter().any(|link| {
+                        let target = link.load_ptr(&guard);
+                        left.iter().any(|other| Arc::as_ptr(other) == target)
+                    })
+                };
+                while let Some(sink) = left.iter().position(|s| !links_into(s, &left)) {
+                    left.remove(sink);
+                }
+                match left.as_slice() {
+                    [] => Ok(()),
+                    cycle => Err(format!("removed segments linked in a cycle: {cycle:?}")),
+                }
+            })
+        });
+        assert!(
+            exploration.runs > 1,
+            "three removals must branch the schedule"
+        );
     }
 
     #[test]

@@ -157,16 +157,6 @@ pub const MAX_DEFAULT_SHARDS: usize = 8;
 /// waiter on); the shard's `complete_refused_resume` must call it.
 pub type RefusalHook = Box<dyn Fn() + Send + Sync>;
 
-/// The freelist bound of one shard: the default bound divided across the
-/// shards. Each shard keeps at least one slot — recycling off entirely
-/// would re-toll the allocator on every churn wave — so the idle segments
-/// pinned by the whole primitive are bounded by
-/// `max(DEFAULT_FREELIST_SLOTS, shards)`: the single-queue envelope up to
-/// 4 shards, one segment per shard beyond that.
-fn shard_freelist_slots(shards: usize) -> usize {
-    (crate::CqsConfig::DEFAULT_FREELIST_SLOTS / shards).max(1)
-}
-
 /// What one shard of a [`Sharded`] primitive is: a signed-counter CQS
 /// primitive whose positive state is a bank of items and whose negative
 /// state is a FIFO queue of parked takers.
@@ -321,11 +311,11 @@ impl<S: Shard> Inner<S> {
 }
 
 impl<S: Shard> Sharded<S> {
-    /// Builds `shards` shards with `make(index, freelist_slots,
-    /// on_refusal)`. `rebalance_interval` is how many consecutive banking
-    /// returns one shard may absorb before its next one migrates banked
-    /// items to starving siblings; `sweep_at` is the banked total at which
-    /// the no-idle sweep runs (module docs, "The protocol").
+    /// Builds `shards` shards with `make(index, on_refusal)`.
+    /// `rebalance_interval` is how many consecutive banking returns one
+    /// shard may absorb before its next one migrates banked items to
+    /// starving siblings; `sweep_at` is the banked total at which the
+    /// no-idle sweep runs (module docs, "The protocol").
     ///
     /// # Panics
     ///
@@ -334,14 +324,13 @@ impl<S: Shard> Sharded<S> {
         shards: usize,
         rebalance_interval: u64,
         sweep_at: usize,
-        mut make: impl FnMut(usize, usize, Option<RefusalHook>) -> S,
+        mut make: impl FnMut(usize, Option<RefusalHook>) -> S,
     ) -> Self {
         assert!(shards > 0, "a sharded primitive needs at least one shard");
         assert!(
             rebalance_interval > 0,
             "the rebalance interval must be positive"
         );
-        let slots = shard_freelist_slots(shards);
         let inner = Arc::new_cyclic(|weak: &Weak<Inner<S>>| Inner {
             shards: (0..shards)
                 .map(|i| {
@@ -358,7 +347,7 @@ impl<S: Shard> Sharded<S> {
                             }
                         }) as RefusalHook
                     });
-                    make(i, slots, on_refusal)
+                    make(i, on_refusal)
                 })
                 .collect(),
             bank_streak: (0..shards)

@@ -650,52 +650,13 @@ fn memory_stays_proportional_to_live_waiters() {
     assert_eq!(long_lived.wait(), Ok(1));
 }
 
-/// A fully-cancelled segment is not just unlinked: it is parked in the
-/// per-queue recycling freelist, ready for the next tail append.
+/// A queue whose front is pinned by a long-lived waiter keeps delivering
+/// FIFO after 50 waves of whole segments were cancelled and removed behind
+/// that waiter.
 #[test]
-fn cancelled_segments_enter_the_recycling_freelist() {
-    const SEG: usize = 4;
-    let callbacks = CountingCallbacks::new();
-    callbacks.state.store(-64, Ordering::SeqCst);
-    let cqs: Cqs<u64, Arc<CountingCallbacks>> = Cqs::new(
-        CqsConfig::new()
-            .segment_size(SEG)
-            .cancellation_mode(CancellationMode::Smart),
-        Arc::clone(&callbacks),
-    );
-    assert_eq!(cqs.recycling_queue_len(), 0, "fresh queue, empty freelist");
-
-    // A long-lived waiter in segment 0 keeps it alive, so the cancelled
-    // segments behind it are *removed* (the recycling trigger) instead of
-    // being passed by the resume head.
-    let long_lived = cqs.suspend().expect_future();
-    let doomed: Vec<_> = (0..3 * SEG - 1)
-        .map(|_| cqs.suspend().expect_future())
-        .collect();
-    for f in &doomed {
-        assert!(f.cancel());
-    }
-    // Segments 1 and 2 were fully cancelled and removed; each removal
-    // offers its segment to the freelist.
-    assert!(
-        cqs.recycling_queue_len() >= 1,
-        "removed segments must be queued for recycling, got {}",
-        cqs.recycling_queue_len()
-    );
-
-    cqs.resume(5).unwrap();
-    assert_eq!(long_lived.wait(), Ok(5));
-}
-
-/// Recycled segments are actually reused by later appends once every
-/// outstanding reference (cancelled requests, epoch-deferred unlink drops)
-/// has drained, and a queue running over recycled segments still delivers
-/// values FIFO.
-#[test]
-fn recycled_segments_are_reused_and_preserve_fifo() {
+fn fifo_survives_fifty_waves_of_removed_segments() {
     const SEG: usize = 4;
     const WAVES: usize = 50;
-    let before = cqs_stats::CqsStats::snapshot();
 
     let callbacks = CountingCallbacks::new();
     callbacks.state.store(-10_000, Ordering::SeqCst);
@@ -708,20 +669,13 @@ fn recycled_segments_are_reused_and_preserve_fifo() {
 
     let long_lived = cqs.suspend().expect_future();
     for _ in 0..WAVES {
-        // Fill a few segments past the pinned one and cancel them all;
-        // dropping the futures releases the cancelled requests' segment
-        // references so a later wave's append can take exclusive ownership.
+        // Fill a few segments past the pinned one and cancel them all.
         let wave: Vec<_> = (0..3 * SEG)
             .map(|_| cqs.suspend().expect_future())
             .collect();
         for f in &wave {
             assert!(f.cancel());
         }
-        drop(wave);
-        assert!(
-            cqs.recycling_queue_len() <= 4,
-            "freelist is bounded at its slot capacity"
-        );
     }
 
     // The queue must still be fully functional after all that churn.
@@ -737,70 +691,20 @@ fn recycled_segments_are_reused_and_preserve_fifo() {
         assert_eq!(
             f.wait(),
             Ok(i as u64 + 1),
-            "FIFO order violated after recycling"
+            "FIFO order violated after segment removals"
         );
-    }
-
-    // With stats on, confirm reuse actually fired: 50 waves of removals
-    // give the epoch engine ample activity to drain the deferred unlink
-    // drops that gate exclusive reuse. Under the `watch` feature the
-    // registry holds strong handles to every request (no scanner runs in
-    // tests to prune them), so the exclusivity check rightly vetoes reuse
-    // — exactly the conservatism that makes recycling safe.
-    let delta = cqs_stats::CqsStats::snapshot().delta(&before);
-    if cfg!(feature = "stats") && !cfg!(feature = "watch") {
-        assert!(
-            delta.segments_recycled > 0,
-            "no segment was ever reused from the freelist"
-        );
-    }
-}
-
-/// The freelist capacity is a per-queue knob: a shrunken bound caps how
-/// many retired segments a queue may pin (sharded primitives divide the
-/// default across their shards), and zero disables recycling outright.
-#[test]
-fn freelist_bound_is_configurable() {
-    const SEG: usize = 4;
-    for (slots, bound) in [(1usize, 1usize), (0, 0)] {
-        let callbacks = CountingCallbacks::new();
-        callbacks.state.store(-10_000, Ordering::SeqCst);
-        let cqs: Cqs<u64, Arc<CountingCallbacks>> = Cqs::new(
-            CqsConfig::new()
-                .segment_size(SEG)
-                .freelist_slots(slots)
-                .cancellation_mode(CancellationMode::Smart),
-            Arc::clone(&callbacks),
-        );
-        let long_lived = cqs.suspend().expect_future();
-        for _ in 0..8 {
-            let wave: Vec<_> = (0..3 * SEG)
-                .map(|_| cqs.suspend().expect_future())
-                .collect();
-            for f in &wave {
-                assert!(f.cancel());
-            }
-            drop(wave);
-            assert!(
-                cqs.recycling_queue_len() <= bound,
-                "freelist holds {} segments, configured bound is {bound}",
-                cqs.recycling_queue_len()
-            );
-        }
-        cqs.resume(7).unwrap();
-        assert_eq!(long_lived.wait(), Ok(7));
     }
 }
 
 /// Two threads in real parallelism over one-permit semaphore accounting:
-/// an impatient one suspends and cancels whole segments, feeding the
-/// freelist, while a patient one acquires, audits and releases. Traversals
-/// hold guard-scoped borrows, not counted clones, so this is the net under
-/// the recycling veto: no pinned traverser may ever see a segment change
-/// identity, and the queue must stay exact while recycled segments are
-/// being reused under it.
+/// an impatient one suspends and cancels whole segments, removing them,
+/// while a patient one acquires, audits and releases. Traversals hold
+/// guard-scoped borrows, not counted clones, so this is the net under the
+/// epoch argument: no pinned traverser may ever see a segment it reached
+/// change identity, and the queue must stay exact while segments are
+/// removed and freed under it.
 #[test]
-fn recycling_never_takes_a_segment_from_under_a_pinned_traverser() {
+fn removal_never_frees_a_segment_from_under_a_pinned_traverser() {
     const ROUNDS: usize = 1_000;
     /// Bounds every wait, so a failure on one side fails the other too
     /// instead of hanging it.
@@ -844,14 +748,12 @@ fn recycling_never_takes_a_segment_from_under_a_pinned_traverser() {
     }
 
     for segment_size in [1usize, 2] {
-        let before = cqs_stats::CqsStats::snapshot();
         let callbacks = CountingCallbacks::new();
         callbacks.state.store(1, Ordering::SeqCst);
         let sem = Sem {
             cqs: Cqs::new(
                 CqsConfig::new()
                     .segment_size(segment_size)
-                    .freelist_slots(2)
                     .cancellation_mode(CancellationMode::Smart),
                 Arc::clone(&callbacks),
             ),
@@ -862,14 +764,13 @@ fn recycling_never_takes_a_segment_from_under_a_pinned_traverser() {
         };
         let waves = AtomicUsize::new(0);
         let rounds = AtomicUsize::new(0);
-        let mut parked_peak = 0;
 
         // The patient side starts out holding the permit.
         assert!(sem.acquire().is_none());
         std::thread::scope(|scope| {
             // Patient: holds the permit — and a pin over every linked
             // segment — for a whole wave, so the wave queues up behind
-            // it, cancels, removes and tries to recycle under its eyes;
+            // it, cancels and removes under its eyes;
             // then releases into the next wave and queues up itself.
             scope.spawn(|| loop {
                 let wave = waves.load(Ordering::SeqCst);
@@ -910,7 +811,6 @@ fn recycling_never_takes_a_segment_from_under_a_pinned_traverser() {
                         Some(_cancelled) => {}
                     }
                 }
-                parked_peak = parked_peak.max(sem.cqs.recycling_queue_len());
                 sem.cqs.audit_segment_ids(|| {});
                 waves.fetch_add(1, Ordering::SeqCst);
             }
@@ -928,18 +828,8 @@ fn recycling_never_takes_a_segment_from_under_a_pinned_traverser() {
                 + sem.callbacks.refused.load(Ordering::SeqCst),
             "a resume was lost or delivered twice: {tag}"
         );
-        assert!(
-            parked_peak >= 1,
-            "no segment was ever offered for reuse: {tag}"
-        );
         let segments = sem.cqs.live_segments();
         assert!(segments <= 3, "{segments} segments linked at rest: {tag}");
-        // See `recycled_segments_are_reused_and_preserve_fifo` for the
-        // two feature conditions.
-        let delta = cqs_stats::CqsStats::snapshot().delta(&before);
-        if cfg!(feature = "stats") && !cfg!(feature = "watch") {
-            assert!(delta.segments_recycled > 0, "nothing was reused: {tag}");
-        }
     }
 }
 

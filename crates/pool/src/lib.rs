@@ -132,26 +132,19 @@ impl<E: Send + 'static, B: PoolBackend<E> + Default> Default for BlockingPool<E,
 impl<E: Send + 'static, B: PoolBackend<E>> BlockingPool<E, B> {
     /// Creates an empty pool around the given backend.
     pub fn with_backend(backend: B) -> Self {
-        Self::with_backend_config(
-            backend,
-            "pool.take",
-            CqsConfig::DEFAULT_FREELIST_SLOTS,
-            None,
-        )
+        Self::with_backend_config(backend, "pool.take", None)
     }
 
     /// Builds a shard of a sharded pool: the watchdog label distinguishes
-    /// shard queues in stall reports; `freelist_slots` and `on_refusal`
-    /// are what [`cqs_core::shard::Sharded::new`] hands each shard.
+    /// shard queues in stall reports; `on_refusal` is what
+    /// [`cqs_core::shard::Sharded::new`] hands each shard.
     pub(crate) fn with_backend_config(
         backend: B,
         label: &'static str,
-        freelist_slots: usize,
         on_refusal: Option<RefusalHook>,
     ) -> Self {
         let config = CqsConfig::new()
             .cancellation_mode(CancellationMode::Smart)
-            .freelist_slots(freelist_slots)
             .label(label);
         let shared = Arc::new_cyclic(|weak: &Weak<PoolShared<E, B>>| PoolShared {
             size: AtomicI64::new(0),

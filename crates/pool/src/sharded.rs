@@ -57,8 +57,8 @@ impl<E: Send + 'static, B: PoolBackend<E> + Default> ShardedPool<E, B> {
     /// Panics if `shards` is zero.
     pub fn with_shards(shards: usize) -> Self {
         // Interval 1, sweep at 1 stored element: see the module docs.
-        let sharded = Sharded::new(shards, 1, 1, |_, slots, on_refusal| {
-            BlockingPool::with_backend_config(B::default(), "sharded-pool.take", slots, on_refusal)
+        let sharded = Sharded::new(shards, 1, 1, |_, on_refusal| {
+            BlockingPool::with_backend_config(B::default(), "sharded-pool.take", on_refusal)
         });
         ShardedPool { sharded }
     }

@@ -105,15 +105,15 @@ impl<T: Send + Sync + 'static> AtomicArc<T> {
     /// Reads the stored reference for as long as `guard` **and the cell**
     /// are borrowed, or `None` if empty; see [`Protected`]. Borrowing the
     /// cell keeps the releases that wait for no pin — dropping it,
-    /// [`take_mut`](Self::take_mut), [`clear_mut`](Self::clear_mut) — from
-    /// running under a live `Protected`:
+    /// [`take_mut`](Self::take_mut) — from running under a live
+    /// `Protected`:
     ///
     /// ```compile_fail,E0502
     /// use cqs_reclaim::{pin, AtomicArc};
     /// let mut cell = AtomicArc::new(Some(std::sync::Arc::new(7)));
     /// let guard = pin();
     /// let seven = cell.load_protected(&guard).unwrap();
-    /// cell.clear_mut(); // would free the pointee under `seven`
+    /// drop(cell.take_mut()); // would free the pointee under `seven`
     /// assert_eq!(*seven, 7);
     /// ```
     pub fn load_protected<'g>(&'g self, guard: &'g Guard) -> Option<Protected<'g, T>> {
@@ -212,17 +212,12 @@ impl<T: Send + Sync + 'static> AtomicArc<T> {
 
     /// Takes the stored reference out through exclusive access. Unlike
     /// [`AtomicArc::take`] this needs no guard and defers nothing: `&mut
-    /// self` proves no reader can be racing the hand-over. Segment
-    /// recycling and chain tear-down unhook link cells this way.
+    /// self` proves no reader can be racing the hand-over. Segment chain
+    /// tear-down unhooks `next` links this way.
     pub fn take_mut(&mut self) -> Option<Arc<T>> {
         let p = std::mem::replace(self.ptr.get_mut(), ptr::null_mut());
         // SAFETY: exclusive access; the cell owned this reference.
         unsafe { from_ptr(p) }
-    }
-
-    /// [`take_mut`](Self::take_mut), releasing the reference immediately.
-    pub fn clear_mut(&mut self) {
-        drop(self.take_mut());
     }
 }
 
@@ -589,7 +584,6 @@ mod tests {
         assert!(Arc::ptr_eq(&taken, &value));
         assert_eq!(Arc::strong_count(&value), 2, "moved, not cloned");
         assert!(cell.take_mut().is_none());
-        cell.clear_mut(); // empty: a no-op
     }
 
     #[test]

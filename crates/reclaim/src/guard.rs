@@ -15,13 +15,13 @@
 //! not the guard's borrow. Until then its pointee is kept alive by the
 //! pin: writes retire what they displace, and no deferred drop runs while
 //! the guard pins the thread. The immediate releases — dropping the cell,
-//! `take_mut`, `clear_mut` — are **not** covered; the borrow checker keeps
-//! them away: `load_protected` borrows the cell, and `follow`, reading a
-//! cell *inside* a pinned pointee, need not — `&mut` on that cell takes
-//! sole ownership of the pointee, and the reference the pin keeps
-//! unreleased (in its cell, or retired) is a second owner. Segment
-//! recycling (`Arc::get_mut` in `cqs-core`) is vetoed by that same
-//! reference.
+//! `take_mut` — are **not** covered; the borrow checker keeps them away:
+//! `load_protected` borrows the cell, and `follow`, reading a cell
+//! *inside* a pinned pointee, need not — `&mut` on that cell takes sole
+//! ownership of the pointee, and the reference the pin keeps unreleased
+//! (in its cell, or retired) is a second owner. So a segment `cqs-core`
+//! unlinks is freed only after every traverser pinned across the unlink
+//! has unpinned.
 //!
 //! Code must not cache a raw pointer from `load_ptr` and dereference it
 //! later; `load_ptr` is for identity comparisons only.

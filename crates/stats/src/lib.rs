@@ -192,9 +192,6 @@ define_counters! {
     segments_allocated,
     /// Segments physically reclaimed (deallocated after unlinking).
     segments_reclaimed,
-    /// Removed segments reset and reused from the per-CQS freelist instead
-    /// of being deallocated and re-allocated.
-    segments_recycled,
     /// Threads parked while waiting on a `CqsFuture`.
     parks,
     /// Parked threads woken by a completion or cancellation.
@@ -351,7 +348,7 @@ mod tests {
         // name them. This expansion proves the macro emits no expression.
         #[allow(clippy::let_unit_value)]
         let nothing: () = {
-            crate::bump!(segments_recycled);
+            crate::bump!(segments_reclaimed);
             crate::bump!(shard_local_hits);
             crate::bump!(shard_steals, 3);
             crate::bump!(shard_rebalances);

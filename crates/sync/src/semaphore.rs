@@ -125,13 +125,12 @@ impl Semaphore {
     /// `initial` of the primitive's `cap` total permits banked here. The
     /// shard's excess-release accounting is capped at the *total* because
     /// rebalancing migrates credit between shards, so any one shard may
-    /// transiently bank every permit. `freelist_slots` and `on_refusal`
-    /// are what [`cqs_core::shard::Sharded::new`] hands each shard.
+    /// transiently bank every permit. `on_refusal` is what
+    /// [`cqs_core::shard::Sharded::new`] hands each shard.
     pub(crate) fn with_initial(
         cap: usize,
         initial: usize,
         label: &'static str,
-        freelist_slots: usize,
         on_refusal: Option<RefusalHook>,
     ) -> Self {
         assert!(cap > 0, "a semaphore needs at least one permit");
@@ -140,7 +139,6 @@ impl Semaphore {
         let config = CqsConfig::new()
             .resume_mode(ResumeMode::Asynchronous)
             .cancellation_mode(CancellationMode::Smart)
-            .freelist_slots(freelist_slots)
             .label(label);
         let cqs = Cqs::new(
             config,

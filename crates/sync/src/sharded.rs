@@ -81,9 +81,9 @@ impl ShardedSemaphore {
     pub fn with_shards_and_interval(permits: usize, shards: usize, interval: u64) -> Self {
         assert!(permits > 0, "a semaphore needs at least one permit");
         // Sweep when every permit is banked: no holder is left to release.
-        let sharded = Sharded::new(shards, interval, permits, |i, slots, on_refusal| {
+        let sharded = Sharded::new(shards, interval, permits, |i, on_refusal| {
             let share = permits / shards + usize::from(i < permits % shards);
-            Semaphore::with_initial(permits, share, "sharded-semaphore.shard", slots, on_refusal)
+            Semaphore::with_initial(permits, share, "sharded-semaphore.shard", on_refusal)
         });
         ShardedSemaphore { sharded, permits }
     }

@@ -868,9 +868,9 @@ fn sync_mode_resume_vs_cancel_is_exactly_once() {
 }
 
 /// Segment retirement racing a resume traversal. With `segment_size(1)`
-/// each waiter owns a segment and `freelist_slots(0)` forces an unlinked
-/// segment through the collector's retire path (`epoch.defer.pre-bin`, a
-/// schedule point under the explorer). T1 cancels waiter 0, unlinking its
+/// each waiter owns a segment, and an unlinked segment goes through the
+/// collector's retire path (`epoch.defer.pre-bin`, a schedule point under
+/// the explorer). T1 cancels waiter 0, unlinking its
 /// segment mid-race, while T2 resumes 9 and must traverse past that
 /// segment: in every interleaving the value lands exactly once — on
 /// waiter 0 if the resume beat the cancel, on waiter 1 if the retire won —
@@ -882,7 +882,7 @@ fn segment_retire_vs_resume_traversal_loses_no_value() {
     let _serial = serial();
     explorer().check_exhaustive(move || {
         let cqs: Arc<Cqs<u64, SimpleCancellation>> = Arc::new(Cqs::new(
-            CqsConfig::new().segment_size(1).freelist_slots(0),
+            CqsConfig::new().segment_size(1),
             SimpleCancellation,
         ));
         let f0 = cqs.suspend().expect_future();

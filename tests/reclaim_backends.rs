@@ -187,7 +187,7 @@ fn stalled_guard_storm_defers_until_the_stall_ends() {
         }
 
         let cqs: Arc<Cqs<u64>> = Arc::new(Cqs::new(
-            CqsConfig::new().segment_size(2).freelist_slots(0),
+            CqsConfig::new().segment_size(2),
             SimpleCancellation,
         ));
         let joins: Vec<_> = (0..THREADS)

@@ -795,40 +795,6 @@ impl<T: Send + 'static> CqsChannel<T> {
         self.shared.closed.load(Ordering::SeqCst)
     }
 
-    /// Blocking convenience: sends `element`, aborting the queued send if
-    /// `timeout` elapses first. Equivalent to
-    /// `self.send(element).wait_timeout(timeout)` — if the abort loses to
-    /// an in-flight capacity grant, the element *is* delivered and the
-    /// send reports success (see [`ChannelSend::wait_timeout`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SendError::Cancelled`] with the element handed back on timeout,
-    /// [`SendError::Closed`] / [`SendError::Poisoned`] if the channel
-    /// closed or was poisoned while waiting.
-    pub fn send_timeout(
-        &self,
-        element: T,
-        timeout: std::time::Duration,
-    ) -> Result<(), SendError<T>> {
-        self.send(element).wait_timeout(timeout)
-    }
-
-    /// Blocking convenience: receives the oldest element, aborting the
-    /// waiting receive if `timeout` elapses first. Equivalent to
-    /// `self.receive().wait_timeout(timeout)` — if the abort loses to an
-    /// in-flight delivery, the element is returned, never dropped (see
-    /// [`ChannelRecv::wait_timeout`]).
-    ///
-    /// # Errors
-    ///
-    /// [`RecvError::Cancelled`] on timeout, [`RecvError::Closed`] /
-    /// [`RecvError::Poisoned`] if the channel closed or was poisoned while
-    /// waiting.
-    pub fn receive_timeout(&self, timeout: std::time::Duration) -> Result<T, RecvError> {
-        self.receive().wait_timeout(timeout)
-    }
-
     /// A racy snapshot of the number of stored elements.
     pub fn len(&self) -> usize {
         self.shared.size.load(Ordering::SeqCst).max(0) as usize
@@ -1414,21 +1380,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         ch.poison();
         assert_eq!(t.join().unwrap(), Err(RecvError::Poisoned));
-    }
-
-    #[test]
-    fn send_timeout_convenience_matches_future_path() {
-        let ch = CqsChannel::bounded(1);
-        ch.send_timeout(1, Duration::from_millis(50)).unwrap();
-        match ch.send_timeout(2, Duration::from_millis(10)) {
-            Err(SendError::Cancelled(v)) => assert_eq!(v, 2),
-            other => panic!("expected Cancelled(2), got {other:?}"),
-        }
-        assert_eq!(ch.receive_timeout(Duration::from_millis(50)), Ok(1));
-        assert_eq!(
-            ch.receive_timeout(Duration::from_millis(10)),
-            Err(RecvError::Cancelled)
-        );
     }
 
     /// Concurrent close vs sends: every element ends up in exactly one

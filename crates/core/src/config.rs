@@ -47,7 +47,7 @@ pub enum CancellationMode {
 ///     .resume_mode(ResumeMode::Synchronous)
 ///     .cancellation_mode(CancellationMode::Smart)
 ///     .segment_size(32);
-/// assert_eq!(config.get_segment_size(), 32);
+/// assert_ne!(config, CqsConfig::new());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CqsConfig {
@@ -63,7 +63,7 @@ impl CqsConfig {
     pub const DEFAULT_SEGMENT_SIZE: usize = 16;
     /// The default bound on the synchronous-rendezvous spin loop
     /// (`MAX_SPIN_CYCLES` in the paper).
-    pub const DEFAULT_SPIN_LIMIT: usize = 300;
+    const DEFAULT_SPIN_LIMIT: usize = 300;
 
     /// Creates the default configuration: asynchronous resumption, simple
     /// cancellation, 16-cell segments.
@@ -112,7 +112,10 @@ impl CqsConfig {
         self
     }
 
-    /// Sets the synchronous-rendezvous spin budget.
+    /// Sets the synchronous-rendezvous spin budget. Not a tuning knob:
+    /// public only so that tests outside this crate (`cqs-sync`'s
+    /// broken-rendezvous storms, the model-checking programs) can pin it.
+    #[doc(hidden)]
     #[must_use]
     pub fn spin_limit(mut self, limit: usize) -> Self {
         self.spin_limit = limit;
@@ -120,27 +123,27 @@ impl CqsConfig {
     }
 
     /// The configured resumption mode.
-    pub fn get_resume_mode(&self) -> ResumeMode {
+    pub(crate) fn get_resume_mode(&self) -> ResumeMode {
         self.resume_mode
     }
 
     /// The configured cancellation mode.
-    pub fn get_cancellation_mode(&self) -> CancellationMode {
+    pub(crate) fn get_cancellation_mode(&self) -> CancellationMode {
         self.cancellation_mode
     }
 
     /// The configured cells-per-segment count.
-    pub fn get_segment_size(&self) -> usize {
+    pub(crate) fn get_segment_size(&self) -> usize {
         self.segment_size
     }
 
     /// The configured spin budget.
-    pub fn get_spin_limit(&self) -> usize {
+    pub(crate) fn get_spin_limit(&self) -> usize {
         self.spin_limit
     }
 
     /// The configured watchdog label.
-    pub fn get_label(&self) -> &'static str {
+    pub(crate) fn get_label(&self) -> &'static str {
         self.label
     }
 }

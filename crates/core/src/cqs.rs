@@ -158,11 +158,6 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
         Cqs { inner }
     }
 
-    /// The configuration this CQS was created with.
-    pub fn config(&self) -> &CqsConfig {
-        &self.inner.config
-    }
-
     /// The smart-cancellation callbacks.
     pub fn callbacks(&self) -> &C {
         &self.inner.callbacks

@@ -451,12 +451,29 @@ mod tests {
         all
     }
 
+    /// Clears the links of every segment still on the chain from the first
+    /// of `segments`, and of `segments` themselves, so neighbouring
+    /// `next`/`prev` pairs stop holding each other once the test's own
+    /// references go.
+    fn tear_down(segments: &[Arc<Segment<u32>>]) {
+        let guard = pin();
+        let mut cur = segments.first().cloned();
+        while let Some(segment) = cur {
+            cur = segment.next.load(&guard);
+            segment.clear_links(&guard);
+        }
+        for segment in segments {
+            segment.clear_links(&guard);
+        }
+    }
+
     #[test]
     fn find_segment_creates_sequential_ids() {
         let segments = chain(5, 4);
         for (i, s) in segments.iter().enumerate() {
             assert_eq!(s.id(), i as u64);
         }
+        tear_down(&segments);
     }
 
     #[test]
@@ -469,6 +486,7 @@ mod tests {
         assert!(segments[1].removed());
         let found = find_segment(held(&segments[0]), 1, 2, &guard);
         assert_eq!(found.id(), 2, "removed segment must be skipped");
+        tear_down(&segments);
     }
 
     #[test]
@@ -481,6 +499,7 @@ mod tests {
         // Segment 0 now links directly to segment 3.
         let next = segments[0].next.load(&guard).unwrap();
         assert_eq!(next.id(), 3);
+        tear_down(&segments);
     }
 
     #[test]
@@ -495,6 +514,7 @@ mod tests {
         let s2 = find_segment(held(&segments[0]), 2, 1, &guard);
         assert_eq!(s2.id(), 2);
         assert_eq!(segments[0].next.load(&guard).unwrap().id(), 2);
+        tear_down(&segments);
     }
 
     #[test]
@@ -508,6 +528,7 @@ mod tests {
         // Moving backwards is a no-op returning true.
         assert!(move_forward(&head, &held(&segments[1]), &guard));
         assert_eq!(head.load(&guard).unwrap().id(), 2);
+        tear_down(&segments);
     }
 
     #[test]
@@ -519,6 +540,7 @@ mod tests {
         assert!(segments[1].removed());
         assert!(!move_forward(&head, &held(&segments[1]), &guard));
         assert_eq!(head.load(&guard).unwrap().id(), 0);
+        tear_down(&segments);
     }
 
     #[test]
@@ -530,6 +552,7 @@ mod tests {
         let found = find_and_move_forward(&head, held(&segments[0]), 1, 1, &guard);
         assert_eq!(found.id(), 2);
         assert_eq!(head.load(&guard).unwrap().id(), 2);
+        tear_down(&segments);
     }
 
     /// A forward chain linked by hand (no `prev`, so no cycles): `len`
@@ -604,6 +627,7 @@ mod tests {
             removed.iter().all(|segment| segment.upgrade().is_none()),
             "removed neighbours keep each other alive"
         );
+        tear_down(&segments);
     }
 
     /// Three neighbours between two live segments, removed by three threads
@@ -668,5 +692,6 @@ mod tests {
         assert!(move_forward(&head, &held(&segments[2]), &guard));
         assert!(segments[1].removed());
         assert_eq!(segments[0].next.load(&guard).unwrap().id(), 2);
+        tear_down(&segments);
     }
 }

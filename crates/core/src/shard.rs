@@ -131,7 +131,7 @@ pub fn thread_ordinal() -> usize {
 /// # Panics
 ///
 /// Panics if `shards` is zero.
-pub fn home_shard(shards: usize) -> usize {
+fn home_shard(shards: usize) -> usize {
     thread_ordinal() % shards
 }
 

@@ -232,7 +232,7 @@ fn counters_advance_monotonically() {
 fn debug_impls_are_nonempty() {
     let cqs = simple();
     assert!(!format!("{cqs:?}").is_empty());
-    assert!(!format!("{:?}", cqs.config()).is_empty());
+    assert!(!format!("{:?}", CqsConfig::new()).is_empty());
 }
 
 // ---------------------------------------------------------------------

@@ -247,8 +247,8 @@ impl Executor {
 
     /// Blocks until every spawned coroutine has finished. A coroutine's panic
     /// does not fail this call (matching historical behaviour) but is never
-    /// silent: each is logged to stderr when caught and counted in
-    /// [`panic_count`](Self::panic_count); use
+    /// silent: each is logged to stderr when caught and counted in the
+    /// executor's lifetime panic count (the `panics` watch gauge); use
     /// [`wait_idle_checked`](Self::wait_idle_checked) to surface them as an
     /// error.
     pub fn wait_idle(&self) {
@@ -261,8 +261,8 @@ impl Executor {
     /// Like [`wait_idle`](Self::wait_idle), but returns an error carrying
     /// the captured payloads if any coroutine panicked since the last
     /// `wait_idle_checked` call. Draining is destructive: a returned
-    /// [`CoroutinePanics`] will not be reported again (the lifetime
-    /// [`panic_count`](Self::panic_count) is unaffected).
+    /// [`CoroutinePanics`] will not be reported again (the lifetime panic
+    /// count is unaffected).
     ///
     /// # Errors
     ///
@@ -278,12 +278,13 @@ impl Executor {
     }
 
     /// The number of coroutines not yet finished.
-    pub fn live_count(&self) -> usize {
+    fn live_count(&self) -> usize {
         self.shared.live.load(Ordering::SeqCst)
     }
 
     /// Total coroutine panics caught over this executor's lifetime.
-    pub fn panic_count(&self) -> usize {
+    #[cfg(test)]
+    fn panic_count(&self) -> usize {
         self.shared.panic_count.load(Ordering::SeqCst)
     }
 }

@@ -540,7 +540,7 @@ impl<T> Request<T> {
     }
 
     /// Whether the request was cancelled.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.state.load(Ordering::Acquire) == CANCELLED
     }
 

@@ -90,7 +90,7 @@ impl<E: Send + 'static> QueueBackend<E> {
     }
 
     /// Creates an empty queue backend with the given cells-per-segment.
-    pub fn with_segment_size(segment_size: usize) -> Self {
+    fn with_segment_size(segment_size: usize) -> Self {
         assert!(segment_size > 0, "segment size must be positive");
         let first = QueueSegment::new(0, segment_size);
         QueueBackend {

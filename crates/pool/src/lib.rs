@@ -131,7 +131,7 @@ impl<E: Send + 'static, B: PoolBackend<E> + Default> Default for BlockingPool<E,
 
 impl<E: Send + 'static, B: PoolBackend<E>> BlockingPool<E, B> {
     /// Creates an empty pool around the given backend.
-    pub fn with_backend(backend: B) -> Self {
+    fn with_backend(backend: B) -> Self {
         Self::with_backend_config(backend, "pool.take", None)
     }
 
@@ -225,44 +225,6 @@ impl<E: Send + 'static, B: PoolBackend<E>> BlockingPool<E, B> {
         }
     }
 
-    /// Attempts to retrieve a *stored* element without waiting.
-    ///
-    /// Weak sibling of [`take`](Self::take): it only CASes the size word
-    /// downward while it is positive, so it never queues and never claims
-    /// an element destined for a FIFO waiter. It is weak because an
-    /// element a racing [`put`](Self::put) has announced but not yet
-    /// inserted is invisible — `None` does not prove the pool was empty at
-    /// any single instant. When the CAS wins but the paired insert broke
-    /// (the backend's restart protocol), the retry loop simply runs again:
-    /// the racing `put` restarts with a fresh size increment, so the
-    /// accounting stays balanced. Sharded pools use this as their local
-    /// fast path, steal path, and element-migration source.
-    pub fn try_take_weak(&self) -> Option<E> {
-        loop {
-            let mut s = self.shared.size.load(Ordering::SeqCst);
-            loop {
-                if s <= 0 {
-                    return None;
-                }
-                match self.shared.size.compare_exchange(
-                    s,
-                    s - 1,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                ) {
-                    Ok(_) => break,
-                    Err(actual) => s = actual,
-                }
-            }
-            cqs_watch::gauge!(self.shared.cqs.watch_id(), "size", s - 1);
-            if let Some(element) = self.shared.backend.try_retrieve() {
-                return Some(element);
-            }
-            // The announced element's insert broke; its put() re-increments
-            // and re-inserts, so retry from a fresh size read.
-        }
-    }
-
     /// A racy snapshot of the number of takers currently queued (zero if
     /// elements are stored).
     pub fn waiting_takers(&self) -> usize {
@@ -299,8 +261,36 @@ impl<E: Send + 'static, B: PoolBackend<E>> BlockingPool<E, B> {
 impl<E: Send + 'static, B: PoolBackend<E>> Shard for BlockingPool<E, B> {
     type Item = E;
 
+    /// Weak because an element a racing [`put`](BlockingPool::put) has
+    /// announced but not yet inserted is invisible — `None` does not prove
+    /// the pool was empty at any single instant. When the CAS wins but the
+    /// paired insert broke (the backend's restart protocol), the retry loop
+    /// simply runs again: the racing `put` restarts with a fresh size
+    /// increment, so the accounting stays balanced.
     fn try_take_weak(&self) -> Option<E> {
-        BlockingPool::try_take_weak(self)
+        loop {
+            let mut s = self.shared.size.load(Ordering::SeqCst);
+            loop {
+                if s <= 0 {
+                    return None;
+                }
+                match self.shared.size.compare_exchange(
+                    s,
+                    s - 1,
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                ) {
+                    Ok(_) => break,
+                    Err(actual) => s = actual,
+                }
+            }
+            cqs_watch::gauge!(self.shared.cqs.watch_id(), "size", s - 1);
+            if let Some(element) = self.shared.backend.try_retrieve() {
+                return Some(element);
+            }
+            // The announced element's insert broke; its put() re-increments
+            // and re-inserts, so retry from a fresh size read.
+        }
     }
 
     fn park(&self) -> CqsFuture<E> {

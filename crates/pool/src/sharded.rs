@@ -15,7 +15,7 @@
 //! element identity never depends on routing.
 
 use cqs_core::shard::{Sharded, MAX_DEFAULT_SHARDS};
-use cqs_core::{Cancelled, CqsFuture};
+use cqs_core::CqsFuture;
 
 use crate::{BlockingPool, PoolBackend, QueueBackend, StackBackend};
 
@@ -113,15 +113,6 @@ impl<E: Send + 'static, B: PoolBackend<E>> ShardedPool<E, B> {
         self.sharded.take_at(home)
     }
 
-    /// Blocking convenience: retrieves an element, waiting if necessary.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`Cancelled`] only if the pool is closed.
-    pub fn take_blocking(&self) -> Result<E, Cancelled> {
-        self.take().wait()
-    }
-
     /// Returns `element` through the calling thread's home shard.
     pub fn put(&self, element: E) {
         self.put_at(self.home(), element);
@@ -138,18 +129,17 @@ impl<E: Send + 'static, B: PoolBackend<E>> ShardedPool<E, B> {
         self.sharded.bank_at(home, element);
     }
 
-    /// Returns a batch of elements through shard `home % shards`: waiting
-    /// takers anywhere are served first (home shard, then ring order), one
-    /// batched [`BlockingPool::put_many`] traversal per recipient shard,
-    /// and the remainder is stored at home (followed by the same migration
-    /// scan as [`put_at`](Self::put_at)).
-    pub fn put_many_at(&self, home: usize, elements: impl IntoIterator<Item = E>) {
+    /// [`put_many`](Self::put_many) through shard `home % shards`.
+    fn put_many_at(&self, home: usize, elements: impl IntoIterator<Item = E>) {
         self.sharded
             .bank_many_at(home, elements.into_iter().collect());
     }
 
-    /// Returns a batch of elements through the calling thread's home shard;
-    /// see [`put_many_at`](Self::put_many_at).
+    /// Returns a batch of elements through the calling thread's home shard:
+    /// waiting takers anywhere are served first (home shard, then ring
+    /// order), one batched [`BlockingPool::put_many`] traversal per
+    /// recipient shard, and the remainder is stored at home (followed by
+    /// the same migration scan as [`put_at`](Self::put_at)).
     pub fn put_many(&self, elements: impl IntoIterator<Item = E>) {
         self.put_many_at(self.home(), elements);
     }
@@ -162,8 +152,9 @@ impl<E: Send + 'static, B: PoolBackend<E>> ShardedPool<E, B> {
     }
 
     /// Closes the pool: every waiting taker on every shard is woken with
-    /// [`Cancelled`] and subsequent takes fail fast. Stored elements stay,
-    /// and [`put`](Self::put) keeps working for orderly teardown.
+    /// [`Cancelled`](cqs_core::Cancelled) and subsequent takes fail fast.
+    /// Stored elements stay, and [`put`](Self::put) keeps working for
+    /// orderly teardown.
     pub fn close(&self) {
         self.sharded.close();
     }

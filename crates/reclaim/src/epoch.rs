@@ -16,7 +16,7 @@ use crate::guard::{Guard, Retired, SettleGauge};
 use cqs_stats::CachePadded;
 use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Number of logical epoch bins.
@@ -179,6 +179,18 @@ impl Global {
         };
         if collect_now {
             self.collect();
+        }
+    }
+}
+
+impl Drop for Global {
+    fn drop(&mut self) {
+        let bags = self.bags.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for entry in bags.bins.iter_mut().flat_map(|bin| bin.drain(..)) {
+            // SAFETY: every guard borrows a `LocalHandle` and every handle
+            // holds an `Arc<Global>`, so with the last one gone no reader
+            // is pinned and nothing binned can still be dereferenced.
+            unsafe { entry.reclaim() };
         }
     }
 }
@@ -509,6 +521,26 @@ mod tests {
             !freed.load(Ordering::SeqCst),
             "garbage freed while a same-epoch pin was live"
         );
+    }
+
+    /// Garbage still binned when the last handle and the collector go is
+    /// released then, not leaked.
+    #[test]
+    fn dropped_collector_runs_pending_destructors() {
+        let c = Collector::new();
+        let h = c.register();
+        let runs = Arc::new(AtomicUsize::new(0));
+        {
+            let g = h.pin();
+            let runs = Arc::clone(&runs);
+            g.defer(move || {
+                runs.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        assert_eq!(runs.load(Ordering::SeqCst), 0, "one defer stays binned");
+        drop(h);
+        drop(c);
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "ran once, at the drop");
     }
 
     /// Both kinds of bin entry — a displaced `AtomicArc` reference and a

@@ -306,7 +306,9 @@ impl RwLockFuture {
     /// # Errors
     ///
     /// Returns [`Cancelled`] if the timeout elapsed (or the acquisition was
-    /// aborted) first.
+    /// aborted) first. The lock's counters are restored, so the abandoned
+    /// request neither wedges writer handoff nor, through writer
+    /// preference, keeps blocking new readers.
     pub fn wait_timeout(self, timeout: Duration) -> Result<(), Cancelled> {
         let RwLockFuture {
             inner,
@@ -411,18 +413,6 @@ impl RawRwLock {
         }
     }
 
-    /// Blocking convenience: acquires shared access or aborts the queued
-    /// request after `timeout`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Cancelled`] if the timeout elapsed first; the lock's
-    /// counters are restored, so writer handoff is not wedged by the
-    /// abandoned request.
-    pub fn read_timeout(&self, timeout: Duration) -> Result<(), Cancelled> {
-        self.read().wait_timeout(timeout)
-    }
-
     /// Releases shared access. The last leaving reader hands the lock to
     /// the first waiting writer.
     pub fn read_unlock(&self) {
@@ -455,18 +445,6 @@ impl RawRwLock {
             watch_id: self.write_watch_id(),
             exclusive: true,
         }
-    }
-
-    /// Blocking convenience: acquires exclusive access or aborts the queued
-    /// request after `timeout`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Cancelled`] if the timeout elapsed first; the
-    /// `waiting-writers` count is restored, so the abandoned request does
-    /// not keep blocking new readers through writer preference.
-    pub fn write_timeout(&self, timeout: Duration) -> Result<(), Cancelled> {
-        self.write().wait_timeout(timeout)
     }
 
     /// Releases exclusive access, preferring to release the whole waiting
@@ -643,7 +621,10 @@ mod tests {
     fn read_timeout_expires_and_recovers() {
         let lock = RawRwLock::new();
         lock.write().wait().unwrap();
-        assert_eq!(lock.read_timeout(Duration::from_millis(20)), Err(Cancelled));
+        assert_eq!(
+            lock.read().wait_timeout(Duration::from_millis(20)),
+            Err(Cancelled)
+        );
         lock.write_unlock();
         let r = lock.read();
         assert!(r.is_immediate(), "timed-out reader left no trace");
@@ -659,7 +640,7 @@ mod tests {
         let lock = RawRwLock::new();
         lock.read().wait().unwrap();
         assert_eq!(
-            lock.write_timeout(Duration::from_millis(20)),
+            lock.write().wait_timeout(Duration::from_millis(20)),
             Err(Cancelled)
         );
         // The abandoned writer no longer blocks new readers.
@@ -707,7 +688,7 @@ mod tests {
                 for i in 0..OPS {
                     match (t + i) % 4 {
                         0 => {
-                            if lock.write_timeout(Duration::from_micros(50)).is_ok() {
+                            if lock.write().wait_timeout(Duration::from_micros(50)).is_ok() {
                                 lock.write_unlock();
                             }
                         }
@@ -716,7 +697,7 @@ mod tests {
                             lock.write_unlock();
                         }
                         2 => {
-                            if lock.read_timeout(Duration::from_micros(50)).is_ok() {
+                            if lock.read().wait_timeout(Duration::from_micros(50)).is_ok() {
                                 lock.read_unlock();
                             }
                         }

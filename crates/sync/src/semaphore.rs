@@ -113,11 +113,8 @@ impl Semaphore {
     /// acquirer before breaking the cell and retrying (Listing 16's
     /// bounded wait). Low limits make broken rendezvous frequent; tests
     /// use `0` to exercise the retry protocol deterministically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `permits` is zero.
-    pub fn new_sync_with_spin(permits: usize, spin_limit: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new_sync_with_spin(permits: usize, spin_limit: usize) -> Self {
         Self::with_mode(permits, ResumeMode::Synchronous, Some(spin_limit))
     }
 
@@ -291,65 +288,6 @@ impl Semaphore {
         false
     }
 
-    /// Attempts to take a *banked* permit without waiting, in any resume
-    /// mode.
-    ///
-    /// This is the **weak** sibling of [`try_acquire`](Semaphore::try_acquire):
-    /// it only CASes the state counter downward while it is positive, so it
-    /// never blocks, never queues, and never takes a permit destined for a
-    /// FIFO waiter (the counter is non-positive whenever waiters exist).
-    /// The weakness is in asynchronous mode: a permit a concurrent
-    /// `release` has already committed may transiently live *inside* the
-    /// queue where this method cannot see it, so `false` does not prove the
-    /// semaphore was exhausted at any single instant (the reason
-    /// [`try_acquire`](Semaphore::try_acquire) demands synchronous
-    /// resumption — paper, Appendix B, Figure 9). Sequentially the counter
-    /// is exact and the weakness is unobservable. Sharded primitives use
-    /// this as their local fast path and steal path.
-    pub fn try_acquire_weak(&self) -> bool {
-        let mut s = self.state.load(Ordering::SeqCst);
-        while s > 0 {
-            match self
-                .state
-                .compare_exchange(s, s - 1, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => {
-                    cqs_watch::gauge!(self.cqs.watch_id(), "state", s - 1);
-                    return true;
-                }
-                Err(actual) => s = actual,
-            }
-        }
-        false
-    }
-
-    /// Like [`try_acquire_weak`](Semaphore::try_acquire_weak), but takes up
-    /// to `max` banked permits in one CAS and returns how many it got.
-    /// Sharded rebalancing uses this to reclaim a batch of credit from one
-    /// shard's bank before handing it to another shard's waiters in a
-    /// single batched traversal.
-    pub fn try_acquire_many_weak(&self, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let cap = i64::try_from(max).unwrap_or(i64::MAX);
-        let mut s = self.state.load(Ordering::SeqCst);
-        while s > 0 {
-            let take = s.min(cap);
-            match self
-                .state
-                .compare_exchange(s, s - take, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => {
-                    cqs_watch::gauge!(self.cqs.watch_id(), "state", s - take);
-                    return take as usize;
-                }
-                Err(actual) => s = actual,
-            }
-        }
-        0
-    }
-
     /// A snapshot of the number of currently queued waiters (zero if
     /// permits are available).
     pub fn waiting(&self) -> usize {
@@ -508,8 +446,29 @@ impl Semaphore {
 impl Shard for Semaphore {
     type Item = ();
 
+    /// Works in any resume mode, unlike
+    /// [`try_acquire`](Semaphore::try_acquire). The weakness is in
+    /// asynchronous mode: a permit a concurrent `release` has already
+    /// committed may transiently live *inside* the queue where this cannot
+    /// see it, so `None` does not prove the semaphore was exhausted at any
+    /// single instant (the reason `try_acquire` demands synchronous
+    /// resumption — paper, Appendix B, Figure 9). Sequentially the counter
+    /// is exact and the weakness is unobservable.
     fn try_take_weak(&self) -> Option<()> {
-        self.try_acquire_weak().then_some(())
+        let mut s = self.state.load(Ordering::SeqCst);
+        while s > 0 {
+            match self
+                .state
+                .compare_exchange(s, s - 1, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => {
+                    cqs_watch::gauge!(self.cqs.watch_id(), "state", s - 1);
+                    return Some(());
+                }
+                Err(actual) => s = actual,
+            }
+        }
+        None
     }
 
     fn park(&self) -> CqsFuture<()> {
@@ -561,9 +520,30 @@ impl Shard for Semaphore {
         banked
     }
 
-    /// One CAS for the whole batch instead of a take per permit.
+    /// One CAS takes up to `max` banked permits for the whole batch
+    /// instead of a take per permit.
     fn migrate(&self, to: &Self, max: usize) -> usize {
-        let got = self.try_acquire_many_weak(max);
+        let got = 'take: {
+            if max == 0 {
+                break 'take 0;
+            }
+            let cap = i64::try_from(max).unwrap_or(i64::MAX);
+            let mut s = self.state.load(Ordering::SeqCst);
+            while s > 0 {
+                let take = s.min(cap);
+                match self
+                    .state
+                    .compare_exchange(s, s - take, Ordering::SeqCst, Ordering::SeqCst)
+                {
+                    Ok(_) => {
+                        cqs_watch::gauge!(self.cqs.watch_id(), "state", s - take);
+                        break 'take take as usize;
+                    }
+                    Err(actual) => s = actual,
+                }
+            }
+            0
+        };
         to.release_n(got);
         got
     }

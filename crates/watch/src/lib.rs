@@ -229,6 +229,8 @@ mod runtime {
     /// no explicit deregistration — records whose handle terminated (or
     /// was dropped; the registry holds it weakly) are reclaimed by later
     /// registrations and skipped by scans.
+    // Public only because the macros expand to `$crate::` calls in other crates.
+    #[doc(hidden)]
     pub fn runtime_register_waiter(
         primitive: u64,
         label: &'static str,
@@ -357,6 +359,8 @@ mod runtime {
 
     /// Publishes the calling thread as a holder; the entry point behind
     /// [`crate::acquired!`].
+    // Public only because the macros expand to `$crate::` calls in other crates.
+    #[doc(hidden)]
     pub fn runtime_acquired(primitive: u64, label: &'static str, exclusive: bool) {
         let current = std::thread::current();
         let mut map = holders().lock().unwrap();
@@ -376,6 +380,8 @@ mod runtime {
     /// [`crate::released!`]. Prefers the calling thread's record; if a
     /// guard migrated threads, any one record of the primitive is
     /// decremented instead, keeping the aggregate count honest.
+    // Public only because the macros expand to `$crate::` calls in other crates.
+    #[doc(hidden)]
     pub fn runtime_released(primitive: u64) {
         let id = std::thread::current().id();
         let mut map = holders().lock().unwrap();
@@ -395,6 +401,8 @@ mod runtime {
     }
 
     /// Publishes a gauge value; the entry point behind [`crate::gauge!`].
+    // Public only because the macros expand to `$crate::` calls in other crates.
+    #[doc(hidden)]
     pub fn runtime_gauge(primitive: u64, name: &'static str, value: i64) {
         gauges().lock().unwrap().insert((primitive, name), value);
     }
@@ -602,6 +610,12 @@ mod runtime {
         },
     }
 
+    /// Consecutive scans a cycle must survive before it is reported (and,
+    /// under [`WatchPolicy::Evict`], acted on). Snapshots of the wait-for
+    /// graph are racy; a real deadlock is permanent, so requiring two
+    /// sightings filters out in-flight hand-offs.
+    const CONFIRM_CYCLE_SCANS: u32 = 2;
+
     /// Scanner/watchdog tuning knobs.
     #[derive(Debug, Clone, Copy)]
     pub struct WatchConfig {
@@ -609,23 +623,17 @@ mod runtime {
         pub stall_threshold: Duration,
         /// [`Watchdog`] scan period.
         pub scan_interval: Duration,
-        /// Consecutive scans a cycle must survive before it is reported
-        /// (and, under [`WatchPolicy::Evict`], acted on). Snapshots of the
-        /// wait-for graph are racy; a real deadlock is permanent, so
-        /// requiring two sightings filters out in-flight hand-offs.
-        pub confirm_cycle_scans: u32,
         /// What to do about stuck waiters.
         pub policy: WatchPolicy,
     }
 
     impl WatchConfig {
-        /// Defaults: 1 s stall threshold, 100 ms scan interval, cycles
-        /// confirmed after 2 sightings, observe-only policy.
+        /// Defaults: 1 s stall threshold, 100 ms scan interval,
+        /// observe-only policy.
         pub fn new() -> Self {
             WatchConfig {
                 stall_threshold: Duration::from_secs(1),
                 scan_interval: Duration::from_millis(100),
-                confirm_cycle_scans: 2,
                 policy: WatchPolicy::Observe,
             }
         }
@@ -641,13 +649,6 @@ mod runtime {
         #[must_use]
         pub fn scan_interval(mut self, interval: Duration) -> Self {
             self.scan_interval = interval;
-            self
-        }
-
-        /// Sets the cycle confirmation requirement (minimum 1).
-        #[must_use]
-        pub fn confirm_cycle_scans(mut self, scans: u32) -> Self {
-            self.confirm_cycle_scans = scans.max(1);
             self
         }
 
@@ -849,9 +850,8 @@ mod runtime {
     ///
     /// A fresh scanner only observes waiters registered *after* its
     /// creation, so concurrently running tests (or earlier phases of a
-    /// process) do not leak into each other's reports; use
-    /// [`including_preexisting`](Scanner::including_preexisting) to widen
-    /// the view to the whole registry.
+    /// process) do not leak into each other's reports. The [`Watchdog`]
+    /// thread widens its scanner to the whole registry.
     #[derive(Debug)]
     pub struct Scanner {
         config: WatchConfig,
@@ -876,7 +876,7 @@ mod runtime {
         /// Widens the scanner to every waiter in the registry, including
         /// those registered before it was created.
         #[must_use]
-        pub fn including_preexisting(mut self) -> Self {
+        fn including_preexisting(mut self) -> Self {
             self.min_generation = 0;
             self
         }
@@ -936,7 +936,7 @@ mod runtime {
                 }
                 let sightings = self.pending_cycles.entry(key.clone()).or_insert(0);
                 *sightings += 1;
-                if *sightings < self.config.confirm_cycle_scans {
+                if *sightings < CONFIRM_CYCLE_SCANS {
                     continue;
                 }
                 self.pending_cycles.remove(&key);
@@ -1388,11 +1388,7 @@ mod tests {
     fn cycle_requires_confirmation_scans() {
         let a = next_primitive_id("test.confirm.a");
         let b = next_primitive_id("test.confirm.b");
-        let mut s = scanner(
-            WatchConfig::new()
-                .stall_threshold(Duration::from_secs(3600))
-                .confirm_cycle_scans(2),
-        );
+        let mut s = scanner(WatchConfig::new().stall_threshold(Duration::from_secs(3600)));
         let (w1, w2) = (FakeWaiter::new(), FakeWaiter::new());
         let j1 = {
             let (w1, w2) = (w1.clone(), w2.clone());

@@ -52,7 +52,7 @@ fn round(seed: u64) -> (bool, bool) {
         let consumed = Arc::clone(&consumed);
         std::thread::spawn(move || loop {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ch.receive_timeout(Duration::from_millis(50))
+                ch.receive().wait_timeout(Duration::from_millis(50))
             }));
             match r {
                 Ok(Ok(_)) => {
@@ -78,7 +78,7 @@ fn round(seed: u64) -> (bool, bool) {
                     attempted.fetch_add(1, Ordering::SeqCst);
                     let v = p * PER_PRODUCER + k;
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        ch.send_timeout(v, Duration::from_millis(200))
+                        ch.send(v).wait_timeout(Duration::from_millis(200))
                     }));
                     match r {
                         Ok(Ok(())) => {}
@@ -126,9 +126,9 @@ fn round(seed: u64) -> (bool, bool) {
     }
     // Aftermath: closed or poisoned, both directions error fast.
     let start = Instant::now();
-    assert!(ch.send_timeout(999, FAIL_FAST).is_err() && start.elapsed() < FAIL_FAST);
+    assert!(ch.send(999).wait_timeout(FAIL_FAST).is_err() && start.elapsed() < FAIL_FAST);
     let start = Instant::now();
-    assert!(ch.receive_timeout(FAIL_FAST).is_err() && start.elapsed() < FAIL_FAST);
+    assert!(ch.receive().wait_timeout(FAIL_FAST).is_err() && start.elapsed() < FAIL_FAST);
 
     let poisoned = ch.is_poisoned();
     cqs_chaos::clear_faults();

@@ -1,5 +1,6 @@
-//! `send_timeout` / `receive_timeout` convenience API and the
-//! timeout-vs-delivery race they expose.
+//! Timed channel waits — `send(v).wait_timeout(d)` and
+//! `receive().wait_timeout(d)` — and the timeout-vs-delivery race they
+//! expose.
 //!
 //! The functional half runs featureless. The `chaos`-gated half replays a
 //! pinned-seed family through the rendezvous handoff, where the dangerous
@@ -19,33 +20,33 @@ fn receive_timeout_expires_then_delivers() {
     let ch: CqsChannel<u32> = CqsChannel::bounded(2);
     let start = Instant::now();
     assert_eq!(
-        ch.receive_timeout(Duration::from_millis(30)),
+        ch.receive().wait_timeout(Duration::from_millis(30)),
         Err(RecvError::Cancelled),
         "empty channel must time out"
     );
     assert!(start.elapsed() >= Duration::from_millis(30));
     ch.send(7).wait().unwrap();
-    assert_eq!(ch.receive_timeout(DEADLINE), Ok(7));
+    assert_eq!(ch.receive().wait_timeout(DEADLINE), Ok(7));
 }
 
 #[test]
 fn send_timeout_expires_with_the_element_returned() {
     let ch: CqsChannel<u32> = CqsChannel::bounded(1);
     ch.send(1).wait().unwrap(); // fill the buffer
-    match ch.send_timeout(2, Duration::from_millis(30)) {
+    match ch.send(2).wait_timeout(Duration::from_millis(30)) {
         Err(SendError::Cancelled(v)) => assert_eq!(v, 2, "element must come back"),
         other => panic!("full channel must time out, got {other:?}"),
     }
     // Conservation: the timed-out element is gone from the channel; the
     // buffered one is intact.
-    assert_eq!(ch.receive_timeout(DEADLINE), Ok(1));
+    assert_eq!(ch.receive().wait_timeout(DEADLINE), Ok(1));
     assert_eq!(
-        ch.receive_timeout(Duration::from_millis(20)),
+        ch.receive().wait_timeout(Duration::from_millis(20)),
         Err(RecvError::Cancelled)
     );
     // With the buffer free again the same element goes through.
-    ch.send_timeout(2, DEADLINE).unwrap();
-    assert_eq!(ch.receive_timeout(DEADLINE), Ok(2));
+    ch.send(2).wait_timeout(DEADLINE).unwrap();
+    assert_eq!(ch.receive().wait_timeout(DEADLINE), Ok(2));
 }
 
 #[test]
@@ -53,11 +54,11 @@ fn timeouts_on_a_closed_channel_fail_fast() {
     let ch: CqsChannel<u32> = CqsChannel::bounded(1);
     ch.close();
     let start = Instant::now();
-    match ch.send_timeout(1, DEADLINE) {
+    match ch.send(1).wait_timeout(DEADLINE) {
         Err(SendError::Closed(v)) => assert_eq!(v, 1),
         other => panic!("expected Closed, got {other:?}"),
     }
-    assert_eq!(ch.receive_timeout(DEADLINE), Err(RecvError::Closed));
+    assert_eq!(ch.receive().wait_timeout(DEADLINE), Err(RecvError::Closed));
     assert!(
         start.elapsed() < Duration::from_secs(2),
         "closed-channel timeouts must not wait out their deadline"
@@ -74,7 +75,7 @@ fn rendezvous_timeout_vs_delivery_agree() {
         let ch: Arc<CqsChannel<u64>> = Arc::new(CqsChannel::rendezvous());
         let receiver = {
             let ch = Arc::clone(&ch);
-            std::thread::spawn(move || ch.receive_timeout(Duration::from_millis(2)))
+            std::thread::spawn(move || ch.receive().wait_timeout(Duration::from_millis(2)))
         };
         // Four arrivals inside the receive deadline and one well past it,
         // none *on* it: a cancel that loses to a delivery already in flight
@@ -83,7 +84,7 @@ fn rendezvous_timeout_vs_delivery_agree() {
         // coincidence belongs to the seeded `chaos_race` below.
         const ARRIVAL_US: [u64; 5] = [0, 500, 1000, 1500, 4000];
         std::thread::sleep(Duration::from_micros(ARRIVAL_US[(round % 5) as usize]));
-        let sent = ch.send_timeout(round, Duration::from_millis(20));
+        let sent = ch.send(round).wait_timeout(Duration::from_millis(20));
         let received = receiver.join().unwrap();
         match (received, sent) {
             (Ok(v), Ok(())) => assert_eq!(v, round, "handoff delivered the wrong element"),
@@ -115,9 +116,11 @@ mod chaos_race {
             let ch: Arc<CqsChannel<u64>> = Arc::new(CqsChannel::rendezvous());
             let receiver = {
                 let ch = Arc::clone(&ch);
-                std::thread::spawn(move || ch.receive_timeout(Duration::from_millis(1 + i % 4)))
+                std::thread::spawn(move || {
+                    ch.receive().wait_timeout(Duration::from_millis(1 + i % 4))
+                })
             };
-            let sent = ch.send_timeout(i, Duration::from_millis(25));
+            let sent = ch.send(i).wait_timeout(Duration::from_millis(25));
             let received = receiver.join().unwrap();
             match (received, sent) {
                 (Ok(v), Ok(())) => {

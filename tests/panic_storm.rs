@@ -221,7 +221,7 @@ mod enabled {
                         // delivery inline, so the injector may crash this
                         // thread mid-grant — model a dead consumer.
                         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            ch.receive_timeout(Duration::from_millis(50))
+                            ch.receive().wait_timeout(Duration::from_millis(50))
                         }));
                         match r {
                             Ok(Ok(_)) => {
@@ -335,12 +335,12 @@ mod enabled {
         // error fast.
         let start = Instant::now();
         assert!(
-            ch.send_timeout(999, FAIL_FAST).is_err() && start.elapsed() < FAIL_FAST,
+            ch.send(999).wait_timeout(FAIL_FAST).is_err() && start.elapsed() < FAIL_FAST,
             "post-storm send did not fail fast — {replay}"
         );
         let start = Instant::now();
         assert!(
-            ch.receive_timeout(FAIL_FAST).is_err() && start.elapsed() < FAIL_FAST,
+            ch.receive().wait_timeout(FAIL_FAST).is_err() && start.elapsed() < FAIL_FAST,
             "post-storm receive did not fail fast — {replay}"
         );
     }

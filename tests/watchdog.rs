@@ -39,7 +39,6 @@ fn watchdog_recovers_deadlock() {
             // waiters of concurrently running tests are never touched).
             .stall_threshold(Duration::from_secs(30))
             .scan_interval(Duration::from_millis(10))
-            .confirm_cycle_scans(2)
             .policy(WatchPolicy::Evict {
                 deadline: Duration::from_secs(120),
             }),
@@ -150,11 +149,7 @@ fn scanner_reports_semaphore_stall_and_recovers() {
 
     // Create the scanner before the waiter exists so its generation filter
     // includes the waiter but excludes unrelated tests' earlier waiters.
-    let mut scanner = Scanner::new(
-        WatchConfig::new()
-            .stall_threshold(Duration::from_millis(50))
-            .confirm_cycle_scans(2),
-    );
+    let mut scanner = Scanner::new(WatchConfig::new().stall_threshold(Duration::from_millis(50)));
 
     let sem2 = Arc::clone(&sem);
     let done = Arc::new(AtomicUsize::new(0));

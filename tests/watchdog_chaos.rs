@@ -28,11 +28,7 @@ fn watchdog_no_false_deadlocks_under_chaos_but_catches_real_stall() {
     // never released, so the waiter below can never proceed.
     let stuck_sem = Arc::new(Semaphore::new(1));
     stuck_sem.acquire().wait().unwrap();
-    let mut scanner = Scanner::new(
-        WatchConfig::new()
-            .stall_threshold(Duration::from_millis(200))
-            .confirm_cycle_scans(2),
-    );
+    let mut scanner = Scanner::new(WatchConfig::new().stall_threshold(Duration::from_millis(200)));
     let stuck2 = Arc::clone(&stuck_sem);
     let stuck_waiter = std::thread::spawn(move || stuck2.acquire().wait());
 

@@ -180,7 +180,6 @@ pub const KNOWN_LABELS: &[&str] = &[
     "future.wait.yield-phase",
     "future.wake.fault.pre-fire",
     "segment.append.pre-cas",
-    "segment.bypass.pre-store",
     "segment.move-forward.pre-cas",
     "segment.on-cancelled-cell.pre-count",
     "segment.remove.pre-link",

@@ -236,11 +236,11 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
         let mut iter = values.into_iter();
         if n == 1 {
             // A batch of one gains nothing from the batched claim but would
-            // still pay its traversal setup (head re-anchor, prev unlink,
-            // wake-batch bookkeeping) — measurably slower on the ablation's
-            // x=1 point. The sequential path is observationally identical
-            // at n = 1, including the wake ordering (one wake fires after
-            // the cell settles either way).
+            // still pay its traversal setup (head re-anchor, wake-batch
+            // bookkeeping) — measurably slower on the ablation's x=1 point.
+            // The sequential path is observationally identical at n = 1,
+            // including the wake ordering (one wake fires after the cell
+            // settles either way).
             let value = iter
                 .next()
                 .expect("resume_n: values iterator yielded fewer values than the batch needs");
@@ -377,24 +377,19 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
     /// fully-cancelled segments are physically unlinked, and an unlinked
     /// segment is freed once no traversal can reach it.
     pub fn live_segments(&self) -> usize {
-        let guard = pin();
-        let mut cur = self.inner.first_segment(&guard);
-        let mut count = 0;
-        while let Some(segment) = cur {
-            count += 1;
-            cur = Segment::next(&segment, &guard);
-        }
-        count
+        self.inner.segments(&pin()).count()
     }
 }
 
 #[cfg(test)]
 impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
-    /// A weak witness of the segment suspenders currently target: dead once
-    /// every reference to that segment is gone (leak tests).
-    pub(crate) fn suspend_segment_witness(&self) -> Weak<Segment<T>> {
-        let segment = self.inner.suspend_segm.load(&pin());
-        Arc::downgrade(&segment.expect("head pointers are never null"))
+    /// Weak witnesses of the segments linked now (leak tests). Each
+    /// segment owns the next one up to the tail, so once the queue drops,
+    /// any segment it ever allocated that is still alive keeps the
+    /// witnessed tail alive too.
+    pub(crate) fn segment_witnesses(&self) -> Vec<Weak<Segment<T>>> {
+        let guard = pin();
+        self.inner.segments(&guard).map(|s| s.downgrade()).collect()
     }
 
     /// Walks every linked segment under one pin, lets `meanwhile` run, and
@@ -403,15 +398,9 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
     /// still reach.
     pub(crate) fn audit_segment_ids(&self, meanwhile: impl FnOnce()) {
         let guard = pin();
-        let mut seen: Vec<(u64, Protected<'_, Segment<T>>)> = Vec::new();
-        let mut cur = self.inner.first_segment(&guard);
-        while let Some(segment) = cur {
-            if let Some((last, _)) = seen.last() {
-                assert!(segment.id() > *last, "`next` links only lead forward");
-            }
-            cur = Segment::next(&segment, &guard);
-            seen.push((segment.id(), segment));
-        }
+        let seen: Vec<_> = self.inner.segments(&guard).map(|s| (s.id(), s)).collect();
+        let forward = seen.windows(2).all(|pair| pair[0].0 < pair[1].0);
+        assert!(forward, "`next` links only lead forward");
         meanwhile();
         for (id, segment) in &seen {
             assert_eq!(segment.id(), *id, "segment freed under a pin");
@@ -421,19 +410,16 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
 
 impl<T: Send + 'static, C: CqsCallbacks<T>> Drop for Cqs<T, C> {
     fn drop(&mut self) {
-        // Break reference cycles:
-        // * `next`/`prev` links between neighbouring segments;
-        // * `cell.waiter -> Request -> handler (the Arc<Segment>)` of
-        //   waiters never completed nor cancelled.
+        // Segment links need no help: only `next` owns, and it points
+        // forward. A waiter never completed nor cancelled does: its segment
+        // owns it through the cell, and it owns the segment as its
+        // cancellation handler (`cell.waiter -> Request -> Arc<Segment>`).
+        // Such a segment is never removed, so it is still linked here.
         let guard = pin();
-        let mut cur = self.inner.first_segment(&guard);
-        while let Some(segment) = cur {
+        for segment in self.inner.segments(&guard) {
             for i in 0..segment.len() {
                 segment.cell(i).clear_waiter(&guard);
             }
-            let next = Segment::next(&segment, &guard);
-            segment.clear_links(&guard);
-            cur = next;
         }
     }
 }
@@ -453,15 +439,16 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
         self.config.get_segment_size() as u64
     }
 
-    /// The earlier of the two head segments: every segment still linked
-    /// into the queue is reachable from it through `next`.
-    fn first_segment<'g>(&'g self, guard: &'g Guard) -> Option<Protected<'g, Segment<T>>> {
+    /// Every segment still linked into the queue: the earlier of the two
+    /// head segments, and all it reaches through `next`.
+    fn segments<'g>(&'g self, guard: &'g Guard) -> impl Iterator<Item = Protected<'g, Segment<T>>> {
         let resume_head = self.resume_segm.load_protected(guard);
         let suspend_head = self.suspend_segm.load_protected(guard);
-        match (resume_head, suspend_head) {
+        let first = match (resume_head, suspend_head) {
             (Some(r), Some(s)) => Some(if r.id() <= s.id() { r } else { s }),
             (r, s) => r.or(s),
-        }
+        };
+        std::iter::successors(first, |segment| Segment::next(segment, guard))
     }
 
     fn suspend(&self) -> Suspend<T> {
@@ -573,8 +560,6 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
                 self.config.get_segment_size(),
                 &guard,
             );
-            // Links to already-processed segments are not needed any more.
-            segment.clear_prev(&guard);
             if segment.id() != id {
                 // The whole target segment was removed: its cells were all
                 // cancelled.
@@ -880,7 +865,6 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
             segment_size,
             guard,
         );
-        segment.clear_prev(guard);
 
         'claims: loop {
             let mut i = first;
@@ -889,9 +873,6 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
                 if segment.id() < id {
                     cqs_chaos::inject!("cqs.resume-n.pre-advance");
                     segment = find_segment(segment, id, segment_size, guard);
-                    // Links to already-processed segments are not needed
-                    // any more (mirrors the sequential path).
-                    segment.clear_prev(guard);
                 }
                 if segment.id() > id {
                     // Every id between the cursor's previous position and
@@ -1105,8 +1086,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
             // move their head past a still-pending waiter); one installed
             // after observes `closed` in its post-install double-check and
             // self-cancels.
-            let mut cur = self.first_segment(&guard);
-            while let Some(segment) = cur {
+            for segment in self.segments(&guard) {
                 for index in 0..segment.len() {
                     if let Some(request) = segment.cell(index).peek_waiter(&guard) {
                         cqs_chaos::inject!("cqs.close.pre-cancel");
@@ -1144,7 +1124,6 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
                         }
                     }
                 }
-                cur = Segment::next(&segment, &guard);
             }
         }
         // The guard is dropped: the sweep is one batched traversal too —

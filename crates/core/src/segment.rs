@@ -6,25 +6,28 @@
 //! head pointer (`suspend_segm`/`resume_segm`) references it; physical
 //! removal links its alive neighbours around it in O(1) absent contention.
 //!
-//! Reclamation: in the paper the JVM GC frees unlinked segments. Here the
-//! links are [`AtomicArc`]s, so a segment is deallocated when the last
-//! `Arc` reference — a link, a head pointer, or a request that holds the
-//! segment as its cancellation handler — goes away (plus a grace period
-//! for displaced link references). A removed segment therefore lives only
-//! as long as something still reaches it, which keeps memory at
-//! O(live waiters / segment size) however many waiters cancelled.
+//! Reclamation: in the paper the JVM GC frees unreachable segments, cycles
+//! included. Here a segment is an `Arc` owned by its left neighbour's
+//! `next` link (an [`AtomicArc`]), the head pointers, and the requests
+//! that hold it as their cancellation handler; `prev` is an [`AtomicWeak`]
+//! and owns nothing. Every `next` store points to a higher id, so the
+//! owning links cannot form a cycle, whatever the schedule. A segment is
+//! deallocated when its last owner goes (plus a grace period for a
+//! displaced link), so a removed segment lives only as long as something
+//! still reaches it, which keeps memory at O(live waiters / segment size)
+//! however many waiters cancelled.
 //!
 //! Traversals are not in that list: they walk guard-scoped [`Protected`]
 //! references — the paper's pointer reads, kept alive by the epoch pin —
 //! and mint a count (`to_arc`) only where a reference is
-//! *published or kept*: the head-pointer CAS, the links `remove` and a
-//! fresh tail write, a request's handler, `remove`'s `&Arc<Self>`.
+//! *published or kept*: the head-pointer CAS, the `next` link `remove`
+//! writes and the `prev` links it upgrades, a request's handler.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use cqs_future::CancellationHandler;
-use cqs_reclaim::{AtomicArc, Guard, Protected};
+use cqs_reclaim::{AtomicArc, AtomicWeak, Guard, Protected};
 
 use crate::cell::CqsCell;
 
@@ -45,7 +48,8 @@ pub(crate) trait SegmentOwner<T: Send + 'static>: Send + Sync {
 pub(crate) struct Segment<T: Send + 'static> {
     id: u64,
     next: AtomicArc<Segment<T>>,
-    prev: AtomicArc<Segment<T>>,
+    /// Non-owning: a hint for `remove`, as in kotlinx.coroutines.
+    prev: AtomicWeak<Segment<T>>,
     /// `pointers << 32 | cancelled`.
     ctr: AtomicU64,
     cells: Box<[CqsCell<T>]>,
@@ -66,7 +70,7 @@ impl<T: Send + 'static> Segment<T> {
         Arc::new(Segment {
             id,
             next: AtomicArc::null(),
-            prev: AtomicArc::null(),
+            prev: AtomicWeak::null(),
             ctr: AtomicU64::new(initial_pointers * POINTER_UNIT),
             cells,
             owner,
@@ -92,27 +96,20 @@ impl<T: Send + 'static> Segment<T> {
         this.follow(|segment| &segment.next, guard)
     }
 
-    pub(crate) fn clear_prev(&self, guard: &Guard) {
-        self.prev.store(None, guard);
-    }
-
-    /// Clears both links; used only by the owning CQS's destructor to break
-    /// `next`/`prev` reference cycles between neighbouring segments.
-    pub(crate) fn clear_links(&self, guard: &Guard) {
-        self.next.store(None, guard);
-        self.prev.store(None, guard);
-    }
-
     /// Whether the segment is logically removed: every cell cancelled and no
     /// head pointer referencing it.
     ///
     /// Ordering: SeqCst, here and on every `ctr` update. One segment's
     /// removal verdict ("did *my* update make it removed?") would need only
     /// AcqRel: it is read off an RMW's return value, and the RMWs on one
-    /// word form one modification order. But [`remove`](Self::remove)'s
-    /// cycle argument compares the removals of *different* segments, and
-    /// only SeqCst puts every segment's `ctr` accesses into one order. On
-    /// x86-64 both orderings compile to the same instructions.
+    /// word form one modification order. The ordering that remains is
+    /// across segments: [`remove`](Self::remove) stores its links and then
+    /// checks each neighbour's `ctr`, while the neighbour's own remover
+    /// updates that `ctr` and then reads the links. At least one of the two
+    /// must see the other's write, or a removed neighbour stays linked.
+    /// That store-then-load pairing is why SeqCst stays; whether AcqRel
+    /// would do is not argued here. On x86-64 both orderings compile to the
+    /// same instructions.
     pub(crate) fn removed(&self) -> bool {
         let ctr = self.ctr.load(Ordering::SeqCst);
         (ctr & CANCELLED_MASK) as usize == self.cells.len() && ctr >> 32 == 0
@@ -120,7 +117,7 @@ impl<T: Send + 'static> Segment<T> {
 
     /// Registers one more cancelled cell; physically removes the segment if
     /// it became logically removed (paper, `onCancelledCell`).
-    pub(crate) fn on_cancelled_cell(self: &Arc<Self>, guard: &Guard) {
+    pub(crate) fn on_cancelled_cell(&self, guard: &Guard) {
         cqs_chaos::inject!("segment.on-cancelled-cell.pre-count");
         // SeqCst: see `removed` — the return value decides removal, and the
         // release half publishes the cancelled cell's terminal state to
@@ -172,25 +169,11 @@ impl<T: Send + 'static> Segment<T> {
     /// segment is never removed; its removal is re-attempted when the tail
     /// moves.
     ///
-    /// The JVM collects reference cycles; `Arc` links do not. Two
-    /// neighbours removed concurrently each skip the other and would keep
-    /// their mutual `next`/`prev` links — a cycle that also holds every
-    /// later segment through its `next`. So the last store into a removed
-    /// segment's links is made by its own [`bypass`](Self::bypass), which
-    /// points them at segments it saw alive after the removal:
-    ///
-    /// * `remove` stores into both neighbours. Either may be removed, and
-    ///   bypassed, before the store lands; so after the stores, each
-    ///   neighbour found removed is bypassed again (the tail excepted: it
-    ///   is bypassed once a new tail makes it removable), then the links
-    ///   are recomputed.
-    /// * A fresh tail's `prev` is stored before the tail is published.
-    ///
-    /// Every link between two removed segments therefore leads from the
-    /// one removed first to one removed later — or to the tail, which the
-    /// queue still reaches — and no cycle among unreachable segments can
-    /// close.
-    pub(crate) fn remove(self: &Arc<Self>, guard: &Guard) {
+    /// A store here can land late, after a neighbour moved on, but it cannot
+    /// close a cycle: `prev` owns nothing, and the `next` it stores points
+    /// from a lower id to a higher one. A late `next` store only keeps its
+    /// target alive until the segment holding it is unlinked or freed.
+    pub(crate) fn remove(&self, guard: &Guard) {
         loop {
             // The tail segment cannot be removed.
             if self.next.load_ptr(guard).is_null() {
@@ -201,51 +184,45 @@ impl<T: Send + 'static> Segment<T> {
 
             // Link next and prev to each other.
             cqs_chaos::inject!("segment.remove.pre-link");
-            next.prev.store(prev.as_ref().map(Protected::to_arc), guard);
+            next.prev.store(prev.as_ref().map(Arc::downgrade), guard);
             if let Some(prev) = &prev {
                 prev.next.store(Some(next.to_arc()), guard);
             }
 
             // Restart if a neighbour was removed in the meantime (unless it
-            // became the tail, which cannot be removed anyway), after
-            // bypassing every such neighbour past the stores above.
-            let mut restart = false;
+            // became the tail, which cannot be removed anyway).
             if next.removed() && !next.next.load_ptr(guard).is_null() {
-                next.bypass(guard);
-                restart = true;
+                continue;
             }
-            if let Some(prev) = prev.filter(|prev| prev.removed()) {
-                prev.bypass(guard);
-                restart = true;
+            if prev.is_some_and(|prev| prev.removed()) {
+                continue;
             }
-            if !restart {
-                self.bypass(guard);
-                return;
-            }
+            return;
         }
     }
 
-    /// Points a removed, non-tail segment's own links at its nearest alive
-    /// neighbours, past any removed run around it (see [`remove`](Self::remove)).
-    /// Traversals standing on the segment skip removed segments anyway, so
-    /// they see the same alive neighbours either way.
-    fn bypass(&self, guard: &Guard) {
-        let prev = self.alive_segment_left(guard);
-        cqs_chaos::inject!("segment.bypass.pre-store");
-        self.prev.store(prev.as_ref().map(Protected::to_arc), guard);
-        self.next
-            .store(Some(self.alive_segment_right(guard).to_arc()), guard);
-    }
-
-    /// First non-removed segment to the left, or `None` if all are removed
-    /// or already processed.
-    fn alive_segment_left<'g>(&'g self, guard: &'g Guard) -> Option<Protected<'g, Segment<T>>> {
-        let mut cur = self.prev.load_protected(guard);
-        while let Some(segment) = &cur {
+    /// First non-removed segment to the left, or `None` if there is none.
+    ///
+    /// A `prev` link that fails to upgrade names a freed segment, and the
+    /// walk ends there, as at an empty link. That is exact for a segment
+    /// freed with its owner, as one the heads left behind is: no head
+    /// reaches anything left of it either, as `next` links only lead
+    /// forward. A segment unlinked by a removal is not freed under this
+    /// walk: that removal retired the `next` reference that owned it, and
+    /// skipped this segment only once this one was removed (or, for the
+    /// old tail, had a successor), both under the pin this walk runs in.
+    /// Were that wrong, `remove` would store `None` into its right
+    /// neighbour's `prev`, later removals to the right would unlink
+    /// nothing, and every segment removed after this one would stay linked
+    /// behind the alive one on the left until that one is freed. Traversals
+    /// skip removed segments: order would hold, the memory bound would not.
+    fn alive_segment_left(&self, guard: &Guard) -> Option<Arc<Segment<T>>> {
+        let mut cur = self.prev.upgrade(guard);
+        while let Some(segment) = cur {
             if !segment.removed() {
-                return cur;
+                return Some(segment);
             }
-            cur = segment.follow(|segment| &segment.prev, guard);
+            cur = segment.prev.upgrade(guard);
         }
         None
     }
@@ -333,18 +310,16 @@ pub(crate) fn find_segment<'g, T: Send + 'static>(
         let next = match Segment::next(&cur, guard) {
             Some(next) => next,
             None => {
-                // Create and append a new tail segment. Its `prev` is set
-                // before it is published, so no late store can undo a
-                // `bypass` of it (see `Segment::remove`).
+                // Create and append a new tail segment.
                 let fresh = Segment::new(cur.id + 1, segment_size, 0, cur.owner.clone());
-                fresh.prev.store(Some(cur.to_arc()), guard);
+                fresh.prev.store(Some(cur.downgrade()), guard);
                 cqs_chaos::inject!("segment.append.pre-cas");
                 match cur.next.compare_exchange_null(Arc::clone(&fresh), guard) {
                     Ok(()) => {
                         // The old tail might have become logically removed
                         // while it was still protected by its tail status.
                         if cur.removed() {
-                            cur.to_arc().remove(guard);
+                            cur.remove(guard);
                         }
                         fresh.into()
                     }
@@ -389,13 +364,13 @@ pub(crate) fn move_forward<T: Send + 'static>(
             .is_ok()
         {
             if cur.dec_pointers() {
-                cur.to_arc().remove(guard);
+                cur.remove(guard);
             }
             return true;
         }
         // The head moved under us: give back the pointer count and retry.
         if to.dec_pointers() {
-            to.to_arc().remove(guard);
+            to.remove(guard);
         }
     }
 }
@@ -451,29 +426,12 @@ mod tests {
         all
     }
 
-    /// Clears the links of every segment still on the chain from the first
-    /// of `segments`, and of `segments` themselves, so neighbouring
-    /// `next`/`prev` pairs stop holding each other once the test's own
-    /// references go.
-    fn tear_down(segments: &[Arc<Segment<u32>>]) {
-        let guard = pin();
-        let mut cur = segments.first().cloned();
-        while let Some(segment) = cur {
-            cur = segment.next.load(&guard);
-            segment.clear_links(&guard);
-        }
-        for segment in segments {
-            segment.clear_links(&guard);
-        }
-    }
-
     #[test]
     fn find_segment_creates_sequential_ids() {
         let segments = chain(5, 4);
         for (i, s) in segments.iter().enumerate() {
             assert_eq!(s.id(), i as u64);
         }
-        tear_down(&segments);
     }
 
     #[test]
@@ -486,7 +444,6 @@ mod tests {
         assert!(segments[1].removed());
         let found = find_segment(held(&segments[0]), 1, 2, &guard);
         assert_eq!(found.id(), 2, "removed segment must be skipped");
-        tear_down(&segments);
     }
 
     #[test]
@@ -499,7 +456,6 @@ mod tests {
         // Segment 0 now links directly to segment 3.
         let next = segments[0].next.load(&guard).unwrap();
         assert_eq!(next.id(), 3);
-        tear_down(&segments);
     }
 
     #[test]
@@ -514,7 +470,6 @@ mod tests {
         let s2 = find_segment(held(&segments[0]), 2, 1, &guard);
         assert_eq!(s2.id(), 2);
         assert_eq!(segments[0].next.load(&guard).unwrap().id(), 2);
-        tear_down(&segments);
     }
 
     #[test]
@@ -528,7 +483,6 @@ mod tests {
         // Moving backwards is a no-op returning true.
         assert!(move_forward(&head, &held(&segments[1]), &guard));
         assert_eq!(head.load(&guard).unwrap().id(), 2);
-        tear_down(&segments);
     }
 
     #[test]
@@ -540,7 +494,6 @@ mod tests {
         assert!(segments[1].removed());
         assert!(!move_forward(&head, &held(&segments[1]), &guard));
         assert_eq!(head.load(&guard).unwrap().id(), 0);
-        tear_down(&segments);
     }
 
     #[test]
@@ -552,27 +505,6 @@ mod tests {
         let found = find_and_move_forward(&head, held(&segments[0]), 1, 1, &guard);
         assert_eq!(found.id(), 2);
         assert_eq!(head.load(&guard).unwrap().id(), 2);
-        tear_down(&segments);
-    }
-
-    /// A forward chain linked by hand (no `prev`, so no cycles): `len`
-    /// one-cell segments, returned as (head, the segment in the middle).
-    fn forward_chain(len: u64) -> (Arc<Segment<u32>>, Arc<Segment<u32>>) {
-        let guard = pin();
-        let head: Arc<Segment<u32>> = Segment::new(0, 1, 0, Weak::<NoQueue>::new());
-        let mut tail = Arc::clone(&head);
-        let mut middle = Arc::clone(&head);
-        for id in 1..len {
-            let next = Segment::new(id, 1, 0, Weak::<NoQueue>::new());
-            tail.next
-                .compare_exchange_null(Arc::clone(&next), &guard)
-                .unwrap();
-            if id == len / 2 {
-                middle = Arc::clone(&next);
-            }
-            tail = next;
-        }
-        (head, middle)
     }
 
     /// Runs `f` on a thread whose stack a per-segment recursion of the
@@ -588,8 +520,11 @@ mod tests {
 
     #[test]
     fn long_chain_is_torn_down_iteratively() {
-        const LEN: u64 = 200_000;
-        let (head, middle) = forward_chain(LEN);
+        const LEN: usize = 200_000;
+        let (head, middle) = {
+            let segments = chain(LEN, 1);
+            (Arc::clone(&segments[0]), Arc::clone(&segments[LEN / 2]))
+        };
         let first = Arc::downgrade(&head);
         // The walk stops at the first segment someone else still holds...
         on_small_stack(move || drop(head));
@@ -627,53 +562,76 @@ mod tests {
             removed.iter().all(|segment| segment.upgrade().is_none()),
             "removed neighbours keep each other alive"
         );
-        tear_down(&segments);
     }
 
-    /// Three neighbours between two live segments, removed by three threads
-    /// at once, in every interleaving of the removal windows up to two
-    /// preemptions. A store into a neighbour can land after that neighbour
-    /// was bypassed; it must not leave removed segments linked in a cycle,
-    /// which nothing would ever free.
+    /// Segments 1 to 3 of a five-segment chain, removed by three threads at
+    /// once, in every interleaving of the removal windows up to two
+    /// preemptions: a store into a neighbour can land after that neighbour
+    /// was unlinked. Each remover holds only its own segment, as a request
+    /// holds its handler, so a neighbour can be freed while the others
+    /// still run. With `release_first`, a fourth thread drops the only
+    /// reference to segment 0 meanwhile, as the heads leave a resumed
+    /// segment behind: a `prev` link to it, or to a removed segment freed
+    /// with it, then fails to upgrade. Once the removals end, no removed
+    /// segment may survive a flush, a held segment 0 must link to segment
+    /// 4, and with the chain dropped every segment must be freed. The
+    /// removals pin a collector of their own, so the flushes wait for
+    /// nothing else in the process.
     #[cfg(feature = "chaos")]
-    #[test]
-    fn three_neighbours_removed_at_once_never_close_a_cycle() {
+    fn remove_three_neighbours_at_once(release_first: bool) {
         use cqs_check::{Explorer, Program};
+        use cqs_reclaim::Collector;
 
         let exploration = Explorer::default().check_exhaustive(|| {
-            let segments = chain(5, 1);
-            let program = (1..4).fold(Program::new(), |program, i| {
-                let segment = Arc::clone(&segments[i]);
-                program.thread(move || segment.on_cancelled_cell(&pin()))
-            });
+            let collector = Arc::new(Collector::new());
+            let mut segments = chain(5, 1);
+            let witnesses: Vec<_> = segments.iter().map(Arc::downgrade).collect();
+            let mut program = segments
+                .drain(1..4)
+                .fold(Program::new(), |program, segment| {
+                    let collector = Arc::clone(&collector);
+                    program.thread(move || segment.on_cancelled_cell(&collector.register().pin()))
+                });
+            if release_first {
+                let first = segments.remove(0);
+                program = program.thread(move || drop(first));
+            }
             program.check(move || {
-                let guard = pin();
-                let first = segments[0].next.load(&guard).unwrap();
-                if first.id() != 4 {
-                    return Err(format!("segment 0 links to {first:?}, not segment 4"));
+                let _ = collector.flush();
+                if let Some(id) = (1..4).find(|&id| witnesses[id].strong_count() > 0) {
+                    return Err(format!("removed segment {id} outlived the removals"));
                 }
-                // Peel off removed segments that link into no other one
-                // still left; whatever remains links in a cycle.
-                let mut left: Vec<_> = segments[1..4].iter().collect();
-                let links_into = |segment: &Segment<u32>, left: &[&Arc<Segment<u32>>]| {
-                    [&segment.prev, &segment.next].into_iter().any(|link| {
-                        let target = link.load_ptr(&guard);
-                        left.iter().any(|other| Arc::as_ptr(other) == target)
-                    })
-                };
-                while let Some(sink) = left.iter().position(|s| !links_into(s, &left)) {
-                    left.remove(sink);
+                if !release_first {
+                    let next = segments[0].next.load(&collector.register().pin());
+                    let next = next.map(|segment| segment.id());
+                    if next != Some(4) {
+                        return Err(format!("segment 0 links to {next:?}, not segment 4"));
+                    }
                 }
-                match left.as_slice() {
-                    [] => Ok(()),
-                    cycle => Err(format!("removed segments linked in a cycle: {cycle:?}")),
+                drop(segments);
+                let _ = collector.flush();
+                match witnesses.iter().position(|w| w.strong_count() > 0) {
+                    None => Ok(()),
+                    Some(id) => Err(format!("segment {id} outlived its chain")),
                 }
             })
         });
         assert!(
             exploration.runs > 1,
-            "three removals must branch the schedule"
+            "the removals must branch the schedule"
         );
+    }
+
+    #[cfg(feature = "chaos")]
+    #[test]
+    fn three_neighbours_removed_at_once_are_all_freed() {
+        remove_three_neighbours_at_once(false);
+    }
+
+    #[cfg(feature = "chaos")]
+    #[test]
+    fn removals_beside_a_freed_neighbour_free_every_segment() {
+        remove_three_neighbours_at_once(true);
     }
 
     #[test]
@@ -692,6 +650,5 @@ mod tests {
         assert!(move_forward(&head, &held(&segments[2]), &guard));
         assert!(segments[1].removed());
         assert_eq!(segments[0].next.load(&guard).unwrap().id(), 2);
-        tear_down(&segments);
     }
 }

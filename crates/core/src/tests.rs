@@ -449,7 +449,7 @@ fn drop_with_pending_waiters() {
         Arc::clone(&callbacks),
     );
     let futures: Vec<_> = (0..8).map(|_| cqs.suspend().expect_future()).collect();
-    let segment = cqs.suspend_segment_witness();
+    let segments = cqs.segment_witnesses();
     drop(cqs);
     assert_eq!(
         Arc::strong_count(&callbacks),
@@ -465,12 +465,10 @@ fn drop_with_pending_waiters() {
         "no handler may run against the dead queue"
     );
     drop(futures);
-    // The cell references cleared by `Cqs::drop` were retired; sibling
-    // tests share the collector, so only our own segment is asserted — not
-    // that the whole backlog went.
-    let _ = cqs_reclaim::flush();
-    assert!(
-        segment.upgrade().is_none(),
+    // The cell references cleared by `Cqs::drop` were retired.
+    assert_eq!(
+        first_survivor(&segments),
+        None,
         "a segment outlived its queue and every waiter"
     );
 }
@@ -702,7 +700,9 @@ fn fifo_survives_fifty_waves_of_removed_segments() {
 /// guard-scoped borrows, not counted clones, so this is the net under the
 /// epoch argument: no pinned traverser may ever see a segment it reached
 /// change identity, and the queue must stay exact while segments are
-/// removed and freed under it.
+/// removed and freed under it. Once the queue drops, every segment it
+/// allocated must be freed: a survivor would keep the witnessed tail
+/// alive through its `next` links.
 #[test]
 fn removal_never_frees_a_segment_from_under_a_pinned_traverser() {
     const ROUNDS: usize = 1_000;
@@ -747,7 +747,7 @@ fn removal_never_frees_a_segment_from_under_a_pinned_traverser() {
         }
     }
 
-    for segment_size in [1usize, 2] {
+    for segment_size in [1usize, 2, 16] {
         let callbacks = CountingCallbacks::new();
         callbacks.state.store(1, Ordering::SeqCst);
         let sem = Sem {
@@ -830,7 +830,74 @@ fn removal_never_frees_a_segment_from_under_a_pinned_traverser() {
         );
         let segments = sem.cqs.live_segments();
         assert!(segments <= 3, "{segments} segments linked at rest: {tag}");
+        let witnesses = sem.cqs.segment_witnesses();
+        drop(sem);
+        let survivor = first_survivor(&witnesses);
+        assert_eq!(survivor, None, "a segment outlived its queue: {tag}");
     }
+}
+
+/// Waits (at most ten seconds) until every witness is dead and returns
+/// the index of one that is not. It only pins: every so many pins, the
+/// shared collector tries to advance its epoch and drain a stale bin. A
+/// `flush` would also wait out all the garbage that sibling test threads
+/// keep retiring, up to its own deadline each time.
+fn first_survivor<T>(witnesses: &[std::sync::Weak<T>]) -> Option<usize> {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let survivor = witnesses.iter().position(|w| w.strong_count() > 0);
+        if survivor.is_none() || std::time::Instant::now() > deadline {
+            return survivor;
+        }
+        (0..1_000).for_each(|_| drop(cqs_reclaim::pin()));
+    }
+}
+
+/// The schedule that leaked at `segment_size(1)` while `prev` owned its
+/// target. One waiter per segment P, X, M; P's is resumed. A canceller
+/// removes X and pauses between finding its neighbours (P and M) and
+/// linking them, while a resumer skips X and enters M; then the late
+/// `M.prev = P` and `P.next = M` land. Once both heads move past M,
+/// nothing reaches P or M but each other. Explored up to two preemptions:
+/// after the queue drops, P, X and M must be freed.
+#[cfg(feature = "chaos")]
+#[test]
+fn late_link_behind_a_resume_leaks_no_segment() {
+    use cqs_check::{Explorer, Program};
+
+    let exploration = Explorer::default().check_exhaustive(|| {
+        let callbacks = CountingCallbacks::new();
+        callbacks.state.store(-3, Ordering::SeqCst); // three registered waiters
+        let cqs = Arc::new(Cqs::new(
+            CqsConfig::new()
+                .segment_size(1)
+                .cancellation_mode(CancellationMode::Smart),
+            callbacks,
+        ));
+        let mut waiters: Vec<_> = (0..3).map(|_| cqs.suspend().expect_future()).collect();
+        cqs.resume(0).unwrap();
+        let witnesses = cqs.segment_witnesses();
+        let x = waiters.remove(1);
+        let resumer = Arc::clone(&cqs);
+        Program::new()
+            .thread(move || {
+                let _ = x.cancel();
+            })
+            .thread(move || resumer.resume(1).unwrap())
+            .check(move || {
+                // Both heads move past M (segment 2) to a fresh segment 3.
+                let last = cqs.suspend().expect_future();
+                while cqs.resume_count() < 4 {
+                    cqs.resume(2).unwrap();
+                }
+                drop((cqs, waiters, last));
+                match first_survivor(&witnesses) {
+                    None => Ok(()),
+                    Some(id) => Err(format!("segment {id} outlived its queue")),
+                }
+            })
+    });
+    assert!(exploration.runs > 1, "two threads must branch the schedule");
 }
 
 // ---------------------------------------------------------------------

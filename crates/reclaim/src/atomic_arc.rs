@@ -1,4 +1,5 @@
-//! A lock-free, atomically swappable `Option<Arc<T>>` cell.
+//! A lock-free, atomically swappable `Option<Arc<T>>` cell, and its
+//! non-owning twin [`AtomicWeak`].
 //!
 //! The cell owns one strong reference to the stored value.
 //! Stores/swaps/CASes replace the pointer and *retire* the displaced
@@ -14,13 +15,18 @@
 //! count touched; [`AtomicArc::load`] is the same read followed by
 //! [`Protected::into_arc`].
 //!
+//! [`AtomicWeak`] holds a `Weak` the same way: its displaced references
+//! are retired too, so under a pin the allocation it names stays valid and
+//! [`AtomicWeak::upgrade`] can read its strong count.
+//!
 //! Pinning two collectors on one cell voids this argument: all threads
 //! operating on a given cell must pin the same collector.
 
 use std::marker::PhantomData;
+use std::mem::ManuallyDrop;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use crate::guard::Retired;
 use crate::Guard;
@@ -48,13 +54,9 @@ use crate::Guard;
 /// ```
 pub struct AtomicArc<T> {
     ptr: AtomicPtr<T>,
+    /// Makes the cell `Send` and `Sync` exactly when `Arc<T>` is.
     _marker: PhantomData<Option<Arc<T>>>,
 }
-
-// SAFETY: the cell hands out `Arc<T>` clones across threads, which is what
-// `Arc` itself requires `T: Send + Sync` for.
-unsafe impl<T: Send + Sync> Send for AtomicArc<T> {}
-unsafe impl<T: Send + Sync> Sync for AtomicArc<T> {}
 
 fn into_ptr<T>(value: Option<Arc<T>>) -> *mut T {
     match value {
@@ -141,7 +143,7 @@ impl<T: Send + Sync + 'static> AtomicArc<T> {
         // loads, Acquire hands the displaced pointee to its releaser. Readers
         // are ordered against the release by the pin fence, not here.
         let old = self.ptr.swap(into_ptr(value), Ordering::AcqRel);
-        retire_displaced(old, guard);
+        retire_displaced(old, release_arc::<T>, guard);
     }
 
     /// Replaces the stored reference with `value` and returns the previous
@@ -158,7 +160,7 @@ impl<T: Send + Sync + 'static> AtomicArc<T> {
             Arc::increment_strong_count(old);
             Arc::from_raw(old)
         };
-        retire_displaced(old, guard);
+        retire_displaced(old, release_arc::<T>, guard);
         Some(result)
     }
 
@@ -184,7 +186,7 @@ impl<T: Send + Sync + 'static> AtomicArc<T> {
             Ordering::Acquire,
         ) {
             Ok(old) => {
-                retire_displaced(old, guard);
+                retire_displaced(old, release_arc::<T>, guard);
                 Ok(())
             }
             Err(_) => {
@@ -257,6 +259,18 @@ impl<T> Protected<'_, T> {
         }
     }
 
+    /// A weak reference to the pointee; no strong count is touched.
+    pub fn downgrade(&self) -> Weak<T> {
+        match &self.0 {
+            // SAFETY: as in `to_arc`, the pin keeps a strong count alive;
+            // `ManuallyDrop` borrows it without giving it back.
+            ProtectedInner::Pinned(p, _) => {
+                Arc::downgrade(&ManuallyDrop::new(unsafe { Arc::from_raw(*p) }))
+            }
+            ProtectedInner::Counted(arc) => Arc::downgrade(arc),
+        }
+    }
+
     /// Converts into an owned reference, moving the count if one is held.
     pub fn into_arc(self) -> Arc<T> {
         match self.0 {
@@ -305,24 +319,32 @@ impl<T> From<Arc<T>> for Protected<'_, T> {
     }
 }
 
-/// Monomorphized releaser for a displaced cell reference.
+/// Monomorphized releasers for a displaced cell reference: a strong count
+/// for [`AtomicArc`], a weak one for [`AtomicWeak`].
 ///
 /// # Safety
 ///
-/// `p` must be an `Arc<T>::into_raw` pointer whose reference is owned by
-/// the caller; called at most once per ownership transfer.
+/// `p` must be an `Arc<T>::into_raw` (resp. `Weak<T>::into_raw`) pointer
+/// whose reference is owned by the caller; called at most once per
+/// ownership transfer.
 unsafe fn release_arc<T: Send + Sync>(p: *mut ()) {
     // SAFETY: forwarded contract.
     unsafe { drop(Arc::from_raw(p as *const T)) }
 }
 
-fn retire_displaced<T: Send + Sync + 'static>(old: *mut T, guard: &Guard) {
+unsafe fn release_weak<T: Send + Sync>(p: *mut ()) {
+    // SAFETY: forwarded contract.
+    unsafe { drop(Weak::from_raw(p as *const T)) }
+}
+
+/// Retires the reference a cell held at `old`, to be dropped by `release`.
+fn retire_displaced<T>(old: *mut T, release: unsafe fn(*mut ()), guard: &Guard) {
     if old.is_null() {
         return;
     }
-    // SAFETY: the displaced reference is owned by this retire, and
-    // `release_arc::<T>` matches the pointer's true type.
-    guard.retire(unsafe { Retired::new(old as *mut (), release_arc::<T>) });
+    // SAFETY: the displaced reference is owned by this retire, and every
+    // caller passes the releaser matching the cell's reference kind and `T`.
+    guard.retire(unsafe { Retired::new(old as *mut (), release) });
 }
 
 impl<T> Drop for AtomicArc<T> {
@@ -345,6 +367,63 @@ impl<T> std::fmt::Debug for AtomicArc<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let p = self.ptr.load(Ordering::Relaxed);
         f.debug_struct("AtomicArc").field("ptr", &p).finish()
+    }
+}
+
+/// An atomically swappable `Option<Weak<T>>`: a link that does not keep
+/// its target alive. A displaced `Weak` is retired like an [`AtomicArc`]'s
+/// displaced `Arc`, so [`upgrade`](Self::upgrade) under a pin always reads
+/// a live allocation; it fails once the target's last `Arc` is gone.
+pub struct AtomicWeak<T> {
+    ptr: AtomicPtr<T>,
+    _marker: PhantomData<Option<Weak<T>>>,
+}
+
+impl<T: Send + Sync + 'static> AtomicWeak<T> {
+    /// Creates an empty cell.
+    pub fn null() -> Self {
+        AtomicWeak {
+            ptr: AtomicPtr::new(ptr::null_mut()),
+            _marker: PhantomData,
+        }
+    }
+
+    /// Replaces the stored link with `value`, releasing the previous one
+    /// once a grace period proves no reader can hold it.
+    pub fn store(&self, value: Option<Weak<T>>, guard: &Guard) {
+        let new = value.map_or(ptr::null_mut(), |weak| Weak::into_raw(weak) as *mut T);
+        // AcqRel, as in `AtomicArc::store`.
+        let old = self.ptr.swap(new, Ordering::AcqRel);
+        retire_displaced(old, release_weak::<T>, guard);
+    }
+
+    /// A strong reference to the target, or `None` if the cell is empty or
+    /// the target's last `Arc` is gone.
+    pub fn upgrade(&self, _guard: &Guard) -> Option<Arc<T>> {
+        let p = self.ptr.load(Ordering::Acquire);
+        if p.is_null() {
+            return None;
+        }
+        // SAFETY: `p` came from `Weak::into_raw`; its weak count is released
+        // only by an epoch-deferred drop, which `_guard` holds back, or with
+        // the cell, which `&self` outlives. `ManuallyDrop` leaves the count
+        // to the cell.
+        let weak = ManuallyDrop::new(unsafe { Weak::from_raw(p) });
+        let arc = weak.upgrade();
+        if arc.is_some() {
+            cqs_stats::bump!(arc_increments);
+        }
+        arc
+    }
+}
+
+impl<T> Drop for AtomicWeak<T> {
+    fn drop(&mut self) {
+        let p = *self.ptr.get_mut();
+        if !p.is_null() {
+            // SAFETY: we have exclusive access; the cell owns this weak count.
+            unsafe { drop(Weak::from_raw(p)) }
+        }
     }
 }
 
@@ -584,6 +663,61 @@ mod tests {
         assert!(Arc::ptr_eq(&taken, &value));
         assert_eq!(Arc::strong_count(&value), 2, "moved, not cloned");
         assert!(cell.take_mut().is_none());
+    }
+
+    /// The link owns no strong count, upgrades while its target lives, and
+    /// releases a displaced weak count only after the pins. Its weak counts
+    /// come from `Protected::downgrade`, pinned and counted.
+    #[test]
+    fn weak_link_upgrades_while_its_target_lives() {
+        let collector = Collector::new();
+        let handle = collector.register();
+        let target = Arc::new(7);
+        let owner = AtomicArc::new(Some(Arc::clone(&target)));
+        let cell = AtomicWeak::null();
+        let guard = handle.pin();
+        assert!(cell.upgrade(&guard).is_none());
+        let pinned = owner.load_protected(&guard).unwrap().downgrade();
+        let counted = Protected::from(Arc::clone(&target)).downgrade();
+        cell.store(Some(pinned), &guard);
+        cell.store(Some(counted), &guard);
+        assert_eq!(*cell.upgrade(&guard).unwrap(), 7);
+        drop(owner);
+        assert_eq!(Arc::strong_count(&target), 1, "the link owns nothing");
+        assert_eq!(Arc::weak_count(&target), 2, "retired, not released");
+        drop(guard);
+        assert!(collector.flush());
+        assert_eq!(Arc::weak_count(&target), 1, "the cell's own");
+        drop(target);
+        assert!(cell.upgrade(&handle.pin()).is_none(), "the target is gone");
+        // The cell's own count goes with the cell (Miri and ASan see a leak).
+    }
+
+    /// Upgrades race stores whose targets die at once: every upgrade that
+    /// succeeds reads a live value, and no weak count is lost.
+    #[test]
+    fn concurrent_weak_store_upgrade_stress() {
+        let (collector, anchor, cell) = (Collector::new(), Arc::new(0), AtomicWeak::null());
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (cell, collector, anchor) = (&cell, &collector, &anchor);
+                scope.spawn(move || {
+                    let handle = collector.register();
+                    for i in 1..1_000 {
+                        let guard = handle.pin();
+                        match (i + t) % 3 {
+                            // A target that dies as soon as it is linked.
+                            0 => cell.store(Some(Arc::downgrade(&Arc::new(i))), &guard),
+                            1 => cell.store(Some(Arc::downgrade(anchor)), &guard),
+                            _ => assert!(cell.upgrade(&guard).map_or(0, |v| *v) < 1_000),
+                        }
+                    }
+                });
+            }
+        });
+        drop(cell);
+        assert!(collector.flush());
+        assert_eq!(Arc::weak_count(&anchor), 0, "a weak count leaked");
     }
 
     #[test]

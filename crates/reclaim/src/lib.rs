@@ -25,7 +25,9 @@
 //! the collector, so a concurrent [`AtomicArc::load`] can always safely
 //! increment the reference count it observed, and a traversal can skip the
 //! count: [`AtomicArc::load_protected`] returns a guard-scoped
-//! [`Protected`], a plain borrow.
+//! [`Protected`], a plain borrow. [`AtomicWeak`] is the non-owning
+//! `Option<Weak<T>>` twin: its displaced links are retired the same way,
+//! so an upgrade under a pin always reads a live allocation.
 //!
 //! # Example
 //!
@@ -44,7 +46,7 @@ mod atomic_arc;
 mod epoch;
 mod guard;
 
-pub use atomic_arc::{AtomicArc, Protected};
+pub use atomic_arc::{AtomicArc, AtomicWeak, Protected};
 pub use epoch::{flush, pin, retired_approx, Collector, LocalHandle};
 pub use guard::Guard;
 
@@ -58,6 +60,7 @@ mod tests {
     fn send_sync_bounds() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<AtomicArc<u32>>();
+        assert_send_sync::<AtomicWeak<u32>>();
         assert_send_sync::<Collector>();
     }
 

@@ -40,11 +40,11 @@
 //! `--features chaos`; they are armed by [`set_faults`]`(seed, budget)` or
 //! the `CQS_CHAOS_FAULTS=<seed>:<budget>` environment variable, which
 //! injects at most `budget` seeded panics across the fault-eligible
-//! windows. An external [`Scheduler`] can instead force exact placement by
-//! overriding [`Scheduler::at_fault`] — the seam the `cqs-check` fault
-//! explorer uses to exhaust panic placements. Injected faults are recorded
-//! in the same decision-trace ring as schedule decisions, so a failing
-//! storm replays from its seed.
+//! windows. An external [`Scheduler`] can instead decide each crossing by
+//! overriding [`Scheduler::at_fault`] — the seam through which the
+//! `cqs-check` explorer makes every crash window a choice of its search.
+//! Injected faults are recorded in the same decision-trace ring as
+//! schedule decisions, so a failing storm replays from its seed.
 //!
 //! ```ignore
 //! cqs_chaos::inject!("cell.try_install_waiter.pre-cas");
@@ -71,8 +71,8 @@ pub trait Scheduler: Send + Sync {
     /// ([`fault!`]). Returning `true` makes the window panic on the spot,
     /// simulating user code crashing mid-protocol; the default declines
     /// every injection, so existing schedulers are unaffected. The
-    /// `cqs-check` fault explorer overrides this to force a panic at an
-    /// exact (label, occurrence) placement.
+    /// `cqs-check` explorer overrides this to branch, on each crossing by
+    /// one of its program threads, on going on or panicking there.
     fn at_fault(&self, _label: &'static str) -> bool {
         false
     }
@@ -190,8 +190,8 @@ pub const KNOWN_LABELS: &[&str] = &[
 /// The fault-eligible subset of [`KNOWN_LABELS`]: windows where a
 /// [`fault!`] call site may inject a crash (panic). Every entry also
 /// appears in [`KNOWN_LABELS`], so fault decisions share the decision-trace
-/// vocabulary. The `cqs-check` fault explorer iterates this table to
-/// exhaust panic placements.
+/// vocabulary. The `cqs-check` crash-recovery programs check that each
+/// entry is crashed in at least one explored schedule.
 pub const FAULT_LABELS: &[&str] = &[
     "channel.deliver.fault.pre-count",
     "cqs.close.fault.mid-sweep",

@@ -2,19 +2,28 @@
 //! windows (a loom-style, CHESS-style schedule searcher).
 //!
 //! The explorer runs a small multi-threaded [`Program`] under **serialized
-//! execution**: exactly one program thread runs at a time, and control is
-//! handed over only at *schedule points* — the `cqs_chaos::inject!`
-//! labelled race windows (bridged in via the [`cqs_chaos::Scheduler`]
-//! trait), or explicit [`schedule_point`] calls in unit tests. At every
-//! point where more than one thread could run next, the explorer records a
-//! decision; across repeated runs it backtracks depth-first through those
-//! decisions, enumerating all interleavings up to
-//! [`Explorer::preemption_bound`] involuntary context switches (CHESS-style
-//! preemption bounding: most concurrency bugs need very few preemptions,
-//! and the schedule space shrinks from exponential to polynomial).
+//! execution**: exactly one program thread runs at a time, and every
+//! nondeterministic choice the run makes is one decision of a single
+//! depth-first search. There are two kinds of choice:
 //!
-//! On failure the explorer returns the exact decision [`Trace`]; feeding it
-//! to [`Explorer::replay`] re-executes that one schedule deterministically.
+//! - **Which thread runs next.** Control is handed over only at *schedule
+//!   points*: the `cqs_chaos::inject!` labelled race windows (bridged in
+//!   via the [`cqs_chaos::Scheduler`] trait), or explicit
+//!   [`schedule_point`] calls in unit tests. Involuntary switches are
+//!   bounded by [`Explorer::preemption_bound`] (CHESS-style preemption
+//!   bounding: most concurrency bugs need very few preemptions, and the
+//!   schedule space shrinks from exponential to polynomial).
+//! - **Whether a thread crashes.** At a `cqs_chaos::fault!` window (or an
+//!   explicit [`fault_point`]) a program thread either goes on (explored
+//!   first) or panics on the spot, while the run has crashes left of its
+//!   [`Explorer::crash_budget`]. A crash is not a preemption. The budget
+//!   defaults to 0, which makes every crash window inert. Threads outside
+//!   the program (its setup and `check`) never crash.
+//!
+//! Across repeated runs the explorer backtracks through the recorded
+//! decisions until the bounded space is exhausted. On failure it returns
+//! the exact decision [`Trace`]; feeding it to [`Explorer::replay`]
+//! re-executes that one schedule, crashes included, deterministically.
 //!
 //! Programs must only perform **non-blocking** operations on their
 //! controlled threads (`suspend`/`resume`/`cancel`/`close`/`resume_n`,
@@ -23,10 +32,9 @@
 //! `check` closure, which runs after every thread has finished.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Label shown for a thread that has not yet taken its first step.
@@ -77,23 +85,40 @@ impl Default for Program {
 // Traces
 // ---------------------------------------------------------------------
 
-/// One recorded scheduling decision (only points with a real choice are
-/// recorded; forced continuations are not decisions).
+/// What a recorded decision chose between.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepKind {
+    /// Which thread runs next: `chosen` is its ordinal.
+    Switch,
+    /// Whether `thread` crashes at a crash window: `chosen` is 1 if it
+    /// panicked there, 0 if it went on.
+    Crash {
+        /// Ordinal of the thread at the crash window.
+        thread: usize,
+    },
+}
+
+/// One recorded decision (only points with a real choice are recorded;
+/// forced continuations are not decisions).
 #[derive(Debug, Clone)]
 pub struct TraceStep {
-    /// Ordinal of the thread scheduled next.
+    /// The decision taken (see [`StepKind`]); [`Trace::choices`] lists it.
     pub chosen: usize,
-    /// The label the chosen thread was parked at when it was picked
-    /// (`"<spawn>"` before its first step).
+    /// Which kind of choice this was.
+    pub kind: StepKind,
+    /// For a switch, the label the chosen thread was parked at when it was
+    /// picked (`"<spawn>"` before its first step); for a crash, the crash
+    /// window.
     pub label: &'static str,
-    /// How many other threads could have been scheduled instead.
+    /// How many other options the decision had (for a switch, the other
+    /// threads that could have been scheduled instead).
     pub alternatives: usize,
     /// Whether this decision preempted a thread that could have continued.
     pub preemption: bool,
 }
 
 /// A replayable schedule: the sequence of decisions taken at every
-/// branching schedule point of one run.
+/// branching schedule point and crash window of one run.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// The recorded decisions, in schedule order.
@@ -111,19 +136,27 @@ impl fmt::Display for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "schedule trace ({} decisions):", self.steps.len())?;
         for (i, step) in self.steps.iter().enumerate() {
-            writeln!(
-                f,
-                "  #{i:<3} run t{} from {}{}  [{} alternative{}]",
-                step.chosen,
-                step.label,
-                if step.preemption {
-                    "  (preemption)"
-                } else {
-                    ""
-                },
-                step.alternatives,
-                if step.alternatives == 1 { "" } else { "s" },
-            )?;
+            match step.kind {
+                StepKind::Crash { thread } => writeln!(
+                    f,
+                    "  #{i:<3} t{thread} {} {}",
+                    ["goes on past", "crashes at"][step.chosen],
+                    step.label
+                )?,
+                StepKind::Switch => writeln!(
+                    f,
+                    "  #{i:<3} run t{} from {}{}  [{} alternative{}]",
+                    step.chosen,
+                    step.label,
+                    if step.preemption {
+                        "  (preemption)"
+                    } else {
+                        ""
+                    },
+                    step.alternatives,
+                    if step.alternatives == 1 { "" } else { "s" },
+                )?,
+            }
         }
         Ok(())
     }
@@ -182,6 +215,7 @@ struct StepRecord {
     untried: Vec<usize>,
 }
 
+#[derive(Default)]
 struct RunState {
     slots: Vec<Slot>,
     /// Per thread: the label it is currently parked at.
@@ -198,6 +232,7 @@ struct RunState {
     /// Printable record of every branching decision this run.
     trace: Vec<TraceStep>,
     preemptions: usize,
+    crashes: usize,
     steps: u64,
     truncated: bool,
     divergences: usize,
@@ -210,9 +245,7 @@ struct RunState {
 struct Shared {
     state: Mutex<RunState>,
     cv: Condvar,
-    preemption_bound: usize,
-    max_steps: u64,
-    ignored_prefixes: Vec<String>,
+    bounds: Explorer,
 }
 
 impl Shared {
@@ -221,23 +254,11 @@ impl Shared {
             state: Mutex::new(RunState {
                 slots: vec![Slot::Waiting; n],
                 labels: vec![SPAWN_LABEL; n],
-                registered: 0,
-                current: None,
                 forced,
-                cursor: 0,
-                new_steps: Vec::new(),
-                trace: Vec::new(),
-                preemptions: 0,
-                steps: 0,
-                truncated: false,
-                divergences: 0,
-                free_run: false,
-                failure: None,
+                ..RunState::default()
             }),
             cv: Condvar::new(),
-            preemption_bound: explorer.preemption_bound,
-            max_steps: explorer.max_steps,
-            ignored_prefixes: explorer.ignored_prefixes.clone(),
+            bounds: explorer.clone(),
         }
     }
 
@@ -273,40 +294,19 @@ impl Shared {
         }
         // Preemption bounding: once the budget is spent, a thread that can
         // continue must continue. Step truncation stops branching too.
-        if prev.is_some() && st.preemptions >= self.preemption_bound {
+        if prev.is_some() && st.preemptions >= self.bounds.preemption_bound {
             candidates.truncate(1);
         }
-        if st.steps > self.max_steps {
+        if st.steps > self.bounds.max_steps {
             st.truncated = true;
             candidates.truncate(1);
         }
 
-        let chosen = if candidates.len() == 1 {
-            candidates[0]
-        } else if st.cursor < st.forced.len() {
-            let want = st.forced[st.cursor];
-            st.cursor += 1;
-            if candidates.contains(&want) {
-                want
-            } else {
-                // The program behaved differently than when this prefix
-                // was recorded (schedule-independent nondeterminism, e.g.
-                // a global allocator or collector threshold). Fall back
-                // deterministically and count it.
-                st.divergences += 1;
-                candidates[0]
-            }
-        } else {
-            st.cursor += 1;
-            st.new_steps.push(StepRecord {
-                chosen: candidates[0],
-                untried: candidates[1..].to_vec(),
-            });
-            candidates[0]
-        };
+        let chosen = Self::decide(st, &candidates);
         if candidates.len() > 1 {
             st.trace.push(TraceStep {
                 chosen,
+                kind: StepKind::Switch,
                 label: st.labels[chosen],
                 alternatives: candidates.len() - 1,
                 preemption: prev.is_some_and(|p| p != chosen),
@@ -319,10 +319,40 @@ impl Shared {
         self.cv.notify_all();
     }
 
+    /// Takes one decision among `options`, the default first: the forced
+    /// prefix's entry while replaying, otherwise the default, with the
+    /// rest left on the DFS stack as untried alternatives.
+    fn decide(st: &mut RunState, options: &[usize]) -> usize {
+        if options.len() == 1 {
+            return options[0];
+        }
+        let chosen = match st.forced.get(st.cursor) {
+            Some(want) if options.contains(want) => *want,
+            Some(_) => {
+                // The program behaved differently than when this prefix
+                // was recorded (schedule-independent nondeterminism, e.g.
+                // a global allocator or collector threshold). Fall back
+                // deterministically and count it.
+                st.divergences += 1;
+                options[0]
+            }
+            None => {
+                st.new_steps.push(StepRecord {
+                    chosen: options[0],
+                    untried: options[1..].to_vec(),
+                });
+                options[0]
+            }
+        };
+        st.cursor += 1;
+        chosen
+    }
+
     /// A controlled thread reached the labelled schedule point: yield the
     /// schedule and block until picked again.
     fn point(&self, me: usize, label: &'static str) {
         if self
+            .bounds
             .ignored_prefixes
             .iter()
             .any(|p| label.starts_with(p.as_str()))
@@ -343,6 +373,30 @@ impl Shared {
         if !st.free_run {
             st.slots[me] = Slot::Running;
         }
+    }
+
+    /// A controlled thread reached a crash window: while the run has
+    /// crashes left, branch on going on (the default) or crashing here.
+    /// Returns whether the thread must crash.
+    fn crash_choice(&self, me: usize, label: &'static str) -> bool {
+        let mut st = self.state.lock().unwrap();
+        if st.free_run || st.crashes >= self.bounds.crash_budget {
+            return false;
+        }
+        if st.steps > self.bounds.max_steps {
+            st.truncated = true;
+            return false;
+        }
+        let chosen = Self::decide(&mut st, &[0, 1]);
+        st.trace.push(TraceStep {
+            chosen,
+            kind: StepKind::Crash { thread: me },
+            label,
+            alternatives: 1,
+            preemption: false,
+        });
+        st.crashes += chosen;
+        chosen == 1
     }
 
     /// Registration gate: announce readiness, then block until scheduled
@@ -381,25 +435,56 @@ thread_local! {
     static PARTICIPANT: RefCell<Option<(Arc<Shared>, usize)>> = const { RefCell::new(None) };
 }
 
+fn participant() -> Option<(Arc<Shared>, usize)> {
+    PARTICIPANT.try_with(|p| p.borrow().clone()).ok().flatten()
+}
+
 /// Explicit schedule point for programs driven without the `chaos`
 /// feature (unit tests of the explorer itself). On a thread not owned by
 /// a running exploration this is a no-op, so it is always safe to call.
 pub fn schedule_point(label: &'static str) {
-    let participant = PARTICIPANT.try_with(|p| p.borrow().clone()).ok().flatten();
-    if let Some((shared, me)) = participant {
+    if let Some((shared, me)) = participant() {
         shared.point(me, label);
     }
 }
 
-/// Routes the `cqs_chaos::inject!` windows into the explorer: installed
-/// as the global chaos scheduler for the duration of a run, it forwards
-/// every labelled window on a participant thread to [`schedule_point`].
+/// Explicit crash window, the [`schedule_point`] of `cqs_chaos::fault!`:
+/// panics with an `"injected crash fault"` message when the exploration
+/// chooses to crash this thread here. A no-op on a thread not owned by a
+/// running exploration, or when the run's crash budget is spent.
+pub fn fault_point(label: &'static str) {
+    if crashes_at(label) {
+        panic!("injected crash fault at `{label}`");
+    }
+}
+
+fn crashes_at(label: &'static str) -> bool {
+    participant().is_some_and(|(shared, me)| shared.crash_choice(me, label))
+}
+
+/// Routes the `cqs_chaos` windows into the explorer: installed as the
+/// global chaos scheduler for the duration of a run, it turns every
+/// `inject!` window on a participant thread into a [`schedule_point`] and
+/// every `fault!` window into a crash choice.
 struct ChaosBridge;
 
 impl cqs_chaos::Scheduler for ChaosBridge {
     fn at_point(&self, label: &'static str) {
         schedule_point(label);
     }
+
+    fn at_fault(&self, label: &'static str) -> bool {
+        crashes_at(label)
+    }
+}
+
+/// The chaos scheduler slot is process-wide, so explorations take turns:
+/// [`Explorer::explore`] and [`Explorer::replay`] hold this lock while
+/// their runs have [`ChaosBridge`] installed. A panicking check leaves no
+/// state behind the lock, so a poisoned one is simply taken over.
+fn scheduler_slot() -> MutexGuard<'static, ()> {
+    static SLOT: Mutex<()> = Mutex::new(());
+    SLOT.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------
@@ -411,6 +496,9 @@ impl cqs_chaos::Scheduler for ChaosBridge {
 pub struct Explorer {
     /// Maximum involuntary context switches per schedule (CHESS bound).
     pub preemption_bound: usize,
+    /// Maximum crashes per schedule: the number of crash windows at which
+    /// one run may panic (see the module docs). 0 leaves them inert.
+    pub crash_budget: usize,
     /// Maximum schedule points per run; beyond it the run finishes on a
     /// single deterministic tail (counted in `truncated_runs`).
     pub max_steps: u64,
@@ -434,6 +522,7 @@ impl Default for Explorer {
     fn default() -> Self {
         Explorer {
             preemption_bound: 2,
+            crash_budget: 0,
             max_steps: 5_000,
             max_runs: 200_000,
             time_budget: Duration::from_secs(120),
@@ -443,19 +532,12 @@ impl Default for Explorer {
     }
 }
 
-struct RunOutcome {
-    result: Result<(), String>,
-    new_steps: Vec<StepRecord>,
-    trace: Trace,
-    truncated: bool,
-    divergences: usize,
-}
-
 impl Explorer {
     /// Explores the schedule space of `setup`'s program depth-first up to
     /// the configured bounds. `setup` is called once per run and must
     /// build a fresh, equivalent program each time.
     pub fn explore(&self, mut setup: impl FnMut() -> Program) -> Exploration {
+        let _slot = scheduler_slot();
         let started = Instant::now();
         let mut stack: Vec<StepRecord> = Vec::new();
         let mut runs = 0;
@@ -463,44 +545,41 @@ impl Explorer {
         let mut divergences = 0;
         loop {
             let forced: Vec<usize> = stack.iter().map(|s| s.chosen).collect();
-            let outcome = self.run_once(setup(), forced);
+            let (result, run) = self.run_once(setup(), forced);
             runs += 1;
-            truncated_runs += usize::from(outcome.truncated);
-            divergences += outcome.divergences;
-            if let Err(error) = outcome.result {
-                return Exploration {
-                    runs,
-                    exhausted: false,
-                    truncated_runs,
-                    divergences,
-                    counterexample: Some(CounterExample {
-                        error,
-                        trace: outcome.trace,
-                    }),
-                };
-            }
-            stack.extend(outcome.new_steps);
+            truncated_runs += usize::from(run.truncated);
+            divergences += run.divergences;
+            let counterexample = result.err().map(|error| CounterExample {
+                error,
+                trace: Trace { steps: run.trace },
+            });
+            stack.extend(run.new_steps);
             // Depth-first backtrack: redirect the deepest decision that
             // still has an unexplored alternative.
-            let exhausted = loop {
-                match stack.last_mut() {
-                    None => break true,
-                    Some(last) if last.untried.is_empty() => {
-                        stack.pop();
+            let exhausted = counterexample.is_none()
+                && loop {
+                    match stack.last_mut() {
+                        None => break true,
+                        Some(last) if last.untried.is_empty() => {
+                            stack.pop();
+                        }
+                        Some(last) => {
+                            last.chosen = last.untried.remove(0);
+                            break false;
+                        }
                     }
-                    Some(last) => {
-                        last.chosen = last.untried.remove(0);
-                        break false;
-                    }
-                }
-            };
-            if exhausted || runs >= self.max_runs || started.elapsed() > self.time_budget {
+                };
+            if exhausted
+                || counterexample.is_some()
+                || runs >= self.max_runs
+                || started.elapsed() > self.time_budget
+            {
                 return Exploration {
                     runs,
                     exhausted,
                     truncated_runs,
                     divergences,
-                    counterexample: None,
+                    counterexample,
                 };
             }
         }
@@ -509,10 +588,12 @@ impl Explorer {
     /// Re-executes one schedule from a recorded decision list (see
     /// [`Trace::choices`]) and returns the program check's verdict.
     pub fn replay(&self, setup: impl FnOnce() -> Program, choices: &[usize]) -> Result<(), String> {
-        self.run_once(setup(), choices.to_vec()).result
+        let _slot = scheduler_slot();
+        self.run_once(setup(), choices.to_vec()).0
     }
 
-    fn run_once(&self, program: Program, forced: Vec<usize>) -> RunOutcome {
+    /// Runs one schedule; returns the verdict and the run's final state.
+    fn run_once(&self, program: Program, forced: Vec<usize>) -> (Result<(), String>, RunState) {
         let n = program.threads.len();
         assert!(n > 0, "explorer programs need at least one thread");
         let shared = Arc::new(Shared::new(n, forced, self));
@@ -564,28 +645,12 @@ impl Explorer {
             let _ = handle.join();
         }
 
-        let mut st = shared.state.lock().unwrap();
-        let trace = Trace {
-            steps: std::mem::take(&mut st.trace),
-        };
-        let new_steps = std::mem::take(&mut st.new_steps);
-        let truncated = st.truncated;
-        let divergences = st.divergences;
-        let failure = st.failure.take();
-        drop(st);
-        drop(shared);
-
-        let result = match failure {
+        let mut run = std::mem::take(&mut *shared.state.lock().unwrap());
+        let result = match run.failure.take() {
             Some(message) => Err(message),
             None => (program.check)(),
         };
-        RunOutcome {
-            result,
-            new_steps,
-            trace,
-            truncated,
-            divergences,
-        }
+        (result, run)
     }
 
     /// Convenience wrapper asserting the bounded space is clean: panics
@@ -615,32 +680,18 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-// Used by unit tests below and by integration tests to assert distinct
-// schedules were actually exercised.
-#[doc(hidden)]
-pub fn __distinct_schedules(traces: &[Vec<usize>]) -> usize {
-    traces.iter().collect::<HashSet<_>>().len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex as StdMutex;
-
-    /// Explorations install a process-global chaos scheduler; keep them
-    /// from overlapping across the test harness's worker threads.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: StdMutex<()> = StdMutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     /// Two threads, two schedule points each, appending to a shared log:
     /// unbounded exploration must enumerate exactly C(4,2) = 6 distinct
     /// orders.
     #[test]
     fn enumerates_all_interleavings_of_two_threads() {
-        let _serial = serial();
         let orders = Arc::new(StdMutex::new(HashSet::new()));
         let explorer = Explorer {
             preemption_bound: 8,
@@ -677,7 +728,6 @@ mod tests {
     /// and the trace must replay to the same failure.
     #[test]
     fn finds_check_then_act_race_and_replays_it() {
-        let _serial = serial();
         let explorer = Explorer::default();
         let make = || {
             let flag = Arc::new(AtomicUsize::new(0));
@@ -721,7 +771,6 @@ mod tests {
     /// switches (each thread runs to completion once scheduled).
     #[test]
     fn preemption_bound_zero_prunes_to_thread_orderings() {
-        let _serial = serial();
         let explorer = Explorer {
             preemption_bound: 0,
             ..Explorer::default()
@@ -746,7 +795,6 @@ mod tests {
     /// of tearing down the harness.
     #[test]
     fn thread_panic_becomes_counterexample() {
-        let _serial = serial();
         let explorer = Explorer::default();
         let exploration = explorer.explore(|| {
             Program::new()
@@ -763,7 +811,6 @@ mod tests {
     /// Ignored label prefixes are not schedule points.
     #[test]
     fn ignored_prefixes_are_transparent() {
-        let _serial = serial();
         let explorer = Explorer {
             ignored_prefixes: vec!["noise.".to_string()],
             preemption_bound: 8,
@@ -782,5 +829,107 @@ mod tests {
         });
         // Only the start decision branches: 2 schedules, not 2^100.
         assert_eq!(exploration.runs, 2);
+    }
+
+    /// Two threads, each a schedule point then a crash window whose panic
+    /// it catches, appending what it did to a shared log.
+    fn switch_then_fault(
+        with_fault: bool,
+        logs: &Arc<StdMutex<HashSet<Vec<&'static str>>>>,
+    ) -> Program {
+        let log = Arc::new(StdMutex::new(Vec::new()));
+        let mut program = Program::new();
+        for names in [["t0", "t0 crashed"], ["t1", "t1 crashed"]] {
+            let log = Arc::clone(&log);
+            program = program.thread(move || {
+                schedule_point("toy.switch");
+                let crashed = std::panic::catch_unwind(|| {
+                    if with_fault {
+                        fault_point("toy.crash");
+                    }
+                })
+                .is_err();
+                log.lock().unwrap().push(names[usize::from(crashed)]);
+            });
+        }
+        let logs = Arc::clone(logs);
+        program.check(move || {
+            logs.lock().unwrap().insert(log.lock().unwrap().clone());
+            Ok(())
+        })
+    }
+
+    /// Worked by hand: the two threads' segments (start to the switch
+    /// point, the switch point to the end) interleave in C(4,2) = 6 ways,
+    /// all within the default bound of 2 preemptions. In each, the first
+    /// crash window crossed goes on or crashes; if it went on, so does the
+    /// second. One crash per run therefore gives 6 × 3 = 18 schedules,
+    /// and every run logs a different outcome per thread order.
+    #[test]
+    fn one_crash_multiplies_each_interleaving_by_three() {
+        let logs = Arc::default();
+        let explorer = Explorer {
+            crash_budget: 1,
+            ..Explorer::default()
+        };
+        let exploration = explorer.check_exhaustive(|| switch_then_fault(true, &logs));
+        assert_eq!(exploration.runs, 18);
+        // Finishing orders t0,t1 and t1,t0, each with no crash or one.
+        assert_eq!(logs.lock().unwrap().len(), 6, "{logs:?}");
+    }
+
+    /// With no crash budget a crash window is inert: the same runs, and
+    /// the same outcomes, as the program without it.
+    #[test]
+    fn zero_crash_budget_explores_as_if_no_fault_point() {
+        let explore = |with_fault| {
+            let logs = Arc::default();
+            let runs = Explorer::default()
+                .check_exhaustive(|| switch_then_fault(with_fault, &logs))
+                .runs;
+            let logs = logs.lock().unwrap().clone();
+            (runs, logs)
+        };
+        let (runs, logs) = explore(true);
+        assert_eq!(runs, 6);
+        assert_eq!((runs, logs), explore(false));
+    }
+
+    /// A crash between two stores tears the state the check reads: the
+    /// explorer must find it, the trace must name the crash, and replay
+    /// must reproduce it.
+    #[test]
+    fn finds_a_crash_and_replays_it() {
+        let explorer = Explorer {
+            crash_budget: 1,
+            ..Explorer::default()
+        };
+        let make = || {
+            let halves = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+            let writer = Arc::clone(&halves);
+            Program::new()
+                .thread(move || {
+                    let _ = std::panic::catch_unwind(|| {
+                        writer[0].store(1, Ordering::SeqCst);
+                        fault_point("toy.between-halves");
+                        writer[1].store(1, Ordering::SeqCst);
+                    });
+                })
+                .thread(|| schedule_point("toy.bystander"))
+                .check(move || {
+                    let [a, b] = halves.each_ref().map(|h| h.load(Ordering::SeqCst));
+                    (a == b).then_some(()).ok_or_else(|| "torn update".into())
+                })
+        };
+        let cx = explorer
+            .explore(make)
+            .counterexample
+            .expect("the crash must be found");
+        assert!(format!("{cx}").contains("t0 crashes at toy.between-halves"));
+        assert_eq!(
+            explorer.replay(make, &cx.trace.choices()),
+            Err("torn update".to_string())
+        );
+        assert!(Explorer::default().explore(make).counterexample.is_none());
     }
 }

@@ -2,17 +2,19 @@
 //!
 //! The paper this workspace reproduces proves CQS correct in Iris; this
 //! crate is the executable stand-in for that proof effort. It provides
-//! three independent verification tools, all free of crates.io
+//! two independent verification tools, both free of crates.io
 //! dependencies (consistent with the workspace's offline-shim policy):
 //!
-//! 1. [`explorer`] — a deterministic interleaving explorer. Small 2–3
+//! 1. [`explorer`] — a deterministic interleaving explorer. Small 2–4
 //!    thread `suspend`/`resume`/`cancel`/`close`/`resume_n` programs run
 //!    under serialized execution, with every `cqs_chaos::inject!` labelled
-//!    race window acting as a schedule point; the explorer enumerates all
-//!    schedules depth-first up to a CHESS-style preemption bound, and
-//!    failures come with a replayable decision trace. Where the 72-seed
-//!    chaos storms *sample* the schedule space, the explorer *exhausts* a
-//!    bounded slice of it.
+//!    race window acting as a schedule point and, under a crash budget,
+//!    every `cqs_chaos::fault!` window as a choice to panic there; the
+//!    explorer enumerates all schedules depth-first up to a CHESS-style
+//!    preemption bound, and failures come with a replayable decision
+//!    trace. Where the seeded chaos storms *sample* thread schedules and
+//!    crash placements, the explorer *exhausts* a bounded slice of both,
+//!    together.
 //!
 //! 2. [`lin`] — a Wing–Gong linearizability checker. Chaos storms record
 //!    per-thread invoke/response histories through the
@@ -20,29 +22,22 @@
 //!    order of those operations that a reference model ([`models`])
 //!    accepts and that respects real time.
 //!
-//! 3. [`faults`] — an exhaustive crash-placement explorer over the
-//!    `cqs_chaos::fault!` windows: a scenario runs once per
-//!    (label, occurrence) pair with a panic forced at exactly that
-//!    crossing, proving every placement leaves the primitive either fully
-//!    operational or cleanly poisoned — never hung, never leaking.
-//!
 //! The crate deliberately avoids the `chaos` cargo feature: the explorer
 //! plugs into the labelled windows through the unconditional
 //! [`cqs_chaos::Scheduler`] trait, and only takes control of the real
 //! windows when the *final test binary* is built with `--features chaos`.
 //! Unit tests drive the explorer through explicit
-//! [`explorer::schedule_point`] calls instead, so `cargo test -p
-//! cqs-check` is meaningful without any feature flags.
+//! [`explorer::schedule_point`] and [`explorer::fault_point`] calls
+//! instead, so `cargo test -p cqs-check` is meaningful without any feature
+//! flags.
 
 #![warn(missing_docs)]
 
 pub mod explorer;
-pub mod faults;
 pub mod lin;
 pub mod models;
 
-pub use explorer::{CounterExample, Exploration, Explorer, Program, Trace, TraceStep};
-pub use faults::{CountdownFault, FaultCase, FaultCounterExample, FaultExplorer, FaultReport};
+pub use explorer::{CounterExample, Exploration, Explorer, Program, StepKind, Trace, TraceStep};
 pub use lin::{check_linearizable, pair_history, LinError, LinModel, Operation};
 pub use models::{
     CellArrayModel, ChannelLin, FifoQueueLin, ModelCell, MutexLin, SemaphoreLin, RESP_CANCELLED,

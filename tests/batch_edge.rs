@@ -4,7 +4,7 @@
 //! calls, which must be complete no-ops — no counter movement, no claims,
 //! no stray wake-ups.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cqs::{Cqs, CqsConfig, FutureState, SimpleCancellation};
 use cqs_future::{wake_batch_spill_count, WAKE_BATCH_INLINE};
@@ -13,12 +13,21 @@ fn cqs() -> Cqs<u64, SimpleCancellation> {
     Cqs::new(CqsConfig::new().segment_size(4), SimpleCancellation)
 }
 
+/// The spill counter is process-wide: the test that spills and the one
+/// that asserts the counter stands still take turns on this lock, so a
+/// sibling's spill cannot land between the latter's two reads.
+fn spill_counter() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// More waiters than the inline wake capacity in a single `resume_n`: the
 /// batch must spill to the heap (observable through the process-wide
 /// spill counter) and still fire every deferred wake in FIFO order.
 #[test]
 fn resume_n_past_inline_capacity_spills_and_fires_fifo() {
     const N: usize = WAKE_BATCH_INLINE + 4; // 12 waiters, inline is 8
+    let _spills = spill_counter();
     let cqs = cqs();
     let mut futures: Vec<_> = (0..N).map(|_| cqs.suspend().expect_future()).collect();
     let order: Arc<Mutex<Vec<usize>>> = Arc::default();
@@ -48,6 +57,7 @@ fn resume_n_past_inline_capacity_spills_and_fires_fifo() {
 /// wake).
 #[test]
 fn resume_n_zero_is_a_noop() {
+    let _spills = spill_counter();
     let cqs = cqs();
     let mut parked = cqs.suspend().expect_future();
     let resumes = cqs.resume_count();

@@ -47,23 +47,13 @@
 #![cfg(feature = "chaos")]
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex as StdMutex, OnceLock};
+use std::sync::{Arc, Mutex as StdMutex};
 
 use cqs::{
     Cqs, CqsChannel, CqsConfig, CqsFuture, FutureState, ResumeMode, Semaphore, ShardedQueuePool,
     ShardedSemaphore, SimpleCancellation,
 };
 use cqs_check::{Explorer, Program};
-
-/// The explorer installs a process-global `cqs_chaos` scheduler; tests
-/// must not overlap. (The CI check job additionally runs with
-/// `--test-threads=1`.)
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<StdMutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| StdMutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 /// The CI-pinned exploration budget: at most 2 preemptions, the
 /// documented bound for these suites.
@@ -95,7 +85,6 @@ fn expect_ready(f: &mut CqsFuture<u64>, want: u64, who: &str) -> Result<(), Stri
 /// elimination (value parked first) — and the resume itself succeeds.
 #[test]
 fn suspend_vs_resume_never_loses_the_wakeup() {
-    let _serial = serial();
     let exploration = explorer().check_exhaustive(|| {
         let cqs: Arc<Cqs<u64, SimpleCancellation>> = Arc::new(Cqs::new(
             CqsConfig::new().segment_size(2),
@@ -137,7 +126,6 @@ fn suspend_vs_resume_never_loses_the_wakeup() {
 /// parked for the *next* suspender (observed via an immediate elimination).
 #[test]
 fn racing_resumes_deliver_each_value_exactly_once() {
-    let _serial = serial();
     explorer().check_exhaustive(|| {
         let cqs: Arc<Cqs<u64, SimpleCancellation>> = Arc::new(Cqs::new(
             CqsConfig::new().segment_size(2),
@@ -248,7 +236,6 @@ fn permit_conservation_program() -> Program {
 #[cfg(not(feature = "planted-bug"))]
 #[test]
 fn cancel_vs_release_conserves_the_permit() {
-    let _serial = serial();
     explorer().check_exhaustive(permit_conservation_program);
 }
 
@@ -260,7 +247,6 @@ fn cancel_vs_release_conserves_the_permit() {
 #[cfg(feature = "planted-bug")]
 #[test]
 fn explorer_catches_the_planted_refuse_bug() {
-    let _serial = serial();
     let exploration = explorer().explore(permit_conservation_program);
     let cex = exploration
         .counterexample
@@ -281,7 +267,6 @@ fn explorer_catches_the_planted_refuse_bug() {
 /// waiters that got the value.
 #[test]
 fn close_vs_resume_all_strands_nobody() {
-    let _serial = serial();
     explorer().check_exhaustive(|| {
         let cqs: Arc<Cqs<u64, SimpleCancellation>> = Arc::new(Cqs::new(
             CqsConfig::new().segment_size(2),
@@ -332,7 +317,6 @@ fn close_vs_resume_all_strands_nobody() {
 /// no phantom slot.
 #[test]
 fn channel_receive_cancel_vs_send_conserves_element_and_slot() {
-    let _serial = serial();
     explorer().check_exhaustive(|| {
         let ch: Arc<CqsChannel<u64>> = Arc::new(CqsChannel::bounded(1));
         let recv_slot: Arc<StdMutex<Option<cqs::ChannelRecv<u64>>>> = Arc::default();
@@ -430,7 +414,6 @@ fn assert_one_sharded_permit(sem: &ShardedSemaphore) -> Result<(), String> {
 /// leaves 1 — the steal CAS and the local CAS can race but not double-pay.
 #[test]
 fn sharded_steal_vs_local_acquire_conserves_the_permit() {
-    let _serial = serial();
     let exploration = explorer().check_exhaustive(|| {
         let sem = Arc::new(ShardedSemaphore::with_shards(1, 2));
         // Move the permit to shard 1: drain shard 0's share, then return
@@ -499,7 +482,6 @@ fn sharded_steal_vs_local_acquire_conserves_the_permit() {
 /// banked — never both, never neither (no lost wakeup, no phantom).
 #[test]
 fn sharded_release_scan_vs_cancel_is_exactly_once() {
-    let _serial = serial();
     explorer().check_exhaustive(|| {
         let sem = Arc::new(ShardedSemaphore::with_shards(1, 2));
         let held = sem.acquire_at(0);
@@ -580,7 +562,6 @@ fn check_exhaustive_unless_planted<F: Fn() -> Program>(program: F) {
 /// release's own `fetch_add` and runs the quiescence sweep on both paths.
 #[test]
 fn sharded_same_shard_cancel_vs_release_handoff_loses_no_wakeup() {
-    let _serial = serial();
     check_exhaustive_unless_planted(|| {
         let sem = Arc::new(ShardedSemaphore::with_shards(1, 2));
         let held = sem.acquire_at(0);
@@ -661,7 +642,6 @@ fn sharded_same_shard_cancel_vs_release_handoff_loses_no_wakeup() {
 /// re-stores the element after the put's resume already committed).
 #[test]
 fn sharded_pool_same_shard_cancel_vs_put_loses_no_wakeup() {
-    let _serial = serial();
     check_exhaustive_unless_planted(|| {
         let pool: Arc<ShardedQueuePool<u64>> = Arc::new(ShardedQueuePool::with_shards(2));
         let local = pool.take_at(0);
@@ -742,7 +722,6 @@ type Slot2 = Arc<StdMutex<Option<CqsFuture<()>>>>;
 /// their values (simple mode consumes a value per claimed cell).
 #[test]
 fn mid_batch_cancellation_is_exactly_once() {
-    let _serial = serial();
     explorer().check_exhaustive(|| {
         let cqs: Arc<Cqs<u64, SimpleCancellation>> = Arc::new(Cqs::new(
             CqsConfig::new().segment_size(2),
@@ -811,7 +790,6 @@ fn mid_batch_cancellation_is_exactly_once() {
 /// the resumer, never delivered into a cancelled cell, never dropped.
 #[test]
 fn sync_mode_resume_vs_cancel_is_exactly_once() {
-    let _serial = serial();
     let exploration = explorer().check_exhaustive(|| {
         let cqs: Arc<Cqs<u64, SimpleCancellation>> = Arc::new(Cqs::new(
             CqsConfig::new()
@@ -879,7 +857,6 @@ fn sync_mode_resume_vs_cancel_is_exactly_once() {
 /// exploration).
 #[test]
 fn segment_retire_vs_resume_traversal_loses_no_value() {
-    let _serial = serial();
     explorer().check_exhaustive(move || {
         let cqs: Arc<Cqs<u64, SimpleCancellation>> = Arc::new(Cqs::new(
             CqsConfig::new().segment_size(1),

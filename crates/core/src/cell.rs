@@ -37,6 +37,8 @@ use std::sync::Arc;
 use cqs_future::Request;
 use cqs_reclaim::{AtomicArc, Guard, Protected};
 
+use crate::segment::{SegmentCell, SegmentOwner};
+
 /// Cell states. `FUTURE_CANCELLED` from the paper's diagrams is not a
 /// separate word value: it is the combination of state `REQUEST` with a
 /// cancelled future, which resumers detect by `complete` failing.
@@ -85,15 +87,20 @@ pub(crate) struct CqsCell<T> {
 unsafe impl<T: Send> Send for CqsCell<T> {}
 unsafe impl<T: Send> Sync for CqsCell<T> {}
 
-impl<T: Send + 'static> CqsCell<T> {
-    pub(crate) fn new() -> Self {
+impl<T: Send + 'static> SegmentCell for CqsCell<T> {
+    const CANCELLABLE: bool = true;
+    type Owner = dyn SegmentOwner<T>;
+
+    fn new() -> Self {
         CqsCell {
             state: AtomicUsize::new(EMPTY),
             payload: UnsafeCell::new(None),
             waiter: AtomicArc::null(),
         }
     }
+}
 
+impl<T: Send + 'static> CqsCell<T> {
     pub(crate) fn state(&self) -> usize {
         // Acquire: observing a state also publishes the slot writes that
         // were released along with it.

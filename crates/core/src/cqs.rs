@@ -10,7 +10,9 @@ use cqs_reclaim::{pin, AtomicArc, Guard, Protected};
 use cqs_stats::CachePadded;
 
 use crate::cell::{self, CancelSwap};
-use crate::segment::{find_and_move_forward, find_segment, move_forward, Segment, SegmentOwner};
+use crate::segment::{
+    find_and_move_forward, find_segment, linked_segments, move_forward, CqsSegment, SegmentOwner,
+};
 use crate::{CancellationMode, CqsConfig, ResumeMode};
 
 /// User hooks for the *smart* cancellation mode (paper, Listing 3).
@@ -85,8 +87,8 @@ struct CqsInner<T: Send + 'static, C: CqsCallbacks<T>> {
     /// the opposite side needs next (classic false sharing).
     suspend_idx: CachePadded<AtomicU64>,
     resume_idx: CachePadded<AtomicU64>,
-    suspend_segm: CachePadded<AtomicArc<Segment<T>>>,
-    resume_segm: CachePadded<AtomicArc<Segment<T>>>,
+    suspend_segm: CachePadded<AtomicArc<CqsSegment<T>>>,
+    resume_segm: CachePadded<AtomicArc<CqsSegment<T>>>,
     callbacks: C,
     /// Set by [`CqsInner::close`]; suspenders double-check it after
     /// installing their waiter and self-cancel, so no waiter can be parked
@@ -141,7 +143,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
         // Segments point back at the queue (weakly) for cancellation, so
         // the first one is built inside the cycle.
         let inner = Arc::new_cyclic(|owner: &Weak<CqsInner<T, C>>| {
-            let first = Segment::new(0, config.get_segment_size(), 2, owner.clone());
+            let first = CqsSegment::<T>::new(0, config.get_segment_size(), 2, owner.clone());
             CqsInner {
                 watch_id: cqs_watch::next_primitive_id(config.get_label()),
                 config,
@@ -387,7 +389,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> Cqs<T, C> {
     /// segment owns the next one up to the tail, so once the queue drops,
     /// any segment it ever allocated that is still alive keeps the
     /// witnessed tail alive too.
-    pub(crate) fn segment_witnesses(&self) -> Vec<Weak<Segment<T>>> {
+    pub(crate) fn segment_witnesses(&self) -> Vec<Weak<CqsSegment<T>>> {
         let guard = pin();
         self.inner.segments(&guard).map(|s| s.downgrade()).collect()
     }
@@ -439,16 +441,12 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
         self.config.get_segment_size() as u64
     }
 
-    /// Every segment still linked into the queue: the earlier of the two
-    /// head segments, and all it reaches through `next`.
-    fn segments<'g>(&'g self, guard: &'g Guard) -> impl Iterator<Item = Protected<'g, Segment<T>>> {
-        let resume_head = self.resume_segm.load_protected(guard);
-        let suspend_head = self.suspend_segm.load_protected(guard);
-        let first = match (resume_head, suspend_head) {
-            (Some(r), Some(s)) => Some(if r.id() <= s.id() { r } else { s }),
-            (r, s) => r.or(s),
-        };
-        std::iter::successors(first, |segment| Segment::next(segment, guard))
+    /// Every segment still linked into the queue (see `linked_segments`).
+    fn segments<'g>(
+        &'g self,
+        guard: &'g Guard,
+    ) -> impl Iterator<Item = Protected<'g, CqsSegment<T>>> {
+        linked_segments([&self.resume_segm, &self.suspend_segm], guard)
     }
 
     fn suspend(&self) -> Suspend<T> {
@@ -719,8 +717,9 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
                 // compiling the recovery out reproduces the pre-hardening
                 // behaviour — the panic unwinds past a half-visited batch
                 // and the unclaimed waiters hang silently. Exists solely
-                // so CI can prove the cqs-check fault explorer detects an
-                // unguarded window (tests/fault_explorer.rs).
+                // so CI can prove the explorer's crash choices
+                // (`Explorer::crash_budget`) detect an unguarded window
+                // (tests/fault_explorer.rs).
                 #[cfg(not(feature = "planted-unguarded"))]
                 {
                     drop(wakes);
@@ -1164,7 +1163,7 @@ impl<T: Send + 'static, C: CqsCallbacks<T>> CqsInner<T, C> {
 impl<T: Send + 'static, C: CqsCallbacks<T>> SegmentOwner<T> for CqsInner<T, C> {
     /// Invoked by `Request::cancel` through the segment the request holds
     /// as its handler (paper, Listing 5).
-    fn on_waiter_cancelled(&self, segment: &Arc<Segment<T>>, index: usize) {
+    fn on_waiter_cancelled(&self, segment: &Arc<CqsSegment<T>>, index: usize) {
         cqs_chaos::inject!("cqs.on-waiter-cancelled.entry");
         let guard = pin();
         let cell = segment.cell(index);

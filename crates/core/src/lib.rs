@@ -56,9 +56,11 @@ mod config;
 mod cqs;
 mod segment;
 pub mod shard;
+mod slot;
 
 pub use config::{CancellationMode, CqsConfig, ResumeMode};
 pub use cqs::{Cqs, CqsCallbacks, SimpleCancellation, Suspend};
+pub use slot::{PoolBackend, QueueBackend};
 
 // Re-export the future vocabulary so primitives only need one dependency.
 pub use cqs_future::{Cancelled, CqsFuture, FutureState, Request};
@@ -106,5 +108,7 @@ mod tests;
 ///   each other's cells and restart); lock-free under cancellation.
 /// * Pools: `try_insert`/`try_retrieve` wait-free (queue backend) or
 ///   lock-free (stack backend); the put/take counter loops are
-///   obstruction-free under element races, as in the paper.
+///   obstruction-free under element races, as in the paper. The queue
+///   backend's walk never restarts (a slot segment is never removed), and
+///   its head CAS fails only when the head moved forward.
 pub mod progress {}

@@ -1,6 +1,10 @@
 //! Segments of the infinite array and the lock-free removal algorithm for
 //! segments whose cells are all cancelled (paper, Appendix C, Listing 15).
 //!
+//! The list is generic over its cell ([`SegmentCell`]): the CQS's
+//! [`CqsCell`], and the queue pool's slot (`crate::slot`), which never
+//! cancels, so its segments are never removed.
+//!
 //! Each segment is a fixed-size block of cells with `next`/`prev` links. A
 //! segment is *logically removed* once all of its cells are cancelled and no
 //! head pointer (`suspend_segm`/`resume_segm`) references it; physical
@@ -37,36 +41,52 @@ use crate::cell::CqsCell;
 const POINTER_UNIT: u64 = 1 << 32;
 const CANCELLED_MASK: u64 = POINTER_UNIT - 1;
 
+/// A cell of the infinite array, as the segment list sees it.
+pub(crate) trait SegmentCell: Send + Sync + 'static {
+    /// Whether a cell can be cancelled. If not, no segment is ever removed,
+    /// so the walk (`find_segment`, `move_forward`) skips the work only
+    /// removal reads: the `prev` store, the removal checks and the
+    /// head-pointer counts. A constant, so those branches fold away.
+    const CANCELLABLE: bool;
+    /// What a segment reaches back to when one of its cells cancels.
+    type Owner: ?Sized + Send + Sync;
+
+    fn new() -> Self;
+}
+
+/// A segment of a CQS queue.
+pub(crate) type CqsSegment<T> = Segment<CqsCell<T>>;
+
 /// What a segment needs from the queue that owns it. Segments hold it
 /// `Weak`ly: once the queue is dropped nothing traverses its cells any
 /// more, so the service degrades to a no-op.
 pub(crate) trait SegmentOwner<T: Send + 'static>: Send + Sync {
     /// The cell-side part of cancelling the waiter in `segment[index]`.
-    fn on_waiter_cancelled(&self, segment: &Arc<Segment<T>>, index: usize);
+    fn on_waiter_cancelled(&self, segment: &Arc<CqsSegment<T>>, index: usize);
 }
 
-pub(crate) struct Segment<T: Send + 'static> {
+pub(crate) struct Segment<C: SegmentCell> {
     id: u64,
-    next: AtomicArc<Segment<T>>,
+    next: AtomicArc<Segment<C>>,
     /// Non-owning: a hint for `remove`, as in kotlinx.coroutines.
-    prev: AtomicWeak<Segment<T>>,
+    prev: AtomicWeak<Segment<C>>,
     /// `pointers << 32 | cancelled`.
     ctr: AtomicU64,
-    cells: Box<[CqsCell<T>]>,
+    cells: Box<[C]>,
     /// Back-reference to the owning CQS (`Weak` to avoid a cycle; dangling
     /// for detached segments, e.g. in unit tests).
-    owner: Weak<dyn SegmentOwner<T>>,
+    owner: Weak<C::Owner>,
 }
 
-impl<T: Send + 'static> Segment<T> {
+impl<C: SegmentCell> Segment<C> {
     pub(crate) fn new(
         id: u64,
         size: usize,
         initial_pointers: u64,
-        owner: Weak<dyn SegmentOwner<T>>,
+        owner: Weak<C::Owner>,
     ) -> Arc<Self> {
         cqs_stats::bump!(segments_allocated);
-        let cells = (0..size).map(|_| CqsCell::new()).collect();
+        let cells = (0..size).map(|_| C::new()).collect();
         Arc::new(Segment {
             id,
             next: AtomicArc::null(),
@@ -81,7 +101,7 @@ impl<T: Send + 'static> Segment<T> {
         self.id
     }
 
-    pub(crate) fn cell(&self, index: usize) -> &CqsCell<T> {
+    pub(crate) fn cell(&self, index: usize) -> &C {
         &self.cells[index]
     }
 
@@ -216,7 +236,7 @@ impl<T: Send + 'static> Segment<T> {
     /// nothing, and every segment removed after this one would stay linked
     /// behind the alive one on the left until that one is freed. Traversals
     /// skip removed segments: order would hold, the memory bound would not.
-    fn alive_segment_left(&self, guard: &Guard) -> Option<Arc<Segment<T>>> {
+    fn alive_segment_left(&self, guard: &Guard) -> Option<Arc<Segment<C>>> {
         let mut cur = self.prev.upgrade(guard);
         while let Some(segment) = cur {
             if !segment.removed() {
@@ -233,7 +253,7 @@ impl<T: Send + 'static> Segment<T> {
     /// # Panics
     ///
     /// Must only be called on a segment that is not the tail.
-    fn alive_segment_right<'g>(&'g self, guard: &'g Guard) -> Protected<'g, Segment<T>> {
+    fn alive_segment_right<'g>(&'g self, guard: &'g Guard) -> Protected<'g, Segment<C>> {
         let mut cur = self
             .next
             .load_protected(guard)
@@ -253,7 +273,7 @@ impl<T: Send + 'static> Segment<T> {
 /// A segment is the cancellation handler of every waiter parked in its
 /// cells (the request's slot is the cell index): installing it costs the
 /// suspender one reference-count bump instead of a boxed per-waiter object.
-impl<T: Send + 'static> CancellationHandler for Segment<T> {
+impl<T: Send + 'static> CancellationHandler for CqsSegment<T> {
     fn on_cancel(self: Arc<Self>, index: usize) {
         if let Some(owner) = self.owner.upgrade() {
             owner.on_waiter_cancelled(&self, index);
@@ -261,7 +281,7 @@ impl<T: Send + 'static> CancellationHandler for Segment<T> {
     }
 }
 
-impl<T: Send + 'static> Drop for Segment<T> {
+impl<C: SegmentCell> Drop for Segment<C> {
     fn drop(&mut self) {
         // Runs exactly once per segment, when the last `Arc` reference (a
         // link, a head pointer or a request's handler) goes away — the
@@ -275,7 +295,7 @@ impl<T: Send + 'static> Drop for Segment<T> {
 /// last reference to (letting each `next` field drop its successor would
 /// recurse once per segment and overflow the stack on a long chain). Stops
 /// at the first segment someone else still holds.
-fn drop_chain<T: Send + 'static>(first: Option<Arc<Segment<T>>>) {
+fn drop_chain<C: SegmentCell>(first: Option<Arc<Segment<C>>>) {
     let mut cur = first;
     while let Some(segment) = cur {
         // (An unwrapped segment drops with its `next` already taken.)
@@ -285,7 +305,7 @@ fn drop_chain<T: Send + 'static>(first: Option<Arc<Segment<T>>>) {
     }
 }
 
-impl<T: Send + 'static> std::fmt::Debug for Segment<T> {
+impl<C: SegmentCell> std::fmt::Debug for Segment<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let ctr = self.ctr.load(Ordering::Relaxed);
         f.debug_struct("Segment")
@@ -299,26 +319,28 @@ impl<T: Send + 'static> std::fmt::Debug for Segment<T> {
 /// Returns the first non-removed segment with `id >= target_id`, starting
 /// the search from `start` and creating new segments as needed (paper,
 /// Listing 15 `findSegment`).
-pub(crate) fn find_segment<'g, T: Send + 'static>(
-    start: Protected<'g, Segment<T>>,
+pub(crate) fn find_segment<'g, C: SegmentCell>(
+    start: Protected<'g, Segment<C>>,
     target_id: u64,
     segment_size: usize,
     guard: &'g Guard,
-) -> Protected<'g, Segment<T>> {
+) -> Protected<'g, Segment<C>> {
     let mut cur = start;
-    while cur.id < target_id || cur.removed() {
+    while cur.id < target_id || (C::CANCELLABLE && cur.removed()) {
         let next = match Segment::next(&cur, guard) {
             Some(next) => next,
             None => {
                 // Create and append a new tail segment.
                 let fresh = Segment::new(cur.id + 1, segment_size, 0, cur.owner.clone());
-                fresh.prev.store(Some(cur.downgrade()), guard);
+                if C::CANCELLABLE {
+                    fresh.prev.store(Some(cur.downgrade()), guard);
+                }
                 cqs_chaos::inject!("segment.append.pre-cas");
                 match cur.next.compare_exchange_null(Arc::clone(&fresh), guard) {
                     Ok(()) => {
                         // The old tail might have become logically removed
                         // while it was still protected by its tail status.
-                        if cur.removed() {
+                        if C::CANCELLABLE && cur.removed() {
                             cur.remove(guard);
                         }
                         fresh.into()
@@ -338,9 +360,9 @@ pub(crate) fn find_segment<'g, T: Send + 'static>(
 /// or past it, maintaining the `pointers` counts (paper, Listing 15
 /// `moveForwardResume`). Returns `false` if `to` was logically removed, in
 /// which case the caller restarts its search.
-pub(crate) fn move_forward<T: Send + 'static>(
-    pointer: &AtomicArc<Segment<T>>,
-    to: &Protected<'_, Segment<T>>,
+pub(crate) fn move_forward<C: SegmentCell>(
+    pointer: &AtomicArc<Segment<C>>,
+    to: &Protected<'_, Segment<C>>,
     guard: &Guard,
 ) -> bool {
     loop {
@@ -355,7 +377,7 @@ pub(crate) fn move_forward<T: Send + 'static>(
         if cur.id >= to.id {
             return true;
         }
-        if !to.try_inc_pointers() {
+        if C::CANCELLABLE && !to.try_inc_pointers() {
             return false;
         }
         cqs_chaos::inject!("segment.move-forward.pre-cas");
@@ -363,13 +385,13 @@ pub(crate) fn move_forward<T: Send + 'static>(
             .compare_exchange(cur.as_ptr(), Some(to.to_arc()), guard)
             .is_ok()
         {
-            if cur.dec_pointers() {
+            if C::CANCELLABLE && cur.dec_pointers() {
                 cur.remove(guard);
             }
             return true;
         }
         // The head moved under us: give back the pointer count and retry.
-        if to.dec_pointers() {
+        if C::CANCELLABLE && to.dec_pointers() {
             to.remove(guard);
         }
     }
@@ -378,13 +400,13 @@ pub(crate) fn move_forward<T: Send + 'static>(
 /// `findAndMoveForward`: find the segment for `target_id` and advance the
 /// head pointer to it, restarting if the found segment gets removed before
 /// the pointer update lands.
-pub(crate) fn find_and_move_forward<'g, T: Send + 'static>(
-    pointer: &AtomicArc<Segment<T>>,
-    start: Protected<'g, Segment<T>>,
+pub(crate) fn find_and_move_forward<'g, C: SegmentCell>(
+    pointer: &AtomicArc<Segment<C>>,
+    start: Protected<'g, Segment<C>>,
     target_id: u64,
     segment_size: usize,
     guard: &'g Guard,
-) -> Protected<'g, Segment<T>> {
+) -> Protected<'g, Segment<C>> {
     let mut found = start;
     loop {
         found = find_segment(found, target_id, segment_size, guard);
@@ -392,6 +414,17 @@ pub(crate) fn find_and_move_forward<'g, T: Send + 'static>(
             return found;
         }
     }
+}
+
+/// Every segment still linked behind two heads: the earlier head, and all
+/// it reaches through `next`.
+pub(crate) fn linked_segments<'g, C: SegmentCell>(
+    heads: [&'g AtomicArc<Segment<C>>; 2],
+    guard: &'g Guard,
+) -> impl Iterator<Item = Protected<'g, Segment<C>>> {
+    let heads = heads.map(|head| head.load_protected(guard).expect("heads are never null"));
+    let first = heads.into_iter().min_by_key(|segment| segment.id);
+    std::iter::successors(first, move |segment| Segment::next(segment, guard))
 }
 
 #[cfg(test)]
@@ -403,19 +436,19 @@ mod tests {
     /// so its service is never called.
     struct NoQueue;
     impl SegmentOwner<u32> for NoQueue {
-        fn on_waiter_cancelled(&self, _: &Arc<Segment<u32>>, _: usize) {
+        fn on_waiter_cancelled(&self, _: &Arc<CqsSegment<u32>>, _: usize) {
             unreachable!("a dangling owner cannot be upgraded")
         }
     }
 
     /// A counted reference standing in for a traversal's guard-scoped one.
-    fn held(segment: &Arc<Segment<u32>>) -> Protected<'static, Segment<u32>> {
+    fn held(segment: &Arc<CqsSegment<u32>>) -> Protected<'static, CqsSegment<u32>> {
         Arc::clone(segment).into()
     }
 
-    fn chain(len: usize, size: usize) -> Vec<Arc<Segment<u32>>> {
+    fn chain(len: usize, size: usize) -> Vec<Arc<CqsSegment<u32>>> {
         let guard = pin();
-        let first: Arc<Segment<u32>> = Segment::new(0, size, 2, Weak::<NoQueue>::new());
+        let first = CqsSegment::<u32>::new(0, size, 2, Weak::<NoQueue>::new());
         let mut all = vec![Arc::clone(&first)];
         let mut cur = first;
         for _ in 1..len {
@@ -476,7 +509,7 @@ mod tests {
     fn move_forward_transfers_pointer_counts() {
         let guard = pin();
         let segments = chain(3, 2);
-        let head: AtomicArc<Segment<u32>> = AtomicArc::new(Some(Arc::clone(&segments[0])));
+        let head: AtomicArc<CqsSegment<u32>> = AtomicArc::new(Some(Arc::clone(&segments[0])));
         // segments[0] starts with 2 pointer units (constructor above).
         assert!(move_forward(&head, &held(&segments[2]), &guard));
         assert_eq!(head.load(&guard).unwrap().id(), 2);
@@ -489,7 +522,7 @@ mod tests {
     fn move_forward_fails_onto_removed_segment() {
         let guard = pin();
         let segments = chain(3, 1);
-        let head: AtomicArc<Segment<u32>> = AtomicArc::new(Some(Arc::clone(&segments[0])));
+        let head: AtomicArc<CqsSegment<u32>> = AtomicArc::new(Some(Arc::clone(&segments[0])));
         segments[1].on_cancelled_cell(&guard);
         assert!(segments[1].removed());
         assert!(!move_forward(&head, &held(&segments[1]), &guard));
@@ -500,7 +533,7 @@ mod tests {
     fn find_and_move_forward_lands_on_alive_segment() {
         let guard = pin();
         let segments = chain(4, 1);
-        let head: AtomicArc<Segment<u32>> = AtomicArc::new(Some(Arc::clone(&segments[0])));
+        let head: AtomicArc<CqsSegment<u32>> = AtomicArc::new(Some(Arc::clone(&segments[0])));
         segments[1].on_cancelled_cell(&guard);
         let found = find_and_move_forward(&head, held(&segments[0]), 1, 1, &guard);
         assert_eq!(found.id(), 2);
@@ -638,7 +671,7 @@ mod tests {
     fn pointer_decrement_triggers_removal() {
         let guard = pin();
         let segments = chain(3, 1);
-        let head: AtomicArc<Segment<u32>> = AtomicArc::new(Some(Arc::clone(&segments[0])));
+        let head: AtomicArc<CqsSegment<u32>> = AtomicArc::new(Some(Arc::clone(&segments[0])));
         // Pin segment 1 with the head pointer, then cancel its only cell.
         assert!(move_forward(&head, &held(&segments[1]), &guard));
         segments[1].on_cancelled_cell(&guard);

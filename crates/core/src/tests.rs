@@ -842,7 +842,7 @@ fn removal_never_frees_a_segment_from_under_a_pinned_traverser() {
 /// shared collector tries to advance its epoch and drain a stale bin. A
 /// `flush` would also wait out all the garbage that sibling test threads
 /// keep retiring, up to its own deadline each time.
-fn first_survivor<T>(witnesses: &[std::sync::Weak<T>]) -> Option<usize> {
+pub(crate) fn first_survivor<T>(witnesses: &[std::sync::Weak<T>]) -> Option<usize> {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         let survivor = witnesses.iter().position(|w| w.strong_count() > 0);

@@ -13,7 +13,8 @@
 //! Two storage backends are provided:
 //!
 //! * [`QueueBackend`] (use via [`QueuePool`]) — an infinite-array queue,
-//!   fetch-and-add on the contended path, the faster option;
+//!   fetch-and-add on the contended path, the faster option. It runs on
+//!   `cqs-core`'s segment list, the CQS's own, and is re-exported here;
 //! * [`StackBackend`] (use via [`StackPool`]) — a Treiber stack returning
 //!   the most recently used ("hottest") element.
 //!
@@ -38,8 +39,9 @@
 mod backend;
 mod sharded;
 
-pub use backend::{PoolBackend, QueueBackend, StackBackend};
+pub use backend::StackBackend;
 pub use cqs_core::shard::MAX_DEFAULT_SHARDS;
+pub use cqs_core::{PoolBackend, QueueBackend};
 pub use sharded::{ShardedPool, ShardedQueuePool, ShardedStackPool};
 
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -119,7 +121,7 @@ impl<E: Send + 'static, B: PoolBackend<E>> Clone for BlockingPool<E, B> {
 impl<E: Send + 'static, B: PoolBackend<E> + Default> BlockingPool<E, B> {
     /// Creates an empty pool with a default-constructed backend.
     pub fn new() -> Self {
-        Self::with_backend(B::default())
+        Self::with_backend_config(B::default(), "pool.take", None)
     }
 }
 
@@ -130,11 +132,6 @@ impl<E: Send + 'static, B: PoolBackend<E> + Default> Default for BlockingPool<E,
 }
 
 impl<E: Send + 'static, B: PoolBackend<E>> BlockingPool<E, B> {
-    /// Creates an empty pool around the given backend.
-    fn with_backend(backend: B) -> Self {
-        Self::with_backend_config(backend, "pool.take", None)
-    }
-
     /// Builds a shard of a sharded pool: the watchdog label distinguishes
     /// shard queues in stall reports; `on_refusal` is what
     /// [`cqs_core::shard::Sharded::new`] hands each shard.

@@ -188,9 +188,11 @@ define_counters! {
     /// Synchronous-mode rendezvous that timed out and broke the cell,
     /// forcing both sides to restart.
     rendezvous_breaks,
-    /// Segments of the infinite array allocated.
+    /// Segments of the infinite array allocated: a CQS's, and the slot
+    /// segments of a queue pool or a channel buffer.
     segments_allocated,
-    /// Segments physically reclaimed (deallocated after unlinking).
+    /// Segments deallocated, of both kinds: a CQS segment once unlinked or
+    /// its queue drops, a slot segment once both heads have left it.
     segments_reclaimed,
     /// Threads parked while waiting on a `CqsFuture`.
     parks,

@@ -198,7 +198,9 @@ mod enabled {
     /// One producer/consumer round over a small bounded channel: crosses
     /// the `channel.deliver.fault.pre-count` window (plus the wake window
     /// on handoffs) and checks element conservation through crashes and
-    /// the fail-fast aftermath. Fault arming is the caller's business.
+    /// the fail-fast aftermath. A send still pending after `DEADLINE`
+    /// fails the round (the stranded-sender hang). Fault arming is the
+    /// caller's business.
     fn channel_round(replay: &str) {
         const PRODUCERS: u64 = 3;
         const PER_PRODUCER: u64 = 8;
@@ -246,6 +248,9 @@ mod enabled {
             })
             .collect();
 
+        // A send still pending at the deadline is the stranded-sender
+        // hang: the round fails then rather than holding the binary.
+        let deadline = Instant::now() + DEADLINE;
         let producers: Vec<_> = (0..PRODUCERS)
             .map(|p| {
                 let ch = Arc::clone(&ch);
@@ -279,7 +284,14 @@ mod enabled {
             .collect();
 
         let mut crashed_producers = 0usize;
-        for j in producers {
+        for (p, j) in producers.into_iter().enumerate() {
+            while !j.is_finished() {
+                assert!(
+                    Instant::now() < deadline,
+                    "producer {p} stranded past the deadline — {replay}"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
             if j.join().expect("producer thread died") {
                 crashed_producers += 1;
             }

@@ -16,20 +16,26 @@
 //!   cancelled-cell skips and refusals. (A resumer cannot run past a parked
 //!   waiter, so this churn has no anchor.)
 //!
+//! Both churns run twice: on the semaphore, and on a raw simple-mode `Cqs`
+//! with one cell per segment, so every wave removes each of its segments
+//! alone. There a resume that meets a cancelled waiter fails instead of
+//! skipping it.
+//!
 //! After each churn's 8th and 64th wave, with the collector flushed, the
 //! segments allocated and not yet freed must stay flat between the two
 //! readings and small; after the queue is dropped, exactly zero. The last
 //! check also catches a `next`/`prev` reference cycle between removed
 //! segments, which nothing would ever free.
 //!
-//! The `segments_*` counters are process-global, so this binary holds a
-//! single test.
+//! The `segments_*` counters are process-global (and count the queue
+//! pool's slot segments too, so no churn here creates a pool or a
+//! channel); this binary holds a single test.
 #![cfg(feature = "stats")]
 
 use std::sync::Barrier;
 use std::time::Duration;
 
-use cqs::{CqsConfig, Semaphore};
+use cqs::{Cqs, CqsConfig, Semaphore, SimpleCancellation};
 use cqs_stats::CqsStats;
 
 /// Cells per segment of a semaphore's queue.
@@ -122,15 +128,61 @@ fn resumed(sem: &Semaphore, thread: usize, barrier: &Barrier) {
     }
 }
 
+/// [`anchored`] on a raw queue of one-cell segments: each thread suspends
+/// half of the wave's waiters behind a long-lived one and cancels them.
+fn raw_anchored(cqs: &Cqs<u64>, _thread: usize, barrier: &Barrier) {
+    let waiters: Vec<_> = (0..WAVE_SEGMENTS / 2)
+        .map(|_| cqs.suspend().expect_future())
+        .collect();
+    barrier.wait();
+    for waiter in &waiters {
+        assert!(waiter.cancel(), "nothing resumed, so a cancel must win");
+    }
+}
+
+/// [`resumed`] on a raw queue of one-cell segments: thread 0 resumes once
+/// per waiter of the wave while thread 1 cancels it in FIFO order. A
+/// resume that meets a cancelled waiter fails; a waiter whose cancel loses
+/// was resumed.
+fn raw_resumed(cqs: &Cqs<u64>, thread: usize, barrier: &Barrier) {
+    if thread == 0 {
+        barrier.wait(); // the wave is queued
+        for _ in 0..WAVE_SEGMENTS {
+            let _ = cqs.resume(0);
+        }
+        return;
+    }
+    let waiters: Vec<_> = (0..WAVE_SEGMENTS)
+        .map(|_| cqs.suspend().expect_future())
+        .collect();
+    barrier.wait();
+    for waiter in waiters {
+        if !waiter.cancel() {
+            waiter
+                .wait_timeout(PATIENCE)
+                .expect("a waiter that lost its cancel was resumed");
+        }
+    }
+}
+
+/// A simple-mode queue with one cell per segment.
+fn raw_queue() -> Cqs<u64> {
+    Cqs::new(CqsConfig::new().segment_size(1), SimpleCancellation)
+}
+
 /// Checks one churn's two readings, then that dropping its queue frees
 /// every segment it allocated.
-fn assert_flat_then_freed(name: &str, since: &CqsStats, [early, late]: [u64; 2], queue: Semaphore) {
+fn assert_flat_then_freed(
+    name: &str,
+    since: &CqsStats,
+    [early, late]: [u64; 2],
+    queue: impl Sized,
+) {
     println!("{name}: {early} segments in use after {EARLY} waves, {late} after {LATE}");
     assert!(
         late <= 2 * early.max(1) && late <= SMALL,
         "{name} churn: {early} segments in use after {EARLY} waves, {late} after {LATE}"
     );
-    assert_eq!(queue.available_permits(), 1, "{name} churn lost the permit");
     drop(queue);
     assert_eq!(
         segments_in_use(since),
@@ -150,11 +202,31 @@ fn removed_segments_are_freed_and_memory_stays_flat() {
     sem.release(); // to the long-lived waiter
     long_lived.wait_timeout(PATIENCE).unwrap();
     sem.release();
+    assert_eq!(sem.available_permits(), 1, "anchored churn lost the permit");
     assert_flat_then_freed("anchored", &since, readings, sem);
 
     let sem = Semaphore::new(1);
     sem.acquire().wait().unwrap(); // thread 0 starts as the holder
     let readings = churn(&since, |thread, barrier| resumed(&sem, thread, barrier));
     sem.release();
+    assert_eq!(sem.available_permits(), 1, "resumed churn lost the permit");
     assert_flat_then_freed("resumed", &since, readings, sem);
+
+    let cqs = raw_queue();
+    let long_lived = cqs.suspend().expect_future();
+    let readings = churn(&since, |thread, barrier| {
+        raw_anchored(&cqs, thread, barrier)
+    });
+    cqs.resume(1).unwrap();
+    assert_eq!(long_lived.wait_timeout(PATIENCE), Ok(1));
+    assert_flat_then_freed("raw anchored", &since, readings, cqs);
+
+    let cqs = raw_queue();
+    let readings = churn(&since, |thread, barrier| raw_resumed(&cqs, thread, barrier));
+    assert_eq!(
+        cqs.resume_count(),
+        cqs.suspend_count(),
+        "a wave was left open"
+    );
+    assert_flat_then_freed("raw resumed", &since, readings, cqs);
 }

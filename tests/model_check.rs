@@ -35,7 +35,11 @@
 //!   the resume fails and keeps it, never both, never neither;
 //! * **segment retire vs. concurrent traversal** — a cancellation
 //!   unlinking (and retiring) a whole segment while a resume traverses
-//!   past it never loses the resume's value.
+//!   past it never loses the resume's value;
+//! * **channel cancel vs. delivery, poison vs. a queued send** — a
+//!   rendezvous receive cancelled against a send ends in exactly one of
+//!   two outcomes, and a queued send swept by `poison()` reports
+//!   `Poisoned`, never `Cancelled`.
 //!
 //! With `--features "chaos planted-bug"` the permit-conservation program
 //! and the two sharded same-shard programs are required to *fail*
@@ -46,12 +50,14 @@
 
 #![cfg(feature = "chaos")]
 
+use std::future::Future;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
+use std::task::{Context, Poll, Waker};
 
 use cqs::{
-    Cqs, CqsChannel, CqsConfig, CqsFuture, FutureState, ResumeMode, Semaphore, ShardedQueuePool,
-    ShardedSemaphore, SimpleCancellation,
+    ChannelSend, Cqs, CqsChannel, CqsConfig, CqsFuture, FutureState, ResumeMode, Semaphore,
+    SendError, ShardedQueuePool, ShardedSemaphore, SimpleCancellation,
 };
 use cqs_check::{Explorer, Program};
 
@@ -387,6 +393,123 @@ fn channel_receive_cancel_vs_send_conserves_element_and_slot() {
                 }
             })
     });
+}
+
+/// Polls `send` once with a waker that does nothing: explorer threads must
+/// not park.
+fn poll_send_once(send: &mut ChannelSend<u64>) -> Poll<Result<(), SendError<u64>>> {
+    std::pin::Pin::new(send).poll(&mut Context::from_waker(Waker::noop()))
+}
+
+type Shared<T> = Arc<StdMutex<Option<T>>>;
+
+fn taken<T>(shared: &Shared<T>, who: &str) -> Result<T, String> {
+    shared
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .take()
+        .ok_or_else(|| format!("{who}: outcome was never stored"))
+}
+
+/// Rendezvous cancel vs delivery: T1 receives and at once cancels, T2
+/// sends 5 and polls its send once. Exactly one of two outcomes is
+/// allowed: the receiver has 5 and the send is `Ok`, or the receiver is
+/// `Cancelled` and the send is still pending or has its element handed
+/// back. A cancelled receiver beside an accepted send would mean the
+/// element went somewhere neither side can see. `close()` then returns
+/// nothing: a rendezvous channel buffers nothing.
+#[test]
+fn rendezvous_receive_cancel_vs_send_has_one_outcome() {
+    let exploration = explorer().check_exhaustive(|| {
+        let ch: Arc<CqsChannel<u64>> = Arc::new(CqsChannel::rendezvous());
+        let receiver: Shared<cqs::ChannelRecv<u64>> = Arc::default();
+        let sender: Shared<(Poll<Result<(), SendError<u64>>>, ChannelSend<u64>)> = Arc::default();
+        Program::new()
+            .thread({
+                let (ch, receiver) = (Arc::clone(&ch), Arc::clone(&receiver));
+                move || {
+                    let r = ch.receive();
+                    r.cancel();
+                    *receiver.lock().unwrap() = Some(r);
+                }
+            })
+            .thread({
+                let (ch, sender) = (Arc::clone(&ch), Arc::clone(&sender));
+                move || {
+                    let mut s = ch.send(5);
+                    let polled = poll_send_once(&mut s);
+                    *sender.lock().unwrap() = Some((polled, s));
+                }
+            })
+            .check(move || {
+                let mut r = taken(&receiver, "receiver")?;
+                let (polled, mut s) = taken(&sender, "sender")?;
+                let received = r.try_get();
+                let pending = match (&received, polled) {
+                    (FutureState::Ready(5), Poll::Ready(Ok(()))) => false,
+                    (FutureState::Cancelled, Poll::Pending) => true,
+                    (
+                        FutureState::Cancelled,
+                        Poll::Ready(Err(
+                            SendError::Cancelled(5) | SendError::Closed(5) | SendError::Poisoned(5),
+                        )),
+                    ) => false,
+                    (received, polled) => {
+                        return Err(format!("receiver {received:?} beside send {polled:?}"))
+                    }
+                };
+                let left = ch.close();
+                if !left.is_empty() {
+                    return Err(format!(
+                        "close() returned {left:?} from a rendezvous channel"
+                    ));
+                }
+                if pending {
+                    match poll_send_once(&mut s) {
+                        Poll::Ready(Err(SendError::Closed(5))) => {}
+                        other => return Err(format!("pending send after close: {other:?}")),
+                    }
+                }
+                Ok(())
+            })
+    });
+    assert!(exploration.runs > 1, "the race must branch the schedule");
+}
+
+/// Poison vs a queued sender: a filled `bounded(1)` channel with a send
+/// queued behind it; T1 poisons, T2 polls the queued send once. If the
+/// send has resolved, it resolved with its element in
+/// `SendError::Poisoned` — never `Cancelled`, which would say the caller
+/// aborted it.
+#[test]
+fn poison_vs_queued_send_reports_poisoned() {
+    let exploration = explorer().check_exhaustive(|| {
+        let ch: Arc<CqsChannel<u64>> = Arc::new(CqsChannel::bounded(1));
+        assert!(ch.send(1).is_immediate());
+        let queued = ch.send(2);
+        assert!(!queued.is_immediate());
+        let outcome: Shared<Poll<Result<(), SendError<u64>>>> = Arc::default();
+        Program::new()
+            .thread({
+                let ch = Arc::clone(&ch);
+                move || ch.poison()
+            })
+            .thread({
+                let outcome = Arc::clone(&outcome);
+                move || {
+                    let mut queued = queued;
+                    *outcome.lock().unwrap() = Some(poll_send_once(&mut queued));
+                }
+            })
+            .check(move || match taken(&outcome, "sender")? {
+                Poll::Pending | Poll::Ready(Err(SendError::Poisoned(2))) => ch
+                    .is_poisoned()
+                    .then_some(())
+                    .ok_or("poison() did not stick".into()),
+                other => Err(format!("queued send beside poison: {other:?}")),
+            })
+    });
+    assert!(exploration.runs > 1, "the race must branch the schedule");
 }
 
 /// Sweeps a 1-permit sharded semaphore after a race settled: exactly one

@@ -125,17 +125,20 @@ pub const KNOWN_LABELS: &[&str] = &[
     "cell.install.pre-cas",
     "cell.mark-resumed.pre-swap",
     "cell.publish.pre-cas",
+    "channel.cell.pre-interrupt",
     "channel.close.pre-sweep",
-    "channel.deliver.fault.pre-count",
-    "channel.deliver.pre-count",
-    "channel.deliver.pre-resume",
-    "channel.grant.pre-deliver",
-    "channel.recv.pre-claim",
-    "channel.recv.pre-retrieve",
+    "channel.expand.pre-complete",
+    "channel.expand.pre-counter",
+    "channel.recv.pre-cell",
+    "channel.recv.pre-close-check",
+    "channel.recv.pre-complete",
+    "channel.recv.pre-counter",
     "channel.recv.timeout-window",
-    "channel.send.post-deliver",
-    "channel.send.pre-gate",
-    "channel.slot.pre-release",
+    "channel.send.fault.buffered",
+    "channel.send.pre-cell",
+    "channel.send.pre-close-check",
+    "channel.send.pre-complete",
+    "channel.send.pre-counter",
     "cqs.cancel.pre-cancel-swap",
     "cqs.cancel.pre-refuse-swap",
     "cqs.close.fault.mid-sweep",
@@ -193,7 +196,7 @@ pub const KNOWN_LABELS: &[&str] = &[
 /// vocabulary. The `cqs-check` crash-recovery programs check that each
 /// entry is crashed in at least one explored schedule.
 pub const FAULT_LABELS: &[&str] = &[
-    "channel.deliver.fault.pre-count",
+    "channel.send.fault.buffered",
     "cqs.close.fault.mid-sweep",
     "cqs.resume-all.fault.pre-clone",
     "cqs.resume-n.fault.mid-batch",

@@ -248,13 +248,8 @@ impl LinModel for FifoQueueLin {
 /// Not applicable to rendezvous channels: with zero capacity no send is
 /// ever sequentially legal, yet every completed rendezvous send is — the
 /// rendezvous pairing is checked by the chaos storms and the explorer
-/// instead.
-///
-/// Models the channel's strict-FIFO core — one sender, one receiver, no
-/// receive cancellation (see "Ordering" in the `cqs-channel` docs):
-/// histories with concurrent receivers, concurrent senders, or refused
-/// hand-offs may be reordered at those relaxed edges and are checked for
-/// conservation by the chaos storms rather than against this model.
+/// instead. Any number of senders and receivers, cancelled or not, is in
+/// scope; `close` is not an operation of the model.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ChannelLin {
     /// Elements in flight, head first.

@@ -52,6 +52,7 @@
 //! ```
 
 mod cell;
+pub mod channel;
 mod config;
 mod cqs;
 mod segment;

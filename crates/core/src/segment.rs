@@ -2,8 +2,9 @@
 //! segments whose cells are all cancelled (paper, Appendix C, Listing 15).
 //!
 //! The list is generic over its cell ([`SegmentCell`]): the CQS's
-//! [`CqsCell`], and the queue pool's slot (`crate::slot`), which never
-//! cancels, so its segments are never removed.
+//! [`CqsCell`], the channel's cell (`crate::channel`), and the queue
+//! pool's slot (`crate::slot`), which never cancels, so its segments are
+//! never removed.
 //!
 //! Each segment is a fixed-size block of cells with `next`/`prev` links. A
 //! segment is *logically removed* once all of its cells are cancelled and no

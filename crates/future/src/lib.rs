@@ -15,11 +15,10 @@
 //! * [`CqsFuture`] implements [`std::future::Future`], which is how
 //!   `cqs-exec` tasks await it.
 //!
-//! A request wakes two kinds of thing when it settles, each from one slot:
-//! its settlement hook ([`CqsFuture::on_settled`]) first, then its
-//! [`std::task::Waker`]. A blocked thread is a waker too: `wait` registers
-//! the thread's cached park waker through the same path a poll takes, and
-//! [`block_on`] drives any future with it.
+//! A request wakes one thing when it settles: its [`std::task::Waker`]. A
+//! blocked thread is a waker too: `wait` registers the thread's cached park
+//! waker through the same path a poll takes, and [`block_on`] drives any
+//! future with it.
 //!
 //! # Example
 //!
@@ -165,20 +164,6 @@ const COMPLETED: u8 = 2;
 const CANCELLED: u8 = 3;
 const TAKEN: u8 = 4;
 
-/// What a request wakes when it reaches a terminal state: two kinds, one
-/// slot each.
-#[derive(Default)]
-struct WakerSlot {
-    /// The settlement hook ([`CqsFuture::on_settled`]), run first, with the
-    /// outcome. Primitives use it for resource accounting that must happen
-    /// exactly once per operation — e.g. a channel releasing a capacity
-    /// slot when a receiver is actually delivered a value.
-    settled: Option<Box<dyn FnOnce(bool) + Send>>,
-    /// A task's waker or a blocked thread's park waker; the latest
-    /// registration wins.
-    waker: Option<Waker>,
-}
-
 /// A wake-up extracted from a completed (or cancelled) [`Request`] but not
 /// fired yet.
 ///
@@ -197,35 +182,25 @@ struct WakerSlot {
 /// pending one.
 #[derive(Default)]
 pub struct PendingWake {
-    slot: WakerSlot,
-    /// Outcome passed to the settlement hook: `true` when the request
-    /// completed with a value, `false` when it was cancelled. Captured at
-    /// extraction time, when the state is already terminal.
-    settled_ok: bool,
+    waker: Option<Waker>,
 }
 
 impl PendingWake {
-    /// Whether there is nothing to wake (no settlement hook or waker
-    /// registered at extraction time).
+    /// Whether there is nothing to wake (no waker registered at extraction
+    /// time).
     pub fn is_empty(&self) -> bool {
-        self.slot.settled.is_none() && self.slot.waker.is_none()
+        self.waker.is_none()
     }
 
-    /// Fires the extracted wake-ups: runs the settlement hook (accounting
-    /// first, so a woken waiter finds the books balanced), then wakes the
-    /// waiter — whichever were registered.
+    /// Wakes the waiter, if one was registered.
     pub fn fire(mut self) {
         self.fire_remaining();
     }
 
-    /// Delivers whatever is still held, removing each entry before running
-    /// it so that an unwound (panicking) delivery leaves only the truly
-    /// undelivered remainder for [`Drop`] to finish.
+    /// Takes the waker out before waking it, so that an unwound (panicking)
+    /// wake is not retried by [`Drop`].
     fn fire_remaining(&mut self) {
-        if let Some(hook) = self.slot.settled.take() {
-            hook(self.settled_ok);
-        }
-        if let Some(waker) = self.slot.waker.take() {
+        if let Some(waker) = self.waker.take() {
             waker.wake();
         }
     }
@@ -248,8 +223,7 @@ impl Drop for PendingWake {
 impl fmt::Debug for PendingWake {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PendingWake")
-            .field("settled", &self.slot.settled.is_some())
-            .field("waker", &self.slot.waker.is_some())
+            .field("waker", &self.waker.is_some())
             .finish()
     }
 }
@@ -322,8 +296,7 @@ impl WakeBatch {
     /// Fires every held wake, in insertion order, leaving the batch empty.
     ///
     /// Each wake fires inside a panic-isolation boundary: a panicking waker
-    /// (a settlement hook, a task waker) cannot
-    /// prevent the remaining wakes from firing. Once every wake has fired,
+    /// cannot prevent the remaining wakes from firing. Once every wake has fired,
     /// the *first* captured panic is re-raised for the caller.
     pub fn fire(&mut self) {
         if let Some(panic) = self.fire_collect() {
@@ -379,7 +352,9 @@ impl Drop for WakeBatch {
 pub struct Request<T> {
     state: AtomicU8,
     value: UnsafeCell<Option<T>>,
-    waker: Mutex<WakerSlot>,
+    /// A task's waker or a blocked thread's park waker; the latest
+    /// registration wins.
+    waker: Mutex<Option<Waker>>,
     /// The shared handler and this request's slot in it, stored inline.
     handler: OnceLock<(Arc<dyn CancellationHandler>, usize)>,
     /// Set when `cancel()` won the race before a handler was installed;
@@ -400,7 +375,7 @@ impl<T> Request<T> {
         Request {
             state: AtomicU8::new(PENDING),
             value: UnsafeCell::new(None),
-            waker: Mutex::new(WakerSlot::default()),
+            waker: Mutex::new(None),
             handler: OnceLock::new(),
             handler_due: AtomicBool::new(false),
             handler_ran: AtomicBool::new(false),
@@ -540,7 +515,7 @@ impl<T> Request<T> {
     }
 
     /// Whether the request was cancelled.
-    pub(crate) fn is_cancelled(&self) -> bool {
+    pub fn is_cancelled(&self) -> bool {
         self.state.load(Ordering::Acquire) == CANCELLED
     }
 
@@ -633,7 +608,7 @@ impl<T> Request<T> {
         if let Some(settled) = self.try_settled() {
             return Poll::Ready(settled);
         }
-        self.waker.lock().unwrap().waker = Some(cx.waker().clone());
+        *self.waker.lock().unwrap() = Some(cx.waker().clone());
         match self.try_settled() {
             Some(settled) => Poll::Ready(settled),
             None => Poll::Pending,
@@ -649,8 +624,7 @@ impl<T> Request<T> {
     /// parking, so an empty extraction can never strand it.
     fn extract_wake(&self) -> PendingWake {
         PendingWake {
-            slot: std::mem::take(&mut *self.waker.lock().unwrap()),
-            settled_ok: !self.is_cancelled(),
+            waker: self.waker.lock().unwrap().take(),
         }
     }
 }
@@ -785,43 +759,6 @@ impl<T> CqsFuture<T> {
             Inner::Immediate(v) => Ok(v.expect("completion value taken twice")),
             Inner::Suspended(r) => r.wait_timeout(timeout),
             Inner::Cancelled => Err(Cancelled),
-        }
-    }
-
-    /// Registers the settlement hook: runs exactly once when the future
-    /// reaches a terminal state, receiving `true` if it completed with a
-    /// value and `false` if it was cancelled. If the future is already
-    /// terminal, the hook runs immediately on this thread.
-    ///
-    /// Otherwise it runs on the thread that completes or cancels the
-    /// request (or, for batched resumption, the thread firing the
-    /// [`WakeBatch`]), before the waiter is woken, so primitives can use it
-    /// for accounting that must be settled by the time a waiter resumes —
-    /// e.g. releasing a channel capacity slot when (and only when) a
-    /// receiver was actually delivered a value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pending future already has a settlement hook; the first
-    /// hook stays registered.
-    pub fn on_settled<F: FnOnce(bool) + Send + 'static>(&self, hook: F) {
-        match &self.inner {
-            Inner::Immediate(_) => hook(true),
-            Inner::Cancelled => hook(false),
-            Inner::Suspended(r) => {
-                let mut slot = r.waker.lock().unwrap();
-                if r.is_terminated() {
-                    drop(slot);
-                    return hook(!r.is_cancelled());
-                }
-                let first = slot.settled.is_none();
-                if first {
-                    slot.settled = Some(Box::new(hook));
-                }
-                // Not while locked: the panic would poison the slot.
-                drop(slot);
-                assert!(first, "settlement hook registered twice");
-            }
         }
     }
 }
@@ -1272,118 +1209,5 @@ mod batch_tests {
         assert_eq!(fired.load(Ordering::SeqCst), 0);
         drop(batch);
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-    }
-}
-
-#[cfg(test)]
-mod settled_tests {
-    use super::*;
-    use std::sync::atomic::{AtomicI32, Ordering};
-    use std::sync::Arc;
-
-    /// A request holds one settlement hook: a second registration panics,
-    /// and the first still fires, with the outcome.
-    #[test]
-    fn second_settlement_hook_panics_and_the_first_still_fires() {
-        let r: Arc<Request<u32>> = Arc::new(Request::new());
-        let f = CqsFuture::suspended(Arc::clone(&r));
-        let seen = Arc::new(AtomicI32::new(0));
-        let s = Arc::clone(&seen);
-        f.on_settled(move |ok| s.store(if ok { 1 } else { -1 }, Ordering::SeqCst));
-        let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            f.on_settled(|_| panic!("the second hook must never run"));
-        }));
-        assert!(second.is_err(), "a second hook must be refused");
-        r.complete(7).unwrap();
-        assert_eq!(seen.load(Ordering::SeqCst), 1, "the first hook saw success");
-        assert_eq!(f.wait(), Ok(7));
-    }
-
-    /// A cancelled request reports `false` to its hooks.
-    #[test]
-    fn settled_hook_sees_cancellation() {
-        let r: Arc<Request<u32>> = Arc::new(Request::new());
-        let f = CqsFuture::suspended(Arc::clone(&r));
-        let seen = Arc::new(AtomicI32::new(0));
-        let seen2 = Arc::clone(&seen);
-        f.on_settled(move |ok| seen2.store(if ok { 1 } else { -1 }, Ordering::SeqCst));
-        assert!(f.cancel());
-        assert_eq!(seen.load(Ordering::SeqCst), -1);
-    }
-
-    /// Registration after the terminal state runs the hook inline, with
-    /// the right outcome — including on an already-taken value.
-    #[test]
-    fn late_registration_runs_inline() {
-        let seen = Arc::new(AtomicI32::new(0));
-
-        let mut f = CqsFuture::immediate(1u32);
-        let s = Arc::clone(&seen);
-        f.on_settled(move |ok| s.store(if ok { 1 } else { -1 }, Ordering::SeqCst));
-        assert_eq!(seen.load(Ordering::SeqCst), 1);
-        assert_eq!(f.try_get(), FutureState::Ready(1));
-
-        let r: Arc<Request<u32>> = Arc::new(Request::new());
-        let mut f = CqsFuture::suspended(Arc::clone(&r));
-        r.complete(2).unwrap();
-        assert_eq!(f.try_get(), FutureState::Ready(2)); // state is TAKEN now
-        let s = Arc::clone(&seen);
-        f.on_settled(move |ok| s.store(if ok { 10 } else { -10 }, Ordering::SeqCst));
-        assert_eq!(
-            seen.load(Ordering::SeqCst),
-            10,
-            "taken still counts as success"
-        );
-
-        let f: CqsFuture<u32> = CqsFuture::cancelled();
-        let s = Arc::clone(&seen);
-        f.on_settled(move |ok| s.store(if ok { 100 } else { -100 }, Ordering::SeqCst));
-        assert_eq!(seen.load(Ordering::SeqCst), -100);
-    }
-
-    /// Settlement hooks coexist with an executor's task waker and fire
-    /// before it (accounting precedes scheduling).
-    #[test]
-    fn settled_fires_before_task_wake() {
-        let r: Arc<Request<u32>> = Arc::new(Request::new());
-        let f = CqsFuture::suspended(Arc::clone(&r));
-        let wakes = super::tests::register_waker(&r);
-        let wakes_at_hook = Arc::new(AtomicI32::new(-1));
-        let (w, seen) = (Arc::clone(&wakes), Arc::clone(&wakes_at_hook));
-        f.on_settled(move |_| seen.store(w.load(Ordering::SeqCst) as i32, Ordering::SeqCst));
-        r.complete(3).unwrap();
-        assert_eq!(wakes_at_hook.load(Ordering::SeqCst), 0, "hook ran first");
-        assert_eq!(wakes.load(Ordering::SeqCst), 1);
-    }
-
-    /// Deferred completion carries the hooks through the `WakeBatch`.
-    #[test]
-    fn deferred_completion_fires_hooks_at_batch_fire() {
-        let r: Arc<Request<u32>> = Arc::new(Request::new());
-        let f = CqsFuture::suspended(Arc::clone(&r));
-        let seen = Arc::new(AtomicI32::new(0));
-        let s = Arc::clone(&seen);
-        f.on_settled(move |ok| s.store(if ok { 1 } else { -1 }, Ordering::SeqCst));
-        let wake = r.complete_deferred(9).unwrap();
-        assert_eq!(
-            seen.load(Ordering::SeqCst),
-            0,
-            "hook deferred with the wake"
-        );
-        wake.fire();
-        assert_eq!(seen.load(Ordering::SeqCst), 1);
-    }
-
-    /// Deferred cancellation (the close() sweep path) reports `false`.
-    #[test]
-    fn deferred_cancellation_fires_hooks_with_failure() {
-        let r: Arc<Request<u32>> = Arc::new(Request::new());
-        let f = CqsFuture::suspended(Arc::clone(&r));
-        let seen = Arc::new(AtomicI32::new(0));
-        let s = Arc::clone(&seen);
-        f.on_settled(move |ok| s.store(if ok { 1 } else { -1 }, Ordering::SeqCst));
-        let wake = r.cancel_deferred().expect("request was pending");
-        wake.fire();
-        assert_eq!(seen.load(Ordering::SeqCst), -1);
     }
 }

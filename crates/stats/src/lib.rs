@@ -188,11 +188,12 @@ define_counters! {
     /// Synchronous-mode rendezvous that timed out and broke the cell,
     /// forcing both sides to restart.
     rendezvous_breaks,
-    /// Segments of the infinite array allocated: a CQS's, and the slot
-    /// segments of a queue pool or a channel buffer.
+    /// Segments of the infinite array allocated: a CQS's, a channel's, and
+    /// the slot segments of a queue pool.
     segments_allocated,
-    /// Segments deallocated, of both kinds: a CQS segment once unlinked or
-    /// its queue drops, a slot segment once both heads have left it.
+    /// Segments deallocated, of every kind: a CQS or channel segment once
+    /// unlinked or its owner drops, any segment once every head has left
+    /// it.
     segments_reclaimed,
     /// Threads parked while waiting on a `CqsFuture`.
     parks,
@@ -216,18 +217,13 @@ define_counters! {
     channel_sends,
     /// `CqsChannel::receive` operations started.
     channel_recvs,
-    /// Sends that found the bounded channel full and queued on the
-    /// sender CQS for a capacity grant.
+    /// Sends that found no room and no waiting receiver, and waited in
+    /// their cell.
     channel_blocked_sends,
     /// Elements handed directly to a waiting receiver (no buffer trip).
     channel_direct_handoffs,
-    /// Elements that went through the channel buffer.
+    /// Elements buffered in their cell for a receiver to come.
     channel_buffered_handoffs,
-    /// Deliveries refused by a cancelled receiver and re-routed back
-    /// into the channel for the next receiver.
-    channel_refused_redeliveries,
-    /// Buffered elements claimed back by the `close()`/`drain()` sweep.
-    channel_orphaned,
     /// Sharded acquires/takes satisfied by the caller's home shard without
     /// touching any sibling (the coordination-free fast path).
     shard_local_hits,

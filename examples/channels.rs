@@ -1,4 +1,4 @@
-//! Drives the segment-native `cqs-channel` crate end-to-end: a rendezvous
+//! Drives the `cqs-channel` crate end-to-end: a rendezvous
 //! hand-off, bounded backpressure, a cancelled send that hands its element
 //! back, a receive timeout, an unbounded fan-in, and `close()` returning
 //! the values of every sender it stranded.
@@ -121,7 +121,10 @@ fn main() {
         "a stranded element went missing"
     );
     assert_eq!(ch.receive().wait(), Err(RecvError::Closed));
-    assert!(ch.drain().is_empty(), "quiescent close left orphans behind");
+    assert!(
+        ch.drain().is_empty(),
+        "quiescent close left elements behind"
+    );
     println!(
         "close(): buffer {buffered:?} returned by close, stranded {handed_back:?} \
          handed back inside SendError::Closed"

@@ -1,6 +1,6 @@
 //! Demonstrates the crash-fault injector and the panic-safe hardening it
 //! polices: seeded, budgeted panics land inside the labelled fault
-//! windows (`cqs.resume-n.fault.mid-batch`, `channel.deliver.fault.pre-count`,
+//! windows (`cqs.resume-n.fault.mid-batch`, `channel.send.fault.buffered`,
 //! `future.wake.fault.pre-fire`, `cqs.close.fault.mid-sweep`, ...) while
 //! producers and consumers race, and every round still proves the two
 //! contracts of the hardening work:
@@ -62,7 +62,7 @@ fn round(seed: u64) -> (bool, bool) {
                 Ok(Err(RecvError::Cancelled)) => {}
                 Err(p) => {
                     assert!(is_injected(p.as_ref()), "non-injected panic in consumer");
-                    return true; // injector crashed this consumer mid-grant
+                    return true; // injector crashed this consumer
                 }
             }
         })
@@ -87,7 +87,7 @@ fn round(seed: u64) -> (bool, bool) {
                         }
                         Err(p) => {
                             assert!(is_injected(p.as_ref()), "non-injected panic in producer");
-                            return true; // element is parked in the orphan list
+                            return true; // the element stays in its cell for drain()
                         }
                     }
                 }

@@ -6,7 +6,8 @@
 //! Every case runs on one thread: a wait suspends (the resource is taken),
 //! the matching release resumes it, and the completed future is consumed.
 //! Budgets are averages over [`WAITS`] waits and leave room for the
-//! per-segment allocations (one 16-cell segment per 16 waits per queue).
+//! per-segment allocations (one 16-cell segment per 16 waits per queue; a
+//! channel's segments hold 32 cells).
 //!
 //! The watchdog registers a heap record per suspension by design, so the
 //! budget only describes builds without the `watch` feature.
@@ -88,7 +89,7 @@ fn suspended_waits_stay_within_their_allocation_budget() {
         assert_eq!(taker.wait(), Ok(7));
     });
 
-    // Neither side waits: only the buffer's segments may allocate.
+    // Neither side waits: only the channel's segments may allocate.
     let channel: CqsChannel<u64> = CqsChannel::bounded(4);
     assert_budget("channel send+receive, no wait", 0.5, || {
         let send = channel.send(1);
@@ -100,18 +101,19 @@ fn suspended_waits_stay_within_their_allocation_budget() {
     });
 
     // Empty channel: the receive suspends, the send delivers to it.
-    assert_budget("channel blocked receive + send", 2.5, || {
+    assert_budget("channel blocked receive + send", 1.5, || {
         let receive = channel.receive();
         assert!(!receive.is_immediate());
         channel.send(2).wait().unwrap();
         assert_eq!(receive.wait(), Ok(2));
     });
 
-    // Full channel: the send suspends, the receive grants it a slot.
+    // Full channel: the send suspends, the receive admits it into the
+    // buffer.
     for v in 0..4 {
         channel.send(v).wait().unwrap();
     }
-    assert_budget("channel blocked send + receive", 3.75, || {
+    assert_budget("channel blocked send + receive", 1.5, || {
         let send = channel.send(3);
         assert!(!send.is_immediate());
         channel.receive().wait().unwrap();

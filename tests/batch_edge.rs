@@ -4,7 +4,10 @@
 //! calls, which must be complete no-ops — no counter movement, no claims,
 //! no stray wake-ups.
 
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::task::{Context, Wake, Waker};
 
 use cqs::{Cqs, CqsConfig, FutureState, SimpleCancellation};
 use cqs_future::{wake_batch_spill_count, WAKE_BATCH_INLINE};
@@ -21,6 +24,15 @@ fn spill_counter() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// A waker that records its waiter's index when woken.
+struct Ordered(usize, Arc<Mutex<Vec<usize>>>);
+
+impl Wake for Ordered {
+    fn wake(self: Arc<Self>) {
+        self.1.lock().unwrap().push(self.0);
+    }
+}
+
 /// More waiters than the inline wake capacity in a single `resume_n`: the
 /// batch must spill to the heap (observable through the process-wide
 /// spill counter) and still fire every deferred wake in FIFO order.
@@ -31,9 +43,11 @@ fn resume_n_past_inline_capacity_spills_and_fires_fifo() {
     let cqs = cqs();
     let mut futures: Vec<_> = (0..N).map(|_| cqs.suspend().expect_future()).collect();
     let order: Arc<Mutex<Vec<usize>>> = Arc::default();
-    for (i, f) in futures.iter().enumerate() {
-        let order = Arc::clone(&order);
-        f.on_settled(move |_| order.lock().unwrap().push(i));
+    for (i, f) in futures.iter_mut().enumerate() {
+        let waker = Waker::from(Arc::new(Ordered(i, Arc::clone(&order))));
+        assert!(Pin::new(f)
+            .poll(&mut Context::from_waker(&waker))
+            .is_pending());
     }
     let before = wake_batch_spill_count();
     let failed = cqs.resume_n(0..N as u64, N);

@@ -77,13 +77,10 @@ fn rendezvous_timeout_vs_delivery_agree() {
             let ch = Arc::clone(&ch);
             std::thread::spawn(move || ch.receive().wait_timeout(Duration::from_millis(2)))
         };
-        // Four arrivals inside the receive deadline and one well past it,
-        // none *on* it: a cancel that loses to a delivery already in flight
-        // re-pockets the element (`cqs-channel` docs, "A refused hand-off"),
-        // which this test's strict agreement does not admit. The exact
-        // coincidence belongs to the seeded `chaos_race` below.
-        const ARRIVAL_US: [u64; 5] = [0, 500, 1000, 1500, 4000];
-        std::thread::sleep(Duration::from_micros(ARRIVAL_US[(round % 5) as usize]));
+        // Arrivals inside the receive deadline, on it, and well past it.
+        const ARRIVAL_US: [u64; 6] = [0, 500, 1000, 1500, 2000, 4000];
+        let arrival = ARRIVAL_US[round as usize % ARRIVAL_US.len()];
+        std::thread::sleep(Duration::from_micros(arrival));
         let sent = ch.send(round).wait_timeout(Duration::from_millis(20));
         let received = receiver.join().unwrap();
         match (received, sent) {

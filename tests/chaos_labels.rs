@@ -49,8 +49,8 @@ fn representative_workload() {
     cqs.close();
     drop(fs);
 
-    // Channel windows: gated send, buffered + direct handoff, blocked
-    // send grant, close sweep.
+    // Channel windows: buffered send, waiting send admitted by the
+    // buffer end, direct handoff to a waiting receiver, close sweep.
     let ch = CqsChannel::bounded(1);
     ch.send(1u64).wait().unwrap();
     let blocked = ch.send(2);

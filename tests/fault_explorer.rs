@@ -286,7 +286,7 @@ mod enabled {
     }
 
     #[cfg(not(feature = "planted-unguarded"))]
-    fn channel_deliver_program() -> Program {
+    fn channel_send_program() -> Program {
         use cqs::{CqsChannel, SendError};
         let ch: CqsChannel<u64> = CqsChannel::unbounded();
         let crashed = Arc::new(AtomicBool::new(false));
@@ -319,13 +319,13 @@ mod enabled {
                     return Ok(());
                 }
                 if !ch.is_poisoned() {
-                    return Err("crash in deliver left the channel unpoisoned".to_string());
+                    return Err("crash in send left the channel unpoisoned".to_string());
                 }
                 if ch.receive().try_get() != FutureState::Cancelled {
                     return Err("post-poison receive did not fail at once".to_string());
                 }
-                // Conservation: the crashed delivery's element is in the
-                // orphan list, accepted ones come back from the sweep.
+                // Conservation: the crashed send's element stays in its
+                // cell, and the sweep collects it with the accepted ones.
                 let drained = ch.drain().len();
                 let returned = returned.load(Ordering::SeqCst);
                 if drained + returned != 2 {
@@ -418,40 +418,21 @@ mod enabled {
             })
     }
 
-    /// `Trace::choices()` of the first failing schedule the search below
-    /// finds (schedule 769 of the storm program, 62 decisions).
-    #[cfg(not(feature = "planted-unguarded"))]
-    const STORM_HANG: &[usize] = &[
-        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-        2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 0, 3, 3, 3, 3, 3,
-        2, 1,
-    ];
-
-    /// `channel_fault_storm`'s hang as a replayable trace. In
-    /// [`STORM_HANG`] (t0, t1 producers, t2 the consumer, t3 the closer):
-    /// both producers fill the slot and queue their remaining sends
-    /// (#0–#29); the consumer's receives free the slot and resume a queued
-    /// send's grant (#30–#49), and the closer's sweep cancels a waiter
-    /// (#50–#59) while the consumer's second resume is in flight (#60).
-    /// A delivery then runs on the closer's thread and crashes at
-    /// `channel.deliver.fault.pre-count` (#61), and one send is left
-    /// pending after `close`: the send whose `wait()` parks forever in the
-    /// storm. All 50 of 50 replays fail the same way; with a crash budget
-    /// of 0 the same program runs all 90 360 schedules clean.
-    ///
-    /// The test asserts the correct contract (no send pending after
-    /// `close`, every element in exactly one place), so it fails until the
-    /// channel is rebuilt; run it with `-- --ignored`.
+    /// `channel_fault_storm` as an explorer program: every schedule up to
+    /// two preemptions, with one crash in any of them, leaves no send
+    /// pending after `close` and every element in exactly one place.
     #[cfg(not(feature = "planted-unguarded"))]
     #[test]
-    #[ignore = "channel_fault_storm hang; fixed by the channel rewrite"]
     fn channel_storm_strands_no_send() {
         record_injected_crashes();
-        let explorer = explorer();
-        if let Err(error) = explorer.replay(channel_storm_program, STORM_HANG) {
-            panic!("the committed storm trace fails: {error}");
-        }
-        explorer.check_exhaustive(channel_storm_program);
+        let started = std::time::Instant::now();
+        let exploration = explorer().check_exhaustive(channel_storm_program);
+        println!(
+            "channel_storm: {} schedules in {:?}, crashed at {:?}",
+            exploration.runs,
+            started.elapsed(),
+            std::mem::take(&mut *lock(&CRASHED))
+        );
     }
 
     /// The hardening proof: with the recovery paths compiled in, a crash
@@ -466,7 +447,7 @@ mod enabled {
             ("resume_n", resume_n_program as fn() -> Program),
             ("resume_all", resume_all_program),
             ("close", close_program),
-            ("channel_deliver", channel_deliver_program),
+            ("channel_send", channel_send_program),
         ];
         let mut crashed = BTreeSet::new();
         for (name, program) in programs {

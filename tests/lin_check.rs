@@ -225,32 +225,23 @@ fn queue_pool_storm_histories_are_fifo_linearizable() {
     }
 }
 
-/// One sender feeds a capacity-3 `CqsChannel` (a fifth of the sends
-/// aborting mid-flight) while a single receiver drains until `close()`
-/// winds it down; the history must linearize against the bounded-FIFO
-/// channel model: sends respect capacity at their linearization point and
-/// receives pop in head order. The channel's element type is generic, so
-/// both edges are recorded harness-side, like the pool's.
-///
-/// The storm deliberately stays inside the channel's strict-FIFO core —
-/// one sender, one receiver, no receive cancellation, close only at
-/// quiescence (see "Ordering" in the `cqs-channel` crate docs; the close
-/// sweep claims buffered elements one at a time, so a mid-drain close
-/// would race the receiver for the buffer front — a steal the sequential
-/// model cannot express). Outside that core the channel trades
-/// order for conservation at three edges: concurrent receivers are
-/// ranked by suspension order rather than claim order, a refused
-/// hand-off re-pockets its element at the buffer tail, and a delivery
-/// whose buffer insert is broken by a racing claim re-announces and
-/// re-pockets at the tail, letting a concurrent sender's later element
-/// slip ahead. Conservation across all three is what the chaos storms
-/// check; this storm checks that the core is genuinely linearizable.
+/// Two senders feed a capacity-3 `CqsChannel` (a fifth of the sends
+/// aborting mid-flight) while two receivers drain it until `close()` winds
+/// them down, a seeded quarter of the receives cancelled at once; the
+/// history must linearize against the bounded-FIFO channel model: sends
+/// respect capacity at their linearization point and receives pop in head
+/// order. A cancelled receive either got its element (the cancel lost) or
+/// is a no-op. The channel's element type is generic, so both edges are
+/// recorded harness-side, like the pool's. The channel closes once the
+/// receivers have taken every accepted element: the model has no close.
 #[test]
 fn channel_storm_histories_are_bounded_fifo_linearizable() {
     let _serial = serial();
     const CAPACITY: u64 = 3;
-    const SENDERS: u64 = 1;
-    const PER_SENDER: u64 = 24;
+    const SENDERS: u64 = 2;
+    const RECEIVERS: u64 = 2;
+    const PER_SENDER: u64 = 12;
+    let aborted = Arc::new(AtomicUsize::new(0));
     for seed in seeds() {
         let ch: Arc<CqsChannel<u64>> = Arc::new(CqsChannel::bounded(CAPACITY as usize));
         let id = Arc::as_ptr(&ch) as u64;
@@ -267,7 +258,7 @@ fn channel_storm_histories_are_bounded_fifo_linearizable() {
                         cqs_chaos::record(id, "chan.send", OpPhase::Invoke, v);
                         let f = ch.send(v);
                         if (i + t).is_multiple_of(5) && f.cancel() {
-                            // An `Ok` here means the grant outran the cancel.
+                            // An `Ok` here means a receiver outran the cancel.
                             if f.wait().is_err() {
                                 cqs_chaos::record(
                                     id,
@@ -288,21 +279,36 @@ fn channel_storm_histories_are_bounded_fifo_linearizable() {
             }
             let send_joins = joins.split_off(0);
             let mut recv_joins = Vec::new();
-            for _ in 0..1 {
+            for t in 0..RECEIVERS {
                 let ch = Arc::clone(&ch);
-                let consumed = Arc::clone(&consumed);
-                recv_joins.push(std::thread::spawn(move || loop {
-                    cqs_chaos::record(id, "chan.recv", OpPhase::Invoke, 0);
-                    match ch.receive().wait_timeout(DEADLINE) {
-                        Ok(v) => {
-                            cqs_chaos::record(id, "chan.recv", OpPhase::Response, v);
-                            consumed.fetch_add(1, Ordering::SeqCst);
-                        }
-                        Err(_) => {
-                            // Woken by close() with nothing to hand over.
+                let (consumed, aborted) = (Arc::clone(&consumed), Arc::clone(&aborted));
+                recv_joins.push(std::thread::spawn(move || {
+                    for i in 0.. {
+                        cqs_chaos::record(id, "chan.recv", OpPhase::Invoke, 0);
+                        let r = ch.receive();
+                        let abort =
+                            (seed ^ (i * RECEIVERS + t)).wrapping_mul(0x9E37_79B9) >> 30 & 3;
+                        if abort == 0 && r.cancel() {
                             cqs_chaos::record(id, "chan.recv", OpPhase::Response, RESP_CANCELLED);
-                            assert!(ch.is_closed(), "lost wakeup under seed {seed:#x}");
-                            return;
+                            aborted.fetch_add(1, Ordering::SeqCst);
+                            continue;
+                        }
+                        match r.wait_timeout(DEADLINE) {
+                            Ok(v) => {
+                                cqs_chaos::record(id, "chan.recv", OpPhase::Response, v);
+                                consumed.fetch_add(1, Ordering::SeqCst);
+                            }
+                            Err(_) => {
+                                // Woken by close() with nothing to hand over.
+                                cqs_chaos::record(
+                                    id,
+                                    "chan.recv",
+                                    OpPhase::Response,
+                                    RESP_CANCELLED,
+                                );
+                                assert!(ch.is_closed(), "lost wakeup under seed {seed:#x}");
+                                return;
+                            }
                         }
                     }
                 }));
@@ -310,12 +316,6 @@ fn channel_storm_histories_are_bounded_fifo_linearizable() {
             for j in send_joins {
                 j.join().expect("sender thread panicked");
             }
-            // Quiesce before closing: the close sweep claims buffered
-            // elements one at a time, so closing while the receiver still
-            // drains would race it for the front of the buffer — a steal
-            // the model (which has no close operation) cannot express.
-            // Once the receiver has consumed everything, close() merely
-            // releases it from an empty channel.
             while consumed.load(Ordering::SeqCst) < accepted.load(Ordering::SeqCst) {
                 std::thread::yield_now();
             }
@@ -347,6 +347,10 @@ fn channel_storm_histories_are_bounded_fifo_linearizable() {
             panic!("channel history not linearizable under seed {seed:#x}: {e}")
         });
     }
+    assert!(
+        aborted.load(Ordering::SeqCst) > 0,
+        "no receive cancel won in any seed"
+    );
 }
 
 /// End-to-end negative control: a hand-crafted history in which two

@@ -395,9 +395,11 @@ fn channel_receive_cancel_vs_send_conserves_element_and_slot() {
     });
 }
 
+type SendPoll = Poll<Result<(), SendError<u64>>>;
+
 /// Polls `send` once with a waker that does nothing: explorer threads must
 /// not park.
-fn poll_send_once(send: &mut ChannelSend<u64>) -> Poll<Result<(), SendError<u64>>> {
+fn poll_send_once(send: &mut ChannelSend<u64>) -> SendPoll {
     std::pin::Pin::new(send).poll(&mut Context::from_waker(Waker::noop()))
 }
 
@@ -413,17 +415,18 @@ fn taken<T>(shared: &Shared<T>, who: &str) -> Result<T, String> {
 
 /// Rendezvous cancel vs delivery: T1 receives and at once cancels, T2
 /// sends 5 and polls its send once. Exactly one of two outcomes is
-/// allowed: the receiver has 5 and the send is `Ok`, or the receiver is
-/// `Cancelled` and the send is still pending or has its element handed
-/// back. A cancelled receiver beside an accepted send would mean the
-/// element went somewhere neither side can see. `close()` then returns
-/// nothing: a rendezvous channel buffers nothing.
+/// allowed, judged once both threads are done (a send still pending then
+/// is polled again): the receiver has 5 and the send is `Ok`, or the
+/// receiver is `Cancelled` and the send is still pending or has its
+/// element handed back. A cancelled receiver beside an accepted send
+/// would mean the element went somewhere neither side can see. `close()`
+/// then returns nothing: a rendezvous channel buffers nothing.
 #[test]
 fn rendezvous_receive_cancel_vs_send_has_one_outcome() {
     let exploration = explorer().check_exhaustive(|| {
         let ch: Arc<CqsChannel<u64>> = Arc::new(CqsChannel::rendezvous());
         let receiver: Shared<cqs::ChannelRecv<u64>> = Arc::default();
-        let sender: Shared<(Poll<Result<(), SendError<u64>>>, ChannelSend<u64>)> = Arc::default();
+        let sender: Shared<(SendPoll, ChannelSend<u64>)> = Arc::default();
         Program::new()
             .thread({
                 let (ch, receiver) = (Arc::clone(&ch), Arc::clone(&receiver));
@@ -443,7 +446,10 @@ fn rendezvous_receive_cancel_vs_send_has_one_outcome() {
             })
             .check(move || {
                 let mut r = taken(&receiver, "receiver")?;
-                let (polled, mut s) = taken(&sender, "sender")?;
+                let (mut polled, mut s) = taken(&sender, "sender")?;
+                if polled.is_pending() {
+                    polled = poll_send_once(&mut s);
+                }
                 let received = r.try_get();
                 let pending = match (&received, polled) {
                     (FutureState::Ready(5), Poll::Ready(Ok(()))) => false,
@@ -488,7 +494,7 @@ fn poison_vs_queued_send_reports_poisoned() {
         assert!(ch.send(1).is_immediate());
         let queued = ch.send(2);
         assert!(!queued.is_immediate());
-        let outcome: Shared<Poll<Result<(), SendError<u64>>>> = Arc::default();
+        let outcome: Shared<SendPoll> = Arc::default();
         Program::new()
             .thread({
                 let ch = Arc::clone(&ch);

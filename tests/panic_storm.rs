@@ -196,8 +196,8 @@ mod enabled {
     }
 
     /// One producer/consumer round over a small bounded channel: crosses
-    /// the `channel.deliver.fault.pre-count` window (plus the wake window
-    /// on handoffs) and checks element conservation through crashes and
+    /// the `channel.send.fault.buffered` window (plus the wake window of
+    /// the close sweep) and checks element conservation through crashes and
     /// the fail-fast aftermath. A send still pending after `DEADLINE`
     /// fails the round (the stranded-sender hang). Fault arming is the
     /// caller's business.

@@ -1,9 +1,8 @@
 //! Pins the `WakeBatch` panic-isolation contract (no cargo feature
-//! needed): a request wakes two kinds of thing, its settlement hook and
-//! its waker, and a panicking one — a hook here, in practice also a task
-//! waker — must never prevent the *other* wakes in
-//! the batch from firing, on the inline path, on the heap-spill path, and
-//! on the unwind path where the batch is dropped rather than fired.
+//! needed): a request wakes its waker, and a panicking waker must never
+//! prevent the *other* wakes in the batch from firing, on the inline
+//! path, on the heap-spill path, and on the unwind path where the batch
+//! is dropped rather than fired.
 //!
 //! Before the hardening, `fire()` ran wakes bare: the first panicking
 //! callback unwound out of the loop and every wake after it was lost (its
@@ -13,26 +12,41 @@
 use cqs_future::{CqsFuture, PendingWake, Request, WakeBatch, WAKE_BATCH_INLINE};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Wake, Waker};
+
+/// A waker that bumps `fired` when woken, then panics with `panic`, if any.
+struct Counting {
+    fired: Arc<AtomicUsize>,
+    panic: Option<&'static str>,
+}
+
+impl Wake for Counting {
+    fn wake(self: Arc<Self>) {
+        self.fired.fetch_add(1, Ordering::SeqCst);
+        if let Some(message) = self.panic {
+            std::panic::panic_any(message);
+        }
+    }
+}
+
+/// A completed request whose waiter, registered by a poll, bumps `fired`
+/// when woken and then panics with `panic`, if any.
+fn wake_of(fired: &Arc<AtomicUsize>, panic: Option<&'static str>) -> PendingWake {
+    let r: Arc<Request<u32>> = Arc::new(Request::new());
+    let fired = Arc::clone(fired);
+    let waker = Waker::from(Arc::new(Counting { fired, panic }));
+    assert!(r.poll(&mut Context::from_waker(&waker)).is_pending());
+    r.complete_deferred(0).unwrap()
+}
 
 /// A completed request whose waiter bumps `fired` when woken.
 fn counting_wake(fired: &Arc<AtomicUsize>) -> PendingWake {
-    let r: Arc<Request<u32>> = Arc::new(Request::new());
-    let fired = Arc::clone(fired);
-    CqsFuture::suspended(Arc::clone(&r)).on_settled(move |_| {
-        fired.fetch_add(1, Ordering::SeqCst);
-    });
-    r.complete_deferred(0).unwrap()
+    wake_of(fired, None)
 }
 
 /// A completed request whose waiter bumps `fired` and then panics.
 fn panicking_wake(fired: &Arc<AtomicUsize>) -> PendingWake {
-    let r: Arc<Request<u32>> = Arc::new(Request::new());
-    let fired = Arc::clone(fired);
-    CqsFuture::suspended(Arc::clone(&r)).on_settled(move |_| {
-        fired.fetch_add(1, Ordering::SeqCst);
-        panic!("waker panicked mid-batch");
-    });
-    r.complete_deferred(0).unwrap()
+    wake_of(fired, Some("waker panicked mid-batch"))
 }
 
 /// Builds a batch of `total` wakes with panicking wakes at `panic_at`,
@@ -87,12 +101,9 @@ fn spill_path_survives_panicking_wakers() {
 fn first_of_several_panics_is_the_one_rethrown() {
     let fired = Arc::new(AtomicUsize::new(0));
     let mut batch = WakeBatch::new();
-    let r: Arc<Request<u32>> = Arc::new(Request::new());
-    CqsFuture::suspended(Arc::clone(&r)).on_settled(|_| panic!("first"));
-    batch.push(r.complete_deferred(0).unwrap());
-    let r: Arc<Request<u32>> = Arc::new(Request::new());
-    CqsFuture::suspended(Arc::clone(&r)).on_settled(|_| panic!("second"));
-    batch.push(r.complete_deferred(0).unwrap());
+    let ignored = Arc::new(AtomicUsize::new(0));
+    batch.push(wake_of(&ignored, Some("first")));
+    batch.push(wake_of(&ignored, Some("second")));
     batch.push(counting_wake(&fired));
     let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| batch.fire()))
         .expect_err("panics must surface");

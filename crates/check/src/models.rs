@@ -241,9 +241,9 @@ impl LinModel for FifoQueueLin {
 /// Bounded or unbounded FIFO channel (the `cqs-channel` abstraction):
 /// `chan.send` carries the element in `invoke_value` and is legal only
 /// while the channel has room (a completed send means the element *is* in
-/// the channel — blocked sends that resolve later linearize at their
-/// grant); `chan.recv`'s `response_value` must be the element at the
-/// head. Cancelled ops ([`RESP_CANCELLED`]) are no-ops.
+/// the channel — blocked sends that resolve later linearize when a
+/// receive admits them); `chan.recv`'s `response_value` must be the
+/// element at the head. Cancelled ops ([`RESP_CANCELLED`]) are no-ops.
 ///
 /// Not applicable to rendezvous channels: with zero capacity no send is
 /// ever sequentially legal, yet every completed rendezvous send is — the

@@ -299,20 +299,6 @@ struct ChannelShared<T: Send + 'static> {
     watch_id: u64,
 }
 
-/// What a send's cell gave it.
-enum Sent<T: Send + 'static> {
-    /// The element entered the channel.
-    Accepted,
-    /// The element came back: the status in `S` tells why.
-    Refused(T),
-    /// The sender waits in `segment[index]` for its request.
-    Waiting {
-        request: Arc<Request<()>>,
-        segment: Arc<ChannelSegment<T>>,
-        index: usize,
-    },
-}
-
 impl<T: Send + 'static> ChannelShared<T> {
     fn new(capacity: Option<u64>, segment_size: usize) -> Self {
         assert!(segment_size > 0, "segment size must be positive");
@@ -364,7 +350,7 @@ impl<T: Send + 'static> ChannelShared<T> {
         (segment.id() == id).then_some(segment)
     }
 
-    fn send(&self, mut element: T) -> Sent<T> {
+    fn send(&self, mut element: T) -> SendState<T> {
         cqs_stats::bump!(channel_sends);
         let guard = pin();
         'cells: loop {
@@ -375,7 +361,7 @@ impl<T: Send + 'static> ChannelShared<T> {
             cqs_chaos::inject!("channel.send.pre-counter");
             let word = self.senders.fetch_add(1, SeqCst);
             if word & CLOSED_BIT != 0 {
-                return Sent::Refused(element);
+                return SendState::Refused(Some(element));
             }
             let s = word & COUNTER;
             let Some(segment) = self.segment(&self.send_segm, start, s, &guard) else {
@@ -423,7 +409,7 @@ impl<T: Send + 'static> ChannelShared<T> {
                                 cqs_stats::bump!(channel_direct_handoffs);
                                 cell.state.store(DONE, SeqCst);
                                 cell.receiver.store(None, &guard);
-                                return Sent::Accepted;
+                                return SendState::Accepted;
                             }
                             Err(back) => {
                                 element = back;
@@ -433,7 +419,7 @@ impl<T: Send + 'static> ChannelShared<T> {
                         }
                     }
                     INTERRUPTED_RCV => continue 'cells,
-                    CLOSED => return Sent::Refused(element),
+                    CLOSED => return SendState::Refused(Some(element)),
                     other => unreachable!("a send found cell state {other}"),
                 }
             }
@@ -442,7 +428,7 @@ impl<T: Send + 'static> ChannelShared<T> {
 
     /// The sender's element is in its cell: the channel has it, unless
     /// a close this send raced did not sweep the cell.
-    fn buffered(&self, cell: &ChannelCell<T>) -> Sent<T> {
+    fn buffered(&self, cell: &ChannelCell<T>) -> SendState<T> {
         cqs_stats::bump!(channel_buffered_handoffs);
         #[cfg(feature = "chaos")]
         if let Err(panic) =
@@ -453,9 +439,9 @@ impl<T: Send + 'static> ChannelShared<T> {
         }
         cqs_chaos::inject!("channel.send.pre-close-check");
         if self.status() != 0 && cell.cas(BUFFERED, CLOSED).is_ok() {
-            return Sent::Refused(cell.take());
+            return SendState::Refused(Some(cell.take()));
         }
-        Sent::Accepted
+        SendState::Accepted
     }
 
     fn waiting_send(
@@ -463,14 +449,14 @@ impl<T: Send + 'static> ChannelShared<T> {
         request: Arc<Request<()>>,
         segment: Arc<ChannelSegment<T>>,
         index: usize,
-    ) -> Sent<T> {
+    ) -> SendState<T> {
         cqs_stats::bump!(channel_blocked_sends);
         cqs_watch::register_waiter!(self.watch_id, "channel", Arc::clone(&request));
         cqs_chaos::inject!("channel.send.pre-close-check");
         if self.status() != 0 {
             request.cancel();
         }
-        Sent::Waiting {
+        SendState::Waiting {
             request,
             segment,
             index,
@@ -809,21 +795,8 @@ impl<T: Send + 'static> CqsChannel<T> {
     /// makes room — or fails with the element handed back if the channel
     /// is closed or the send is cancelled first.
     pub fn send(&self, element: T) -> ChannelSend<T> {
-        let state = match self.shared.send(element) {
-            Sent::Accepted => SendState::Accepted,
-            Sent::Refused(element) => SendState::Refused(Some(element)),
-            Sent::Waiting {
-                request,
-                segment,
-                index,
-            } => SendState::Waiting {
-                request,
-                segment,
-                index,
-            },
-        };
         ChannelSend {
-            state,
+            state: self.shared.send(element),
             channel: Arc::downgrade(&self.shared),
         }
     }
@@ -940,7 +913,8 @@ pub struct ChannelSend<T: Send + 'static> {
 enum SendState<T: Send + 'static> {
     /// The element entered the channel without waiting.
     Accepted,
-    /// The element came back; emptied when the error hands it out.
+    /// The element came back (the status in `S` tells why); emptied when
+    /// the error hands it out.
     Refused(Option<T>),
     /// Waits in `segment[index]`, its element in the cell.
     Waiting {
@@ -1159,7 +1133,7 @@ mod tests {
         let b3 = ch.send(3);
         assert!(!b2.is_immediate());
         assert!(!b3.is_immediate());
-        // Consuming 1 grants the oldest blocked sender; elements arrive
+        // Consuming 1 admits the oldest blocked sender; elements arrive
         // in send order across the blocked/immediate boundary.
         assert_eq!(ch.receive().wait(), Ok(1));
         b2.wait().unwrap();

@@ -12,8 +12,9 @@
 //! The infinite array is emulated by a linked list of fixed-size cell
 //! segments; segments whose cells are all cancelled are physically unlinked
 //! in O(1), so memory consumption is proportional to the number of *live*
-//! waiters. See [`Cqs`] for the entry point and the `cqs-sync` / `cqs-pool`
-//! crates for the primitives.
+//! waiters. See [`Cqs`] for the entry point, the `cqs-sync` / `cqs-pool`
+//! crates for the primitives, and [`channel`] for the MPMC channel, which
+//! runs on the same segment list with cells of its own.
 //!
 //! ## Choosing modes
 //!
@@ -112,4 +113,7 @@ mod tests;
 ///   obstruction-free under element races, as in the paper. The queue
 ///   backend's walk never restarts (a slot segment is never removed), and
 ///   its head CAS fails only when the head moved forward.
+/// * Channel: `send` and `receive` lock-free — a retry on a fresh cell
+///   means a waiter in the old one was cancelled; the buffer-end step
+///   retries only past cancelled senders.
 pub mod progress {}

@@ -115,8 +115,8 @@ fn executor_channel_round_trip_releases_every_permit() {
         let sum = Arc::clone(&sum);
         executor.spawn(async move {
             for _ in 0..SENDERS * PER_SENDER / 2 {
-                // The await path whose settlement hook must release the
-                // capacity slot.
+                // The await path: taking its cell moves the buffer end
+                // on, which admits a waiting sender.
                 let v = ch.receive().await.expect("receive cancelled");
                 sum.fetch_add(v, Ordering::SeqCst);
             }

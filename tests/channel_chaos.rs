@@ -1,9 +1,8 @@
-//! Seeded chaos storms for the segment-native `CqsChannel` (run with
-//! `--features chaos`).
+//! Seeded chaos storms for `CqsChannel` (run with `--features chaos`).
 //!
 //! The storms drive send/receive/cancel/close traffic across 72 fixed
-//! seeds while every labelled `channel.*` race window (claim vs. retrieve,
-//! deliver vs. cancel, grant vs. timeout, close vs. in-flight send) is
+//! seeds while every labelled `channel.*` race window (counter vs. cell,
+//! delivery vs. cancel, admission vs. timeout, close vs. in-flight send) is
 //! stretched by the seeded scheduler, and assert the channel's
 //! conservation contract under each schedule:
 //!
@@ -64,7 +63,7 @@ fn conservation_round(ch: Arc<CqsChannel<u64>>, seed: u64) -> (u64, u64, usize, 
                 let f = ch.send(v);
                 // A fifth of the sends try to abort mid-flight.
                 if (i + t) % 5 == 0 && f.cancel() {
-                    // An `Ok` here means the grant outran the cancel.
+                    // An `Ok` here means a receiver outran the cancel.
                     if let Err(e) = f.wait() {
                         assert_eq!(
                             e.into_inner(),

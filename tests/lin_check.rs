@@ -168,9 +168,9 @@ fn mutex_storm_histories_linearize() {
 /// consumer takes; the history must linearize against the strict-FIFO
 /// queue model — the fairness order the paper proves.
 ///
-/// Like the channel storm below, this stays inside the pool's strict-FIFO
-/// core: one taker (concurrent takers are ranked by suspension order, not
-/// claim order) and no take cancellation — a cancelled take whose cell
+/// The storm stays inside the pool's strict-FIFO core: one taker
+/// (concurrent takers are ranked by suspension order, not claim order)
+/// and no take cancellation — a cancelled take whose cell
 /// already holds a value re-pockets it from the *cancelling* thread,
 /// which can land it behind later puts. Conservation under aborts is
 /// covered by the pool's own chaos tests; this storm checks the order.

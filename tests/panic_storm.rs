@@ -219,9 +219,9 @@ mod enabled {
                 std::thread::spawn(move || {
                     let start = Instant::now();
                     while start.elapsed() < DEADLINE {
-                        // A receive can grant a parked sender and run its
-                        // delivery inline, so the injector may crash this
-                        // thread mid-grant — model a dead consumer.
+                        // A crash the injector places on this thread (a
+                        // waker of the close sweep, say) models a dead
+                        // consumer.
                         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             ch.receive().wait_timeout(Duration::from_millis(50))
                         }));
@@ -270,9 +270,9 @@ mod enabled {
                                 returned.fetch_add(1, Ordering::SeqCst);
                             }
                             Err(p) => {
-                                // The injector crashed this thread
-                                // mid-delivery; the element is in the
-                                // orphan list. Model a dead thread.
+                                // The injector crashed this thread after
+                                // its element was buffered; the element
+                                // stays in its cell. Model a dead thread.
                                 assert!(is_injected(p.as_ref()));
                                 return true;
                             }
@@ -296,11 +296,11 @@ mod enabled {
                 crashed_producers += 1;
             }
         }
-        // close() sweeps both waiter queues and so crosses the
-        // close-sweep fault window itself; a crash here models the
-        // closing thread dying. The sweep is run-all-then-rethrow, so
-        // the channel still ends closed (and poisoned) with the buffered
-        // elements parked in the orphan list for drain().
+        // close() sweeps the cells and fires the waiters' wakes, so it
+        // crosses the wake fault window; a crash here models the closing
+        // thread dying. Every wake still fires, and the channel ends
+        // closed (and poisoned) with the buffered elements left in their
+        // cells for drain().
         let mut crashed_close = false;
         let leftovers = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ch.close()))
         {
@@ -321,8 +321,8 @@ mod enabled {
         let drained = ch.drain();
 
         // Conservation: every attempted element is in exactly one
-        // sink. Crashed deliveries land in the orphan list and are
-        // recovered by close()/drain().
+        // sink. A crashed send's element stays in its cell and is
+        // received or recovered by close()/drain().
         let accounted = consumed.load(Ordering::SeqCst)
             + returned.load(Ordering::SeqCst)
             + leftovers.len()

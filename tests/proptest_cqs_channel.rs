@@ -98,7 +98,8 @@ proptest! {
                         }
                         prop_assert!(f.wait().is_ok());
                     } else {
-                        // At capacity: the send linearizes later, at its grant.
+                        // At capacity: the send linearizes later, when a
+                        // receive admits it into the buffer.
                         prop_assert!(capacity.is_some_and(|c| in_flight.len() >= c));
                         blocked_sends.push_back((v, f));
                     }
@@ -109,7 +110,7 @@ proptest! {
                         prop_assert!(r.is_immediate());
                         prop_assert_eq!(r.wait(), Ok(v));
                         step(&mut model, "chan.recv", 0, v)?;
-                        // Freeing a slot grants the oldest blocked send,
+                        // Freeing a slot admits the oldest blocked send,
                         // which linearizes (and buffers its element) now.
                         if let Some((gv, gf)) = blocked_sends.pop_front() {
                             prop_assert!(gf.wait().is_ok());

@@ -861,13 +861,22 @@ impl<T: Send + 'static> CqsChannel<T> {
     }
 
     /// A racy snapshot of the number of buffered elements; 0 once closed.
+    /// Counts the cells that hold one, so a cancelled sender's cell, which
+    /// `S - R` would count, does not.
     pub fn len(&self) -> usize {
-        let word = self.shared.senders.load(SeqCst);
-        if word & !COUNTER != 0 {
+        if self.is_closed() {
             return 0;
         }
-        let stored = (word & COUNTER).saturating_sub(self.shared.receivers.load(SeqCst));
-        stored.min(self.shared.capacity.unwrap_or(u64::MAX)) as usize
+        let guard = pin();
+        let heads = [&*self.shared.recv_segm, &*self.shared.send_segm];
+        let mut buffered = 0;
+        for segment in linked_segments(heads, &guard) {
+            let cells = 0..segment.len();
+            buffered += cells
+                .filter(|&i| segment.cell(i).state() == BUFFERED)
+                .count();
+        }
+        buffered.min(self.capacity().unwrap_or(usize::MAX))
     }
 
     /// Whether the channel currently buffers no elements.
@@ -1198,6 +1207,7 @@ mod tests {
         }
         // The slot the cancelled sender was queued for is intact.
         assert_eq!(ch.receive().wait(), Ok(1));
+        assert!(ch.is_empty(), "a cancelled send buffers nothing");
         assert!(ch.send(3).is_immediate());
         assert_eq!(ch.receive().wait(), Ok(3));
     }

@@ -296,8 +296,8 @@ impl WakeBatch {
     /// Fires every held wake, in insertion order, leaving the batch empty.
     ///
     /// Each wake fires inside a panic-isolation boundary: a panicking waker
-    /// cannot prevent the remaining wakes from firing. Once every wake has fired,
-    /// the *first* captured panic is re-raised for the caller.
+    /// cannot prevent the remaining wakes from firing. Once every wake has
+    /// fired, the *first* captured panic is re-raised for the caller.
     pub fn fire(&mut self) {
         if let Some(panic) = self.fire_collect() {
             std::panic::resume_unwind(panic);

@@ -12,7 +12,7 @@ use std::sync::{Arc, Barrier as StdBarrier, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
 use cqs::watch::{ReportKind, Scanner, WatchConfig, WatchPolicy, Watchdog};
-use cqs::{LockError, Mutex, Semaphore};
+use cqs::{CqsChannel, LockError, Mutex, Semaphore};
 use cqs_harness::report::Json;
 
 /// What the sink keeps of each report: kind, evicted generations, JSON.
@@ -239,4 +239,27 @@ fn scanner_deadline_evicts_stalled_waiter() {
     sem.release();
     sem.acquire().wait().unwrap();
     sem.release();
+}
+
+/// Channel waiters register under their channel's `watch_id`: a receive
+/// waiting on an empty channel and a send waiting on a full one are live
+/// waiters of their own channel until they are cancelled.
+#[test]
+fn channel_waiters_register_under_the_channel_id() {
+    let empty: CqsChannel<u32> = CqsChannel::rendezvous();
+    let full: CqsChannel<u32> = CqsChannel::bounded(1);
+    full.send(1).wait().unwrap();
+    let receive = empty.receive();
+    let send = full.send(2);
+    assert!(!receive.is_immediate() && !send.is_immediate());
+    let waiting = |id: u64| {
+        cqs::watch::live_waiters(0)
+            .iter()
+            .filter(|w| w.primitive == id && w.label == "channel")
+            .count()
+    };
+    assert_eq!(waiting(empty.watch_id()), 1, "the waiting receive");
+    assert_eq!(waiting(full.watch_id()), 1, "the waiting send");
+    assert!(receive.cancel() && send.cancel());
+    assert_eq!(waiting(empty.watch_id()) + waiting(full.watch_id()), 0);
 }

@@ -189,7 +189,8 @@ pub(crate) struct ChannelCell<T> {
 
 // SAFETY: the element moves between threads only through the handoffs
 // argued at `put` and `take`, each ordered by a SeqCst RMW on `state` or
-// on the sender's request; the waiter slots are `AtomicArc`s.
+// on the sender's request, so `T: Send` suffices; `state` is atomic and
+// the waiter slots are `AtomicArc`s.
 unsafe impl<T: Send> Send for ChannelCell<T> {}
 unsafe impl<T: Send> Sync for ChannelCell<T> {}
 
